@@ -13,7 +13,7 @@ from rookhl.qseries import (
 )
 from rookhl.partitions import (
     is_partition, check_partition, enumerate_partitions, conjugate,
-    nstat, multiplicities, length, dominance_leq, is_vertical_strip,
+    nstat, multiplicities, dominance_leq, is_vertical_strip,
     parse_partition, format_partition,
 )
 from rookhl.dyck import (
@@ -28,7 +28,7 @@ from rookhl.rook import (
 )
 from rookhl.symfunc import (
     ssyt, reading_word, charge_word, charge, kostka, kostka_foulkes,
-    Transitions, transitions, SymFunc, elementary, omega,
+    Transitions, transitions, SymFunc, coefficient_line, elementary, omega,
     hl_h, hl_h_tilde, multiply, evaluate, hl_direct_oracle,
 )
 from rookhl.chromatic import (
@@ -40,26 +40,3 @@ from rookhl.verify import (
     check_multiplicativity, check_llt, check_principal,
     sweep_tasks, sweep,
 )
-
-__all__ = [
-    "QLaurent", "ZERO", "ONE", "Q", "from_int", "q_power", "exact_div",
-    "q_int", "q_factorial", "q_binomial", "q_falling",
-    "is_partition", "check_partition", "enumerate_partitions", "conjugate",
-    "nstat", "multiplicities", "length", "dominance_leq",
-    "is_vertical_strip", "parse_partition", "format_partition",
-    "from_heights", "parse_heights", "format_heights", "enumerate_dyck",
-    "area", "area_sequence", "edges", "poset_cells", "concat",
-    "complete_path", "ModularTriple", "modular_triples",
-    "placements", "chains", "placement_type", "extended_placement",
-    "RankTables", "rank_tables", "free_cells", "fc",
-    "r_poly", "type_polynomials", "hl_coefficient", "hl_coefficients",
-    "ssyt", "reading_word", "charge_word", "charge", "kostka",
-    "kostka_foulkes", "Transitions", "transitions", "SymFunc",
-    "elementary", "omega", "hl_h", "hl_h_tilde", "multiply", "evaluate",
-    "hl_direct_oracle",
-    "x_coefficient", "llt_coefficient", "chromatic_x", "llt_poly",
-    "principal_direct",
-    "CheckReport", "IDENTITIES", "check_main", "check_modular",
-    "check_multiplicativity", "check_llt", "check_principal",
-    "sweep_tasks", "sweep",
-]

@@ -17,10 +17,10 @@ from fractions import Fraction
 from rookhl.chromatic import chromatic_x, llt_poly
 from rookhl.dyck import enumerate_dyck, format_heights, parse_heights
 from rookhl.partitions import format_partition, parse_partition
-from rookhl.qseries import QLaurent
 from rookhl.rook import free_cells, hl_coefficients, placements, \
     placement_type, type_polynomials
-from rookhl.symfunc import SymFunc, hl_direct_oracle, transitions
+from rookhl.symfunc import SymFunc, coefficient_line, hl_direct_oracle, \
+    transitions
 from rookhl.verify import IDENTITIES, sweep
 
 
@@ -29,10 +29,6 @@ def _checked(parser, flag, fn, text):
         return fn(text)
     except (ValueError, ZeroDivisionError) as e:
         parser.error(f"{flag}: {e}")
-
-
-def _part_name(la) -> str:
-    return "(" + ",".join(str(p) for p in la) + ")"
 
 
 def cmd_expand(args, parser):
@@ -76,7 +72,7 @@ def cmd_rook(args, parser):
     for mu in sorted(table, reverse=True):
         if want is not None and mu != want:
             continue
-        print(f"{_part_name(mu)}: {table[mu]}")
+        print(coefficient_line(mu, table[mu]))
     return 0
 
 

@@ -21,7 +21,7 @@ def from_heights(heights) -> tuple[int, ...]:
     hs = tuple(heights)
     n = len(hs)
     for i, m in enumerate(hs, start=1):
-        if not isinstance(m, int):
+        if not isinstance(m, int) or isinstance(m, bool):
             raise ValueError(f"height at column {i} is not an integer: {m!r}")
         if m < i:
             raise ValueError(f"height {m} at column {i} is below the diagonal")

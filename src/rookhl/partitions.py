@@ -12,7 +12,8 @@ from collections import Counter
 
 def is_partition(la) -> bool:
     return (isinstance(la, tuple)
-            and all(isinstance(p, int) and p > 0 for p in la)
+            and all(isinstance(p, int) and not isinstance(p, bool) and p > 0
+                    for p in la)
             and all(la[i] >= la[i + 1] for i in range(len(la) - 1)))
 
 
@@ -56,10 +57,6 @@ def nstat(la: tuple[int, ...]) -> int:
 def multiplicities(la: tuple[int, ...]) -> Counter:
     """Counter mapping each part size to its multiplicity."""
     return Counter(la)
-
-
-def length(la: tuple[int, ...]) -> int:
-    return len(la)
 
 
 def dominance_leq(mu: tuple[int, ...], la: tuple[int, ...]) -> bool:

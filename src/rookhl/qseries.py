@@ -73,6 +73,9 @@ class QLaurent:
         return self.min_exp == other.min_exp and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # A constant compares equal to its int, so it must hash like it.
+        if self.min_exp == 0 and len(self.coeffs) < 2:
+            return hash(self.at_one())
         return hash((self.min_exp, self.coeffs))
 
     def __neg__(self) -> "QLaurent":

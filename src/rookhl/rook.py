@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from rookhl.dyck import area, poset_cells
-from rookhl.partitions import multiplicities, nstat
-from rookhl.qseries import QLaurent, ONE, q_factorial, q_power
+from rookhl.partitions import check_partition, multiplicities, nstat
+from rookhl.qseries import QLaurent, ZERO, q_factorial, q_power
 
 
 def placements(gamma: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
@@ -146,13 +146,9 @@ def fc(gamma, placement) -> int:
 def r_poly(gamma: tuple[int, ...], mu: tuple[int, ...]) -> QLaurent:
     """Sum of q^fc over placements of type mu on the board of gamma."""
     n = len(gamma)
-    if sum(mu) != n:
+    if sum(check_partition(mu)) != n:
         raise ValueError(f"type {mu} does not partition {n}")
-    total = QLaurent()
-    for p in placements(gamma):
-        if placement_type(n, p) == mu:
-            total = total + q_power(len(free_cells(gamma, p)))
-    return total
+    return type_polynomials(gamma).get(mu, ZERO)
 
 
 def type_polynomials(gamma: tuple[int, ...]) -> dict[tuple[int, ...], QLaurent]:
@@ -180,7 +176,9 @@ def hl_coefficient(gamma: tuple[int, ...], mu: tuple[int, ...],
     poly = q_power(area(gamma) - nstat(mu)) * r
     for m in multiplicities(mu).values():
         poly = poly * q_factorial(m)
-    assert poly.is_polynomial(), (gamma, mu, str(poly))
+    if not poly.is_polynomial():
+        raise ValueError(f"coefficient of {mu} for {gamma} is not a "
+                         f"polynomial: {poly}")
     return poly
 
 

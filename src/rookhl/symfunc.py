@@ -165,7 +165,9 @@ class Transitions:
                 poly = kostka_foulkes(la, mu)
                 self.kf[i][j] = poly
                 self.kostka[i][j] = poly.at_one()
-        assert all(self.kf[i][i] == ONE for i in range(size))
+        if any(self.kf[i][i] != ONE for i in range(size)):
+            raise ValueError(f"Kostka-Foulkes matrix of degree {n} is not "
+                             f"unitriangular")
         self._finish()
 
     def _finish(self):
@@ -222,6 +224,11 @@ def transitions(n: int, cache_dir: str | None = None) -> Transitions:
 
 
 # -- symmetric functions ---------------------------------------------------------
+
+
+def coefficient_line(la, poly) -> str:
+    """The '(3,2): 1 + 2q + q^2' row printed for one coefficient."""
+    return "(" + ",".join(str(p) for p in la) + f"): {poly}"
 
 
 class SymFunc:
@@ -287,13 +294,12 @@ class SymFunc:
         return SymFunc(self.degree, self.basis,
                        {la: fn(c) for la, c in self.coeffs.items()})
 
-    def to_basis(self, target: str,
-                 cache_dir: str | None = None) -> "SymFunc":
+    def to_basis(self, target: str) -> "SymFunc":
         if target not in BASES:
             raise ValueError(f"unknown basis {target!r}")
         if target == self.basis:
             return self
-        t = transitions(self.degree, cache_dir)
+        t = transitions(self.degree)
         route = {
             ("monomial", "schur"): ["kostka_inv"],
             ("schur", "monomial"): ["kostka"],
@@ -317,11 +323,8 @@ class SymFunc:
     def lines(self) -> list[str]:
         """One 'partition: polynomial' row per nonzero coefficient, in
         reverse-lex order."""
-        out = []
-        for la in sorted(self.coeffs, reverse=True):
-            name = "(" + ",".join(str(p) for p in la) + ")"
-            out.append(f"{name}: {self.coeffs[la]}")
-        return out
+        return [coefficient_line(la, self.coeffs[la])
+                for la in sorted(self.coeffs, reverse=True)]
 
     def __str__(self) -> str:
         return "\n".join(self.lines()) if self.coeffs else "0"
@@ -390,14 +393,9 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     fm = f.to_basis("monomial")
     gm = g.to_basis("monomial")
     nvars = f.degree + g.degree
-    left = {}
-    for la, c in fm.coeffs.items():
-        for alpha in _padded_orbits(la, nvars):
-            left[alpha] = c
-    right = {}
-    for la, c in gm.coeffs.items():
-        for alpha in _padded_orbits(la, nvars):
-            right[alpha] = c
+    left, right = ({alpha: c for la, c in h.coeffs.items()
+                    for alpha in _padded_orbits(la, nvars)}
+                   for h in (fm, gm))
     acc: dict[tuple, QLaurent] = {}
     for a, ca in left.items():
         for b, cb in right.items():

@@ -62,54 +62,47 @@ def check_main(gamma) -> CheckReport:
 
 
 def check_modular(n: int, level: str) -> list[CheckReport]:
-    """Three-term recurrences across every modular triple of size n.
+    """Three-term recurrences across every modular triple of size n,
+    checked type by type; a counterexample names the first type that
+    fails.
 
-    level "r_poly": (1+q) r_mid = r_low + q r_up, for every type.
-    level "chromatic": (1+q) X_mid = q X_low + X_up.
+    level "r_poly": (1+q) r_mid = r_low + q r_up.
+    level "chromatic": (1+q) X_mid = q X_low + X_up, on monomial
+    coefficients.
     """
-    if level not in ("r_poly", "chromatic"):
-        raise ValueError(f"unknown level {level!r}")
-    reports = []
-    cache = {}
     if level == "r_poly":
-        def tp(g):
-            if g not in cache:
-                cache[g] = type_polynomials(g)
-            return cache[g]
+        compute, low_weight, up_weight = type_polynomials, ONE, Q
+    elif level == "chromatic":
+        low_weight, up_weight = Q, ONE
 
-        parts = enumerate_partitions(n)
-        for t in modular_triples(n):
-            instance = (f"kind={t.kind};column={t.column};"
-                        f"middle={format_heights(t.middle)}")
-            bad = None
-            for mu in parts:
-                lhs = (ONE + Q) * tp(t.middle).get(mu, ZERO)
-                rhs = tp(t.lower).get(mu, ZERO) \
-                    + Q * tp(t.upper).get(mu, ZERO)
-                if lhs != rhs:
-                    bad = (mu, lhs, rhs)
-                    break
-            if bad is None:
-                reports.append(CheckReport("modular.r_poly", instance,
-                                           "verified"))
-            else:
-                mu, lhs, rhs = bad
-                reports.append(CheckReport(
-                    "modular.r_poly",
-                    instance + f";type={format_partition(mu)}",
-                    "counterexample", lhs=str(lhs), rhs=str(rhs)))
+        def compute(g):
+            return chromatic_x(g).coeffs
     else:
-        def xf(g):
-            if g not in cache:
-                cache[g] = chromatic_x(g)
-            return cache[g]
+        raise ValueError(f"unknown level {level!r}")
+    memo = {}
 
-        for t in modular_triples(n):
-            instance = (f"kind={t.kind};column={t.column};"
-                        f"middle={format_heights(t.middle)}")
-            lhs = xf(t.middle).scale(ONE + Q)
-            rhs = xf(t.lower).scale(Q) + xf(t.upper)
-            reports.append(_report("modular.chromatic", instance, lhs, rhs))
+    def coeffs(g):
+        if g not in memo:
+            memo[g] = compute(g)
+        return memo[g]
+
+    parts = enumerate_partitions(n)
+    reports = []
+    for t in modular_triples(n):
+        instance = (f"kind={t.kind};column={t.column};"
+                    f"middle={format_heights(t.middle)}")
+        mid, low, up = coeffs(t.middle), coeffs(t.lower), coeffs(t.upper)
+        report = CheckReport(f"modular.{level}", instance, "verified")
+        for mu in parts:
+            lhs = (ONE + Q) * mid.get(mu, ZERO)
+            rhs = low_weight * low.get(mu, ZERO) + up_weight * up.get(mu, ZERO)
+            if lhs != rhs:
+                report = CheckReport(
+                    f"modular.{level}",
+                    instance + f";type={format_partition(mu)}",
+                    "counterexample", lhs=str(lhs), rhs=str(rhs))
+                break
+        reports.append(report)
     return reports
 
 
@@ -183,12 +176,10 @@ def check_llt(gamma) -> CheckReport:
         c2 = ((ONE - q_power(-1)) ** (n - len(mu))) * r.invert_q()
         form2 = form2 + hl_h_tilde(mu).scale(c2)
     instance = f"heights={format_heights(gamma)}"
-    if lhs != form1:
-        return CheckReport("llt", instance + ";form=omega",
-                           "counterexample", lhs=str(lhs), rhs=str(form1))
-    if lhs != form2:
-        return CheckReport("llt", instance + ";form=tilde",
-                           "counterexample", lhs=str(lhs), rhs=str(form2))
+    for form, rhs in (("omega", form1), ("tilde", form2)):
+        if lhs != rhs:
+            return CheckReport("llt", instance + f";form={form}",
+                               "counterexample", lhs=str(lhs), rhs=str(rhs))
     return CheckReport("llt", instance, "verified")
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,20 @@ def brute_x_coefficient(gamma, content):
         asc = sum(1 for i, j in es if kappa[i - 1] < kappa[j - 1])
         total = total + q_power(asc)
     return total
+
+
+def brute_principal(gamma, colors):
+    """Sum of q^(ascents + sum of (color - 1)) over every proper coloring
+    from 1..colors, found by explicit product enumeration."""
+    n = len(gamma)
+    es = sorted(edges(gamma))
+    weights = Counter()
+    for kappa in itertools.product(range(1, colors + 1), repeat=n):
+        if any(kappa[i - 1] == kappa[j - 1] for i, j in es):
+            continue
+        asc = sum(1 for i, j in es if kappa[i - 1] < kappa[j - 1])
+        weights[asc + sum(kappa) - n] += 1
+    return sum((from_int(m) * q_power(e) for e, m in weights.items()), ZERO)
 
 
 def brute_llt_coefficient(gamma, content):
@@ -136,6 +151,14 @@ def test_principal_direct_small():
     assert principal_direct((2, 2), 1) == ZERO     # an edge needs 2 colors
     with pytest.raises(ValueError):
         principal_direct((1,), -1)
+
+
+def test_principal_direct_against_product_enumeration():
+    for n in range(6):
+        for gamma in enumerate_dyck(n):
+            for colors in range(n + 3):
+                assert principal_direct(gamma, colors) == \
+                    brute_principal(gamma, colors)
 
 
 def test_principal_direct_is_specialized_x():

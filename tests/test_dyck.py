@@ -25,6 +25,10 @@ def test_from_heights_names_offending_column():
         from_heights((4, 4, 4))              # exceeds n
     with pytest.raises(ValueError, match="column 2"):
         from_heights((1, None))
+    with pytest.raises(ValueError, match="column 1"):
+        from_heights((True,))
+    with pytest.raises(ValueError, match="column 2"):
+        from_heights((1, True))
 
 
 def test_enumerate_dyck_counts_are_catalan():

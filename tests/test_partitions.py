@@ -143,3 +143,6 @@ def test_check_partition():
         check_partition((1, 2))
     with pytest.raises(ValueError):
         check_partition([2, 1])
+    assert not is_partition((True,))
+    with pytest.raises(ValueError):
+        check_partition((2, True))

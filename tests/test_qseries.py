@@ -62,6 +62,11 @@ def test_int_mixing():
     assert 1 - Q == QLaurent(0, (1, -1))
     assert Q - 1 == QLaurent(0, (-1, 1))
     assert 0 * Q == ZERO
+    # equal objects hash alike, so constants and ints share set slots
+    assert from_int(5) == 5 and hash(from_int(5)) == hash(5)
+    assert {from_int(5), 5} == {5}
+    assert hash(ZERO) == hash(0) and hash(ONE) == hash(1)
+    assert hash(from_int(-2)) == hash(-2)
 
 
 def test_pow():

@@ -1,5 +1,7 @@
+import ast
 import math
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +140,8 @@ def test_r_poly_examples():
     assert r_poly((1, 2), (1, 1)) == q_power(1)  # empty placement, one cell
     with pytest.raises(ValueError):
         r_poly((1, 2), (1,))
+    with pytest.raises(ValueError, match="not a partition"):
+        r_poly((1,), (True,))
 
 
 def test_type_polynomials_consistent():
@@ -155,6 +159,23 @@ def test_hl_coefficient_examples():
     assert hl_coefficient((1, 2), (1, 1)) == QLaurent(0, (1, 1))
     assert hl_coefficient(FIG_PATH, (3, 2)) == QLaurent(0, (1, 2, 1))
     assert hl_coefficient((), ()) == ONE
+
+
+def test_hl_coefficient_raises_on_negative_power():
+    # A passed-in r that leaves a negative power of q is a broken input,
+    # caught by a raise that python -O keeps.
+    with pytest.raises(ValueError, match="not a polynomial"):
+        hl_coefficient((1,), (1,), QLaurent(-3, (1,)))
+
+
+def test_package_source_has_no_assert():
+    # Correctness tripwires must raise: python -O strips assert statements.
+    src = Path(rook.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_hl_coefficient_at_single_column_type():

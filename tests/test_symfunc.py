@@ -184,6 +184,16 @@ def test_transitions_disk_cache(tmp_path):
     assert t2.kf_inv == t1.kf_inv
 
 
+def test_transitions_raise_on_non_unitriangular_kf(monkeypatch):
+    # A diagonal entry other than 1 means the charge computation is wrong;
+    # the build must fail loudly, also under python -O.
+    real = symfunc.kostka_foulkes
+    monkeypatch.setattr(symfunc, "kostka_foulkes",
+                        lambda la, mu: real(la, mu) * 2)
+    with pytest.raises(ValueError, match="not unitriangular"):
+        Transitions(2)
+
+
 # -- SymFunc ------------------------------------------------------------------------
 
 def test_symfunc_drops_zeros_and_validates():

@@ -2,12 +2,15 @@ import pytest
 
 from rookhl.dyck import enumerate_dyck, modular_triples
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, q_power
-from rookhl import rook
+from rookhl import rook, verify
+from rookhl.chromatic import chromatic_x, llt_poly
 from rookhl.rook import type_polynomials
 from rookhl.verify import (
     CheckReport, check_main, check_modular, check_multiplicativity,
     check_llt, check_principal, sweep, sweep_tasks,
 )
+
+FIG_PATH = (2, 2, 4, 4, 5)
 
 
 def test_check_main_small_sizes():
@@ -17,7 +20,7 @@ def test_check_main_small_sizes():
             assert rep.ok, (gamma, rep)
             assert rep.identity == "main"
             assert rep.lhs == rep.rhs == ""
-    assert check_main((2, 2, 4, 4, 5)).ok
+    assert check_main(FIG_PATH).ok
 
 
 def test_check_main_reports_counterexample_when_rule_is_broken(monkeypatch):
@@ -25,10 +28,49 @@ def test_check_main_reports_counterexample_when_rule_is_broken(monkeypatch):
         rook, "free_cells",
         lambda gamma, placement: rook._free_cells(gamma, placement,
                                                   gate=False))
-    rep = check_main((2, 2, 4, 4, 5))
+    rep = check_main(FIG_PATH)
     assert rep.status == "counterexample"
     assert rep.instance == "heights=2,2,4,4,5"
     assert rep.lhs and rep.rhs and rep.lhs != rep.rhs
+    # Every rook-side check catches it; the first report of each is pinned.
+    assert [r for r in check_modular(3, "r_poly") if not r.ok] == [
+        CheckReport("modular.r_poly",
+                    "kind=1;column=1;middle=2,3,3;type=2,1",
+                    "counterexample", lhs="1 + q", rhs="2q")]
+    assert check_llt(FIG_PATH) == CheckReport(
+        "llt", "heights=2,2,4,4,5;form=omega", "counterexample",
+        lhs="(5): 1\n(4,1): 2 + 2q\n(3,2): 2 + 2q + q^2\n"
+            "(3,1,1): 1 + 4q + q^2\n(2,2,1): 1 + 2q + 2q^2\n"
+            "(2,1,1,1): 2q + 2q^2\n(1,1,1,1,1): q^2",
+        rhs="(5): 1\n(4,1): 1 + q + 3q^2 + q^3 - 2q^4\n"
+            "(3,2): q + 6q^2 - q^3 + q^4 - 2q^5\n"
+            "(3,1,1): 3q - q^2 + 6q^3 + q^4 - q^5 - 2q^6\n"
+            "(2,2,1): 2q - q^2 + 3q^3 + 6q^4 - 3q^5 - 2q^6\n"
+            "(2,1,1,1): 4q^2 - 3q^3 + q^4 + 7q^5 - 3q^6 - 2q^7\n"
+            "(1,1,1,1,1): 2q^3 - 2q^4 - 2q^5 + 7q^6 - 4q^7")
+    assert [r for r in check_principal(FIG_PATH, 3) if not r.ok][0] == \
+        CheckReport("principal", "heights=2,2,4,4,5;colors=2",
+                    "counterexample",
+                    lhs="direct=q^2 + 3q^3 + 3q^4 + q^5",
+                    rhs="types=2q^3 + 4q^4 + 2q^5;"
+                        "product=q^2 + 3q^3 + 3q^4 + q^5")
+    assert [r for r in check_multiplicativity((2, 2, 4), 2)
+            if not r.ok][0] == CheckReport(
+        "mult", "heights=2,2,4;k=2;type=3,2", "counterexample",
+        lhs="2q", rhs="1 + 2q + q^2")
+
+
+def test_check_modular_chromatic_counterexample_names_the_type(monkeypatch):
+    # Swap in the word function for the complete graph only: the coloring
+    # recurrence then breaks, and the report narrows to the first type.
+    monkeypatch.setattr(
+        verify, "chromatic_x",
+        lambda g: llt_poly(g) if g == (3, 3, 3) else chromatic_x(g))
+    bad = [r for r in check_modular(3, "chromatic") if not r.ok]
+    assert bad and all(r.identity == "modular.chromatic" for r in bad)
+    assert bad[0] == CheckReport(
+        "modular.chromatic", "kind=1;column=1;middle=2,3,3;type=3",
+        "counterexample", lhs="0", rhs="1")
 
 
 def test_modular_recurrence_worked_example():
