@@ -31,10 +31,20 @@ def _checked(parser, flag, fn, text):
         parser.error(f"{flag}: {e}")
 
 
+def _cached_transitions(parser, degrees, cache_dir):
+    """Load or build the cached transition data; a cache file that fails
+    validation, or a directory that cannot hold one, is a usage error."""
+    for n in degrees:
+        try:
+            transitions(n, cache_dir)
+        except (ValueError, OSError) as e:
+            parser.error(f"--cache-dir: {e}")
+
+
 def cmd_expand(args, parser):
     gamma = _checked(parser, "--heights", parse_heights, args.heights)
     if args.cache_dir:
-        transitions(len(gamma), args.cache_dir)
+        _cached_transitions(parser, [len(gamma)], args.cache_dir)
     if args.what == "X":
         if args.basis == "P":
             f = SymFunc(len(gamma), "hl_p", hl_coefficients(gamma))
@@ -91,8 +101,7 @@ def cmd_verify(args, parser):
         parser.error("--jobs: must be positive")
     names = IDENTITIES if args.identity == "all" else (args.identity,)
     if args.cache_dir:
-        for n in range(args.n_max + 1):
-            transitions(n, args.cache_dir)
+        _cached_transitions(parser, range(args.n_max + 1), args.cache_dir)
     reports = sweep(args.n_max, set(names), jobs=args.jobs)
     failures = [r for r in reports if not r.ok]
     if args.json:

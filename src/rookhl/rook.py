@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from rookhl.dyck import area, poset_cells
+from rookhl.dyck import area
 from rookhl.partitions import check_partition, multiplicities, nstat
 from rookhl.qseries import QLaurent, ZERO, q_factorial, q_power
 
@@ -66,8 +66,19 @@ def chains(n: int, placement) -> list[tuple[int, ...]]:
 
 def placement_type(n: int, placement) -> tuple[int, ...]:
     """Chain lengths, sorted descending: a partition of n."""
-    return tuple(sorted((len(ch) for ch in chains(n, placement)),
-                        reverse=True))
+    succ = [0] * (n + 1)
+    for i, j in placement:
+        succ[i] = j
+    # length[d] counts the vertices from d to the end of its chain.  It is
+    # filled from the top down, as succ[d] > d, and cleared once counted
+    # into its predecessor's, so only chain starts keep a length.
+    length = [1] * (n + 1)
+    for d in range(n, 0, -1):
+        j = succ[d]
+        if j:
+            length[d] = length[j] + 1
+            length[j] = 0
+    return tuple(sorted(filter(None, length[1:]), reverse=True))
 
 
 def extended_placement(n: int, placement) -> list[list[tuple[int, int]]]:
@@ -92,43 +103,48 @@ def extended_placement(n: int, placement) -> list[list[tuple[int, int]]]:
 class RankTables(NamedTuple):
     """Per-column and per-row rank data read off a placement's chains.
 
+    Each field is a list indexed by vertex 1..n; slot 0 is unused.
+
     col_rank[i]  rank of the extended rook in column i
     col_top[i]   row of that rook: the chain successor of i, or n+1
     row_rank[j]  rank of the leftmost extended cell in row j
     row_left[j]  column of that cell: the chain predecessor of j, or j
     """
-    col_rank: dict[int, int]
-    col_top: dict[int, int]
-    row_rank: dict[int, int]
-    row_left: dict[int, int]
+    col_rank: list[int]
+    col_top: list[int]
+    row_rank: list[int]
+    row_left: list[int]
 
 
 def rank_tables(n: int, placement) -> RankTables:
-    succ = dict(placement)
-    pred = {j: i for i, j in placement}
-    pos = {}
-    for ch in chains(n, placement):
-        for t, d in enumerate(ch, start=1):
-            pos[d] = t
-    col_rank = {i: pos[i] for i in range(1, n + 1)}
-    col_top = {i: succ.get(i, n + 1) for i in range(1, n + 1)}
-    row_rank = {j: pos[j] - 1 for j in range(1, n + 1)}
-    row_left = {j: pred.get(j, j) for j in range(1, n + 1)}
+    """Rank tables in one pass over the vertices.  Every rook (i, j) has
+    i < j, so a vertex's predecessor is ranked before the vertex."""
+    col_top = [n + 1] * (n + 1)
+    row_left = list(range(n + 1))
+    for i, j in placement:
+        col_top[i] = j
+        row_left[j] = i
+    col_rank = [0] * (n + 1)
+    for d in range(1, n + 1):
+        left = row_left[d]
+        col_rank[d] = col_rank[left] + 1 if left != d else 1
+    row_rank = [0] + [r - 1 for r in col_rank[1:]]
     return RankTables(col_rank, col_top, row_rank, row_left)
 
 
 def _free_cells(gamma, placement, gate=True):
+    """free_cells, with the column gate optional so that tests can show
+    what its removal breaks."""
     n = len(gamma)
-    tables = rank_tables(n, placement)
+    col_rank, col_top, row_rank, row_left = rank_tables(n, placement)
     free = set()
-    for (i, j) in poset_cells(gamma):
-        if gate and tables.col_top[i] <= j:
-            continue
-        a = tables.col_rank[i]
-        b = tables.row_rank[j]
-        left = tables.row_left[j]
-        if (i < left and b <= a) or (left < i and b < a):
-            free.add((i, j))
+    for i in range(1, n + 1):
+        a = col_rank[i]
+        for j in range(gamma[i - 1] + 1, col_top[i] if gate else n + 1):
+            b = row_rank[j]
+            left = row_left[j]
+            if (i < left and b <= a) or (left < i and b < a):
+                free.add((i, j))
     return free
 
 
@@ -153,13 +169,23 @@ def r_poly(gamma: tuple[int, ...], mu: tuple[int, ...]) -> QLaurent:
 
 def type_polynomials(gamma: tuple[int, ...]) -> dict[tuple[int, ...], QLaurent]:
     """r_poly for every type in one enumeration pass.  Types with no
-    placement are absent."""
+    placement are absent.
+
+    Each placement is scored by one call of free_cells, looked up at call
+    time so that it can be replaced; the scores are counted per type and
+    each type's polynomial is built once from its counts.
+    """
     n = len(gamma)
-    out: dict[tuple[int, ...], QLaurent] = {}
+    hist: dict[tuple[int, ...], dict[int, int]] = {}
     for p in placements(gamma):
-        mu = placement_type(n, p)
-        w = q_power(len(free_cells(gamma, p)))
-        out[mu] = out.get(mu, QLaurent()) + w
+        counts = hist.setdefault(placement_type(n, p), {})
+        k = len(free_cells(gamma, p))
+        counts[k] = counts.get(k, 0) + 1
+    out = {}
+    for mu, counts in hist.items():
+        lo = min(counts)
+        out[mu] = QLaurent(lo, [counts.get(k, 0)
+                                for k in range(lo, max(counts) + 1)])
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import tempfile
 from collections import Counter
 from fractions import Fraction
 
@@ -183,13 +184,45 @@ class Transitions:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Transitions":
+    def from_json(cls, obj: dict, n: int) -> "Transitions":
+        """Rebuild degree n from to_json output.  The data comes from
+        outside the program, so it is checked first; a failed check
+        raises ValueError naming it."""
+        try:
+            if type(obj["n"]) is not int or obj["n"] != n:
+                raise ValueError(f"n is {obj['n']!r}, not {n}")
+            parts = [tuple(p) for p in obj["parts"]]
+            kostka = [list(row) for row in obj["kostka"]]
+            kf = [[QLaurent.from_json(v) for v in row] for row in obj["kf"]]
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"malformed transition data: {e!r}") from e
+        expected = enumerate_partitions(n)
+        if parts != expected:
+            raise ValueError(f"parts are not the partitions of {n}")
+        size = len(expected)
+        for name, m in (("kostka", kostka), ("kf", kf)):
+            if len(m) != size or any(len(row) != size for row in m):
+                raise ValueError(f"{name} is not {size} x {size}")
+        for i in range(size):
+            for j in range(size):
+                k, poly = kostka[i][j], kf[i][j]
+                if type(k) is not int:
+                    raise ValueError(f"kostka[{i}][{j}] is not an integer")
+                if j <= i:
+                    want = int(i == j)
+                    if k != want:
+                        raise ValueError(f"kostka[{i}][{j}] is {k}, not "
+                                         f"{want}: not unitriangular")
+                    if poly != (ONE if i == j else ZERO):
+                        raise ValueError(f"kf[{i}][{j}] is {poly}, not "
+                                         f"{want}: not unitriangular")
+                if poly.at_one() != k:
+                    raise ValueError(f"kf[{i}][{j}] at q = 1 is "
+                                     f"{poly.at_one()}, not kostka[{i}][{j}]"
+                                     f" = {k}")
         t = cls.__new__(cls)
-        t.n = int(obj["n"])
-        t.parts = [tuple(p) for p in obj["parts"]]
-        t.index = {la: i for i, la in enumerate(t.parts)}
-        t.kostka = [[int(v) for v in row] for row in obj["kostka"]]
-        t.kf = [[QLaurent.from_json(v) for v in row] for row in obj["kf"]]
+        t.n, t.parts, t.kostka, t.kf = n, expected, kostka, kf
+        t.index = {la: i for i, la in enumerate(expected)}
         t._finish()
         return t
 
@@ -202,7 +235,10 @@ def transitions(n: int, cache_dir: str | None = None) -> Transitions:
     persisted as one JSON file per degree under cache_dir.
 
     When cache_dir is given the file is guaranteed to exist afterwards,
-    even if the data was already memoized in this process.
+    even if the data was already memoized in this process.  A cached file
+    that fails Transitions.from_json's checks raises ValueError naming the
+    file.  Each writer goes through its own temporary file, so concurrent
+    writers never share one.
     """
     path = None
     if cache_dir is not None:
@@ -210,15 +246,23 @@ def transitions(n: int, cache_dir: str | None = None) -> Transitions:
     t = _TRANSITIONS.get(n)
     if t is None and path is not None and os.path.exists(path):
         with open(path) as fh:
-            t = Transitions.from_json(json.load(fh))
+            try:
+                t = Transitions.from_json(json.load(fh), n)
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from e
     if t is None:
         t = Transitions(n)
     if path is not None and not os.path.exists(path):
         os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(t.to_json(), fh)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir,
+                                   prefix=f"transitions_{n}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(t.to_json(), fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     _TRANSITIONS[n] = t
     return t
 

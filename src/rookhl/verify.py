@@ -10,6 +10,7 @@ size bound, deterministically, optionally spreading tasks over processes
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 from multiprocessing import Pool
 
 from rookhl.chromatic import chromatic_x, llt_poly, principal_direct
@@ -106,10 +107,12 @@ def check_modular(n: int, level: str) -> list[CheckReport]:
     return reports
 
 
+@cache
 def _strip_factor(nu, mu, k) -> QLaurent:
     """The q-weight a vertical strip nu/mu of size k carries: the power
     shift, the truncated q-factorial over new rows, and one Gaussian
-    binomial per part size."""
+    binomial per part size.  A pure function of its partitions, so it is
+    memoized: a sweep asks for the same strips across all paths."""
     nuc, muc = conjugate(nu), conjugate(mu)
 
     def at(t, i):
@@ -148,13 +151,14 @@ def check_multiplicativity(gamma, k: int,
         return [_report("mult.function", base, lhs, rhs)]
     small = type_polynomials(gamma)
     big = type_polynomials(extended)
+    present = [(mu, small[mu]) for mu in enumerate_partitions(n)
+               if mu in small]
     reports = []
     for nu in enumerate_partitions(n + k):
         lhs = big.get(nu, ZERO)
         rhs = ZERO
-        for mu in enumerate_partitions(n):
-            r = small.get(mu, ZERO)
-            if r and is_vertical_strip(nu, mu):
+        for mu, r in present:
+            if is_vertical_strip(nu, mu):
                 rhs = rhs + r * _strip_factor(nu, mu, k)
         reports.append(_report(
             "mult", base + f";type={format_partition(nu)}", lhs, rhs))
@@ -278,8 +282,17 @@ def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
     """Run every selected check for all sizes up to n_max and return the
     flattened reports in task order, independent of jobs."""
     tasks = sweep_tasks(n_max, identities)
-    # Warm the transition cache so forked workers inherit it.
-    for n in range(n_max + 1):
+    # Warm the transition cache so forked workers inherit it, in the
+    # degrees the selected checks change basis in: every size for main and
+    # llt, n + k <= 5 for the function level of mult, none for the rest.
+    ids = set(identities)
+    if ids & {"main", "llt"}:
+        top = n_max
+    elif "mult" in ids:
+        top = min(n_max, 5)
+    else:
+        top = -1
+    for n in range(top + 1):
         transitions(n)
     if jobs <= 1:
         chunks = [_task_reports(t) for t in tasks]

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from rookhl import rook
+from rookhl import rook, symfunc
 from rookhl.cli import main
 from rookhl.rook import hl_coefficients
 from rookhl.symfunc import SymFunc
@@ -58,6 +58,27 @@ def test_expand_cache_dir(capsys, tmp_path):
                            "--basis", "s", "--cache-dir", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "transitions_3.json").exists()
+
+
+def test_tampered_cache_is_a_usage_error(capsys, tmp_path):
+    argv = ["expand", "--heights", "1,2,3", "--what", "LLT", "--basis", "P",
+            "--cache-dir", str(tmp_path)]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert "(2,1): 2 + q" in out.splitlines()
+    path = tmp_path / "transitions_3.json"
+    obj = json.loads(path.read_text())
+    obj["kf"][0][1] = {"min_exp": 0, "coeffs": [7]}
+    path.write_text(json.dumps(obj))
+    symfunc._TRANSITIONS.pop(3, None)
+    for argv in (argv, ["verify", "--n-max", "3", "--identity", "main",
+                        "--cache-dir", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--cache-dir: {path}: kf[0][1]" in captured.err
 
 
 def test_rook_list_golden(capsys):

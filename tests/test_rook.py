@@ -200,3 +200,57 @@ def test_ungated_rule_differs_on_fig_path():
     p = ((1, 3), (2, 4), (3, 5))
     assert rook._free_cells(FIG_PATH, p, gate=False) == {(1, 4)}
     assert rook._free_cells(FIG_PATH, p, gate=True) == set()
+
+
+def oracle_free_cells(gamma, p, gate=True):
+    """The free-cell rule read literally: ranks from the chains, cells from
+    the whole board, each looked up in dicts.  Independent of the one-pass
+    rank tables that rook._free_cells uses."""
+    n = len(gamma)
+    succ = dict(p)
+    pred = {j: i for i, j in p}
+    pos = {d: t for ch in chains(n, p) for t, d in enumerate(ch, start=1)}
+    free = set()
+    for (i, j) in poset_cells(gamma):
+        if gate and succ.get(i, n + 1) <= j:
+            continue
+        a, b, left = pos[i], pos[j] - 1, pred.get(j, j)
+        if (i < left and b <= a) or (left < i and b < a):
+            free.add((i, j))
+    return free
+
+
+def test_free_cells_match_oracle():
+    for n in range(7):
+        for gamma in enumerate_dyck(n):
+            for p in placements(gamma):
+                for gate in (True, False):
+                    assert rook._free_cells(gamma, p, gate) == \
+                        oracle_free_cells(gamma, p, gate)
+
+
+def test_type_polynomials_match_oracle_sums():
+    for n in range(7):
+        for gamma in enumerate_dyck(n):
+            want = {}
+            for p in placements(gamma):
+                mu = tuple(sorted(map(len, chains(n, p)), reverse=True))
+                w = q_power(len(oracle_free_cells(gamma, p)))
+                want[mu] = want.get(mu, QLaurent()) + w
+            assert type_polynomials(gamma) == want
+
+
+def test_type_polynomials_score_through_the_free_cells_hook(monkeypatch):
+    # The negative controls and the benchmark's tracer replace
+    # rook.free_cells; scoring must call it once per placement.
+    calls = []
+
+    def counting(gamma, placement):
+        calls.append(placement)
+        return rook._free_cells(gamma, placement)
+
+    monkeypatch.setattr(rook, "free_cells", counting)
+    for gamma in [FIG_PATH] + enumerate_dyck(6)[::40]:
+        calls.clear()
+        type_polynomials(gamma)
+        assert sorted(calls) == sorted(placements(gamma))

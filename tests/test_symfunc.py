@@ -184,6 +184,70 @@ def test_transitions_disk_cache(tmp_path):
     assert t2.kf_inv == t1.kf_inv
 
 
+def _tampered(edit):
+    obj = json.loads(json.dumps(transitions(3).to_json()))
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize("edit, check", [
+    (lambda o: o.update(n=4), "n is 4"),
+    (lambda o: o.update(n=True), "n is True"),
+    (lambda o: o.pop("kf"), "malformed"),
+    (lambda o: o["parts"].reverse(), "parts"),
+    (lambda o: o["kostka"].pop(), "kostka is not 3 x 3"),
+    (lambda o: o["kf"][1].pop(), "kf is not 3 x 3"),
+    (lambda o: o["kostka"][0].__setitem__(1, 1.0), "not an integer"),
+    (lambda o: o["kostka"][1].__setitem__(1, 2), r"kostka\[1\]\[1\]"),
+    (lambda o: o["kostka"][2].__setitem__(0, 1), r"kostka\[2\]\[0\]"),
+    (lambda o: o["kf"][1].__setitem__(1, {"min_exp": 1, "coeffs": [1]}),
+     r"kf\[1\]\[1\]"),
+    (lambda o: o["kf"][2].__setitem__(1, {"min_exp": 2, "coeffs": [1, -1]}),
+     r"kf\[2\]\[1\]"),
+    (lambda o: o["kf"][0].__setitem__(1, {"min_exp": 0, "coeffs": [7]}),
+     "at q = 1"),
+])
+def test_transitions_from_json_names_the_failed_check(edit, check):
+    with pytest.raises(ValueError, match=check):
+        Transitions.from_json(_tampered(edit), 3)
+
+
+def test_transitions_cache_rejects_tampered_file(tmp_path):
+    path = tmp_path / "transitions_3.json"
+    obj = _tampered(lambda o: o["kf"][0].__setitem__(
+        1, {"min_exp": 0, "coeffs": [7]}))
+    path.write_text(json.dumps(obj))
+    symfunc._TRANSITIONS.pop(3, None)
+    with pytest.raises(ValueError, match="transitions_3.json: kf"):
+        transitions(3, cache_dir=str(tmp_path))
+
+
+def test_transitions_cache_write_ignores_stale_temp_name(tmp_path):
+    # Writers once shared the name transitions_N.json.tmp; a directory left
+    # under that name made every later write fail.
+    (tmp_path / "transitions_3.json.tmp").mkdir()
+    transitions(3, cache_dir=str(tmp_path))
+    assert (tmp_path / "transitions_3.json").is_file()
+    assert [p.name for p in tmp_path.glob("*.tmp")] == \
+        ["transitions_3.json.tmp"]
+
+
+def test_transitions_cache_leaves_no_temp_file(tmp_path, monkeypatch):
+    for n in range(4):
+        transitions(n, cache_dir=str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        [f"transitions_{n}.json" for n in range(4)]
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    # A failed write removes its temporary file.
+    monkeypatch.setattr(symfunc.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        transitions(4, cache_dir=str(tmp_path))
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_transitions_raise_on_non_unitriangular_kf(monkeypatch):
     # A diagonal entry other than 1 means the charge computation is wrong;
     # the build must fail loudly, also under python -O.

@@ -2,7 +2,7 @@ import pytest
 
 from rookhl.dyck import enumerate_dyck, modular_triples
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, q_power
-from rookhl import rook, verify
+from rookhl import rook, symfunc, verify
 from rookhl.chromatic import chromatic_x, llt_poly
 from rookhl.rook import type_polynomials
 from rookhl.verify import (
@@ -158,6 +158,17 @@ def test_sweep_parallel_equals_serial():
     serial = sweep(3, {"main", "llt"})
     parallel = sweep(3, {"main", "llt"}, jobs=2)
     assert serial == parallel
+
+
+def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
+    monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
+    sweep(4, {"principal"})
+    assert symfunc._TRANSITIONS == {}
+    sweep(6, {"mult"})
+    assert set(symfunc._TRANSITIONS) == set(range(6))
+    monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
+    sweep(2, {"main", "modular"})
+    assert set(symfunc._TRANSITIONS) == {0, 1, 2}
 
 
 def test_sweep_rejects_unknown_identity():
