@@ -21,7 +21,7 @@ from rookhl.rook import free_cells, hl_coefficients, placements, \
     placement_type, type_polynomials
 from rookhl.symfunc import SymFunc, coefficient_line, hl_direct_oracle, \
     transitions
-from rookhl.verify import IDENTITIES, sweep
+from rookhl.verify import IDENTITIES, conversion_degrees, sweep
 
 
 def _checked(parser, flag, fn, text):
@@ -101,7 +101,8 @@ def cmd_verify(args, parser):
         parser.error("--jobs: must be positive")
     names = IDENTITIES if args.identity == "all" else (args.identity,)
     if args.cache_dir:
-        _cached_transitions(parser, range(args.n_max + 1), args.cache_dir)
+        _cached_transitions(parser, conversion_degrees(args.n_max, names),
+                            args.cache_dir)
     reports = sweep(args.n_max, set(names), jobs=args.jobs)
     failures = [r for r in reports if not r.ok]
     if args.json:

@@ -1,12 +1,14 @@
 """Symmetric functions with exact Laurent coefficients, in three bases:
 monomial, Schur, and Hall-Littlewood P.
 
-Basis changes run through charge Kostka polynomials computed from scratch:
-semistandard tableaux are enumerated by backtracking, the charge statistic
-is taken on reading words, and the resulting unitriangular matrices are
-inverted by division-free back-substitution.  A symmetrized-rational-function
-oracle for the P basis is included so the matrix route can be checked
-against an entirely different definition.
+Basis changes run through unitriangular matrices computed from scratch and
+inverted by division-free back-substitution.  Monomial and Schur need only
+the Kostka numbers, counted one horizontal strip at a time.  The P basis
+needs the charge Kostka polynomials: semistandard tableaux are enumerated by
+backtracking and the charge statistic is taken on reading words, on the
+first P-basis use of a degree only.  A symmetrized-rational-function oracle
+for the P basis is included so the matrix route can be checked against an
+entirely different definition.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import os
 import tempfile
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 from rookhl.partitions import (
-    check_partition, conjugate, enumerate_partitions, multiplicities, nstat,
+    check_partition, conjugate, dominance_leq, enumerate_partitions,
+    multiplicities, nstat,
 )
 from rookhl.qseries import QLaurent, ZERO, ONE, from_int, q_power, q_factorial
 
@@ -145,12 +149,54 @@ def _unitriangular_inverse(m, one, zero):
     return inv
 
 
+def _horizontal_strips(la, k):
+    """Every shape nu that adds k boxes to la, no two in one column: row i
+    of nu lies between la_i and la_(i-1), with one new row allowed."""
+    out = []
+    rows: list[int] = []
+
+    def grow(i, left):
+        if i > len(la):
+            if left == 0:
+                out.append(tuple(r for r in rows if r))
+            return
+        base = la[i] if i < len(la) else 0
+        room = left if i == 0 else min(left, la[i - 1] - base)
+        for add in range(room + 1):
+            rows.append(base + add)
+            grow(i + 1, left - add)
+            rows.pop()
+
+    grow(0, k)
+    return out
+
+
+def _kostka_column(mu) -> dict:
+    """K_{la,mu} for every shape la at once, as {la: count}.
+
+    The boxes of letter v in a tableau of content mu form a horizontal
+    strip of size mu_v, so adding one strip per part of mu and summing
+    the ways to reach each shape counts the tableaux without listing them.
+    """
+    counts = {(): 1}
+    for part in mu:
+        grown: dict[tuple, int] = {}
+        for la, c in counts.items():
+            for nu in _horizontal_strips(la, part):
+                grown[nu] = grown.get(nu, 0) + c
+        counts = grown
+    return counts
+
+
 class Transitions:
     """Base-change data for one degree.
 
     parts is the full reverse-lex list of partitions; all matrices are
     indexed by position in that list (row = shape, column = content) and
     are upper unitriangular because the listed order refines dominance.
+    The Kostka numbers are counted when the degree is built; the
+    Kostka-Foulkes matrix and the inverses are built on first use, so
+    monomial-Schur conversions never take a charge.
     """
 
     def __init__(self, n: int):
@@ -158,22 +204,38 @@ class Transitions:
         self.parts = enumerate_partitions(n)
         self.index = {la: i for i, la in enumerate(self.parts)}
         size = len(self.parts)
-        self.kf = [[ZERO] * size for _ in range(size)]
         self.kostka = [[0] * size for _ in range(size)]
+        for j, mu in enumerate(self.parts):
+            for la, k in _kostka_column(mu).items():
+                self.kostka[self.index[la]][j] = k
+
+    @cached_property
+    def kf(self) -> list[list[QLaurent]]:
+        """Charge Kostka polynomials from tableaux, checked against the
+        counted Kostka numbers at q = 1."""
+        size = len(self.parts)
+        kf = [[ZERO] * size for _ in range(size)]
         for i, la in enumerate(self.parts):
             for j in range(i, size):
-                mu = self.parts[j]
-                poly = kostka_foulkes(la, mu)
-                self.kf[i][j] = poly
-                self.kostka[i][j] = poly.at_one()
-        if any(self.kf[i][i] != ONE for i in range(size)):
-            raise ValueError(f"Kostka-Foulkes matrix of degree {n} is not "
-                             f"unitriangular")
-        self._finish()
+                kf[i][j] = kostka_foulkes(la, self.parts[j])
+        if any(kf[i][i] != ONE for i in range(size)):
+            raise ValueError(f"Kostka-Foulkes matrix of degree {self.n} is "
+                             f"not unitriangular")
+        for i in range(size):
+            for j in range(i + 1, size):
+                if kf[i][j].at_one() != self.kostka[i][j]:
+                    raise ValueError(
+                        f"kf[{i}][{j}] of degree {self.n} is {kf[i][j]}, "
+                        f"not {self.kostka[i][j]} at q = 1")
+        return kf
 
-    def _finish(self):
-        self.kostka_inv = _unitriangular_inverse(self.kostka, 1, 0)
-        self.kf_inv = _unitriangular_inverse(self.kf, ONE, ZERO)
+    @cached_property
+    def kostka_inv(self) -> list[list[int]]:
+        return _unitriangular_inverse(self.kostka, 1, 0)
+
+    @cached_property
+    def kf_inv(self) -> list[list[QLaurent]]:
+        return _unitriangular_inverse(self.kf, ONE, ZERO)
 
     def to_json(self) -> dict:
         return {
@@ -186,8 +248,10 @@ class Transitions:
     @classmethod
     def from_json(cls, obj: dict, n: int) -> "Transitions":
         """Rebuild degree n from to_json output.  The data comes from
-        outside the program, so it is checked first; a failed check
-        raises ValueError naming it."""
+        outside the program, so it is checked first, against the counted
+        Kostka numbers and the shape every Kostka-Foulkes polynomial has:
+        0 unless la dominates mu, else monic of degree n(mu) - n(la).  A
+        failed check raises ValueError naming it."""
         try:
             if type(obj["n"]) is not int or obj["n"] != n:
                 raise ValueError(f"n is {obj['n']!r}, not {n}")
@@ -196,15 +260,15 @@ class Transitions:
             kf = [[QLaurent.from_json(v) for v in row] for row in obj["kf"]]
         except (KeyError, TypeError) as e:
             raise ValueError(f"malformed transition data: {e!r}") from e
-        expected = enumerate_partitions(n)
-        if parts != expected:
+        t = cls(n)
+        if parts != t.parts:
             raise ValueError(f"parts are not the partitions of {n}")
-        size = len(expected)
+        size = len(t.parts)
         for name, m in (("kostka", kostka), ("kf", kf)):
             if len(m) != size or any(len(row) != size for row in m):
                 raise ValueError(f"{name} is not {size} x {size}")
-        for i in range(size):
-            for j in range(size):
+        for i, la in enumerate(t.parts):
+            for j, mu in enumerate(t.parts):
                 k, poly = kostka[i][j], kf[i][j]
                 if type(k) is not int:
                     raise ValueError(f"kostka[{i}][{j}] is not an integer")
@@ -220,10 +284,19 @@ class Transitions:
                     raise ValueError(f"kf[{i}][{j}] at q = 1 is "
                                      f"{poly.at_one()}, not kostka[{i}][{j}]"
                                      f" = {k}")
-        t = cls.__new__(cls)
-        t.n, t.parts, t.kostka, t.kf = n, expected, kostka, kf
-        t.index = {la: i for i, la in enumerate(expected)}
-        t._finish()
+                if k != t.kostka[i][j]:
+                    raise ValueError(f"kostka[{i}][{j}] is {k}, not the "
+                                     f"horizontal-strip count "
+                                     f"{t.kostka[i][j]}")
+                if not dominance_leq(mu, la):
+                    if poly:
+                        raise ValueError(f"kf[{i}][{j}] is {poly}, not 0: "
+                                         f"{la} does not dominate {mu}")
+                elif (poly.max_exp != nstat(mu) - nstat(la)
+                      or poly.coeffs[-1] != 1):
+                    raise ValueError(f"kf[{i}][{j}] is {poly}, not monic of "
+                                     f"degree {nstat(mu) - nstat(la)}")
+        t.kf = kf
         return t
 
 

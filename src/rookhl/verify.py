@@ -278,22 +278,27 @@ def sweep_tasks(n_max: int, identities) -> list[tuple]:
     return tasks
 
 
+def conversion_degrees(n_max: int, identities) -> range:
+    """The degrees in which a sweep of these identities changes basis, each
+    time through the P basis: every size for main and llt, n + k <= 5 for
+    the function level of mult, none for modular and principal."""
+    ids = set(identities)
+    if ids & {"main", "llt"}:
+        return range(n_max + 1)
+    if "mult" in ids:
+        return range(min(n_max, 5) + 1)
+    return range(0)
+
+
 def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
     """Run every selected check for all sizes up to n_max and return the
     flattened reports in task order, independent of jobs."""
     tasks = sweep_tasks(n_max, identities)
-    # Warm the transition cache so forked workers inherit it, in the
-    # degrees the selected checks change basis in: every size for main and
-    # llt, n + k <= 5 for the function level of mult, none for the rest.
-    ids = set(identities)
-    if ids & {"main", "llt"}:
-        top = n_max
-    elif "mult" in ids:
-        top = min(n_max, 5)
-    else:
-        top = -1
-    for n in range(top + 1):
-        transitions(n)
+    # Build the transition data of every degree the checks convert in,
+    # Kostka-Foulkes included, before any worker starts, so that forked
+    # workers inherit it instead of each building it again.
+    for n in conversion_degrees(n_max, identities):
+        transitions(n).kf
     if jobs <= 1:
         chunks = [_task_reports(t) for t in tasks]
     else:

@@ -81,6 +81,38 @@ def test_tampered_cache_is_a_usage_error(capsys, tmp_path):
         assert f"--cache-dir: {path}: kf[0][1]" in captured.err
 
 
+def test_consistently_tampered_cache_is_a_usage_error(capsys, tmp_path):
+    # kostka and kf agree with each other at q = 1 here, but not with the
+    # horizontal-strip count: the old loader printed (2,1): 1 + 2q.
+    argv = ["expand", "--heights", "1,2,3", "--what", "LLT", "--basis", "P",
+            "--cache-dir", str(tmp_path)]
+    assert run(capsys, argv)[0] == 0
+    path = tmp_path / "transitions_3.json"
+    obj = json.loads(path.read_text())
+    obj["kostka"][0][1] = 2
+    obj["kf"][0][1] = {"min_exp": 1, "coeffs": [2]}
+    path.write_text(json.dumps(obj))
+    symfunc._TRANSITIONS.pop(3, None)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--cache-dir: {path}: kostka[0][1] is 2" in captured.err
+
+
+def test_verify_cache_dir_holds_only_converted_degrees(capsys, tmp_path):
+    code, _ = run(capsys, ["verify", "--identity", "principal", "--n-max",
+                           "2", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
+    code, _ = run(capsys, ["verify", "--identity", "mult", "--n-max", "6",
+                           "--cache-dir", str(tmp_path / "mult")])
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "mult").iterdir()) == \
+        [f"transitions_{n}.json" for n in range(6)]
+
+
 def test_rook_list_golden(capsys):
     code, out = run(capsys, ["rook", "--heights", "2,2,4,4,5",
                              "--type", "3,2", "--list"])

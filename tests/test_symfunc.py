@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,9 +5,11 @@ from functools import lru_cache
 
 import pytest
 
+from rookhl.chromatic import chromatic_x
 from rookhl.partitions import conjugate, enumerate_partitions, nstat
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, from_int, q_power
 from rookhl import symfunc
+from rookhl.rook import hl_coefficients
 from rookhl.symfunc import (
     ssyt, reading_word, charge_word, charge, kostka, kostka_foulkes,
     Transitions, transitions, SymFunc, elementary, omega, hl_h, hl_h_tilde,
@@ -77,7 +78,10 @@ def test_sorted_word_charge_is_nstat():
 
 @lru_cache(maxsize=None)
 def count_matrices(rows, cols):
-    """Nonnegative integer matrices with the given row and column sums."""
+    """Nonnegative integer matrices with the given row and column sums.
+    The count does not change when columns are permuted or empty ones are
+    dropped, so the remaining column sums are passed on sorted, without
+    zeros, which lets the cache share them."""
     if not rows:
         return 1 if all(c == 0 for c in cols) else 0
     total = 0
@@ -87,7 +91,8 @@ def count_matrices(rows, cols):
         nonlocal total
         if i == len(cols):
             if left == 0:
-                total += count_matrices(rows[1:], tuple(current))
+                total += count_matrices(
+                    rows[1:], tuple(sorted(c for c in current if c)))
             return
         for take in range(min(left, cols[i]) + 1):
             current.append(cols[i] - take)
@@ -100,19 +105,30 @@ def count_matrices(rows, cols):
 
 def schur_monomial_det(la, mu):
     """Coefficient of m_mu in s_la via the complete-homogeneous determinant:
-    sum of signed counts of matrices with row sums la_i - i + sigma(i)."""
+    sum of signed counts of matrices with row sums la_i - i + sigma(i).
+    sigma is chosen one row at a time and a branch is cut as soon as a row
+    sum is negative (h_k = 0 for k < 0); the sign is (-1)^inversions."""
     l = len(la)
     total = 0
-    for sigma in itertools.permutations(range(l)):
-        sign = 1
-        for i in range(l):
-            for j in range(i + 1, l):
-                if sigma[i] > sigma[j]:
-                    sign = -sign
-        rows = tuple(la[i] - (i + 1) + (sigma[i] + 1) for i in range(l))
-        if any(r < 0 for r in rows):
-            continue
-        total += sign * count_matrices(rows, mu)
+    taken = [False] * l
+    rows = []
+
+    def pick(i, sign):
+        nonlocal total
+        if i == l:
+            total += sign * count_matrices(tuple(rows), mu)
+            return
+        for s in range(l):
+            if taken[s] or la[i] - i + s < 0:
+                continue
+            inversions = sum(taken[s + 1:])
+            taken[s] = True
+            rows.append(la[i] - i + s)
+            pick(i + 1, -sign if inversions % 2 else sign)
+            rows.pop()
+            taken[s] = False
+
+    pick(0, 1)
     return total
 
 
@@ -121,6 +137,15 @@ def test_kostka_against_determinant_oracle():
         for la in enumerate_partitions(n):
             for mu in enumerate_partitions(n):
                 assert kostka(la, mu) == schur_monomial_det(la, mu)
+
+
+def test_strip_counted_kostka_matches_tableaux_and_determinant():
+    for n in range(9):
+        t = Transitions(n)
+        for i, la in enumerate(t.parts):
+            for j, mu in enumerate(t.parts):
+                assert t.kostka[i][j] == kostka(la, mu) == \
+                    schur_monomial_det(la, mu)
 
 
 def test_kostka_foulkes_values():
@@ -206,10 +231,31 @@ def _tampered(edit):
      r"kf\[2\]\[1\]"),
     (lambda o: o["kf"][0].__setitem__(1, {"min_exp": 0, "coeffs": [7]}),
      "at q = 1"),
+    # Consistent at q = 1, but not what the strip count gives.
+    (lambda o: (o["kostka"][0].__setitem__(1, 2),
+                o["kf"][0].__setitem__(1, {"min_exp": 1, "coeffs": [2]})),
+     r"kostka\[0\]\[1\] is 2, not the horizontal-strip count 1"),
+    (lambda o: o["kf"][0].__setitem__(1, {"min_exp": 0, "coeffs": [1]}),
+     r"kf\[0\]\[1\] is 1, not monic of degree 1"),
+    (lambda o: o["kf"][1].__setitem__(2, {"min_exp": 2, "coeffs": [2]}),
+     r"kf\[1\]\[2\] is 2q\^2, not monic of degree 2"),
 ])
 def test_transitions_from_json_names_the_failed_check(edit, check):
     with pytest.raises(ValueError, match=check):
         Transitions.from_json(_tampered(edit), 3)
+
+
+def test_transitions_from_json_wants_zero_where_dominance_fails():
+    # (3,1,1,1) precedes (2,2,2) in reverse-lex order but does not dominate
+    # it, so that entry is above the diagonal and still must be 0.
+    t = transitions(6)
+    i, j = t.index[(3, 1, 1, 1)], t.index[(2, 2, 2)]
+    assert i < j and t.kostka[i][j] == 0
+    obj = json.loads(json.dumps(t.to_json()))
+    obj["kf"][i][j] = (ONE - Q).to_json()
+    with pytest.raises(ValueError, match=rf"kf\[{i}\]\[{j}\] is 1 - q, not "
+                       r"0: \(3, 1, 1, 1\) does not dominate \(2, 2, 2\)"):
+        Transitions.from_json(obj, 6)
 
 
 def test_transitions_cache_rejects_tampered_file(tmp_path):
@@ -255,7 +301,39 @@ def test_transitions_raise_on_non_unitriangular_kf(monkeypatch):
     monkeypatch.setattr(symfunc, "kostka_foulkes",
                         lambda la, mu: real(la, mu) * 2)
     with pytest.raises(ValueError, match="not unitriangular"):
-        Transitions(2)
+        Transitions(2).kf
+
+
+def test_first_kf_read_checks_kostka_at_q_one(monkeypatch):
+    # The charge route and the strip count are independent; an entry on
+    # which they disagree at q = 1 fails the first read of kf.
+    real = symfunc.kostka_foulkes
+    monkeypatch.setattr(symfunc, "kostka_foulkes",
+                        lambda la, mu: real(la, mu) + (Q if la != mu else 0))
+    t = Transitions(3)
+    with pytest.raises(ValueError, match=r"kf\[0\]\[1\] of degree 3 is "
+                                         r"2q, not 1 at q = 1"):
+        t.kf
+
+
+def test_schur_conversion_takes_no_charge(monkeypatch):
+    calls = []
+    real = symfunc.kostka_foulkes
+
+    def counted(la, mu):
+        calls.append((la, mu))
+        return real(la, mu)
+
+    monkeypatch.setattr(symfunc, "kostka_foulkes", counted)
+    monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
+    x = chromatic_x((2, 2, 4, 4, 5))
+    s = x.to_basis("schur")
+    assert s.to_basis("monomial") == x
+    assert calls == []
+    assert "kf" not in vars(transitions(5))
+    assert x.to_basis("hl_p") == SymFunc(5, "hl_p",
+                                         hl_coefficients((2, 2, 4, 4, 5)))
+    assert len(calls) == sum(range(len(enumerate_partitions(5)) + 1))
 
 
 # -- SymFunc ------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from rookhl.dyck import enumerate_dyck, modular_triples
@@ -7,7 +9,7 @@ from rookhl.chromatic import chromatic_x, llt_poly
 from rookhl.rook import type_polynomials
 from rookhl.verify import (
     CheckReport, check_main, check_modular, check_multiplicativity,
-    check_llt, check_principal, sweep, sweep_tasks,
+    check_llt, check_principal, conversion_degrees, sweep, sweep_tasks,
 )
 
 FIG_PATH = (2, 2, 4, 4, 5)
@@ -161,14 +163,61 @@ def test_sweep_parallel_equals_serial():
 
 
 def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
+    charges = []
+    real = symfunc.kostka_foulkes
+    monkeypatch.setattr(symfunc, "kostka_foulkes",
+                        lambda la, mu: charges.append(mu) or real(la, mu))
+    # The degrees whose Kostka-Foulkes matrix is built when the first task
+    # starts, that is, by the warm-up.
+    warm = []
+    real_task = verify._task_reports
+
+    def task(t):
+        if not warm:
+            warm.append({n for n, tr in symfunc._TRANSITIONS.items()
+                         if "kf" in vars(tr)})
+        return real_task(t)
+
+    monkeypatch.setattr(verify, "_task_reports", task)
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(4, {"principal"})
     assert symfunc._TRANSITIONS == {}
+    assert charges == []
+    assert warm == [set()]
+    warm.clear()
     sweep(6, {"mult"})
     assert set(symfunc._TRANSITIONS) == set(range(6))
+    assert warm == [set(range(6))]
+    warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(2, {"main", "modular"})
     assert set(symfunc._TRANSITIONS) == {0, 1, 2}
+    assert warm == [{0, 1, 2}]
+
+
+def test_parallel_sweep_builds_kf_in_the_parent_only(monkeypatch, tmp_path):
+    # Every Kostka-Foulkes entry is taken by the warm-up before the pool
+    # starts; forked workers inherit it and take no charge themselves.
+    log = tmp_path / "pids"
+    real = symfunc.kostka_foulkes
+
+    def logged(la, mu):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(la, mu)
+
+    monkeypatch.setattr(symfunc, "kostka_foulkes", logged)
+    monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
+    assert all(r.ok for r in sweep(4, {"main", "llt", "mult"}, jobs=2))
+    assert set(log.read_text().split()) == {str(os.getpid())}
+
+
+def test_conversion_degrees():
+    assert conversion_degrees(4, {"principal", "modular"}) == range(0)
+    assert conversion_degrees(7, {"mult"}) == range(6)
+    assert conversion_degrees(3, {"mult"}) == range(4)
+    assert conversion_degrees(7, {"llt", "mult"}) == range(8)
+    assert conversion_degrees(2, {"main"}) == range(3)
 
 
 def test_sweep_rejects_unknown_identity():
