@@ -43,7 +43,9 @@ def _cached_transitions(parser, degrees, cache_dir):
 
 def cmd_expand(args, parser):
     gamma = _checked(parser, "--heights", parse_heights, args.heights)
-    if args.cache_dir:
+    if args.cache_dir and args.what == "LLT" and args.basis == "P":
+        # The one query that converts through Kostka-Foulkes: X in P is read
+        # off the placements, and m and s need only the Kostka numbers.
         _cached_transitions(parser, [len(gamma)], args.cache_dir)
     if args.what == "X":
         if args.basis == "P":

@@ -5,14 +5,50 @@ from fractions import Fraction
 
 import pytest
 
-from rookhl.dyck import area, edges, enumerate_dyck
+from rookhl.dyck import area, area_sequence, edges, enumerate_dyck
 from rookhl.partitions import enumerate_partitions, multiplicities
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, from_int, q_power, q_factorial
 from rookhl.rook import r_poly
 from rookhl.chromatic import (
-    x_coefficient, llt_coefficient, chromatic_x, llt_poly, principal_direct,
+    _class_counts, x_coefficient, llt_coefficient, chromatic_x, llt_poly,
+    principal_direct,
 )
 from rookhl.symfunc import SymFunc, evaluate
+
+
+def window_counts(gamma, caps, lifts, proper):
+    """Oracle for chromatic._class_counts: the same exponent histogram,
+    found by coloring the vertices one at a time in increasing order.
+
+    The neighbors of vertex v below it are the window of its last a_v
+    vertices, so the ascents v closes are the window colors below its own.
+    """
+    n = len(gamma)
+    aseq = area_sequence(gamma)
+    counts = [0] * (area(gamma) + n * max(lifts, default=0) + 1)
+    remaining = list(caps)
+    colors = range(len(caps))
+    kappa = [0] * (n + 1)
+
+    def rec(v, weight):
+        if v > n:
+            counts[weight] += 1
+            return
+        window = kappa[v - aseq[v - 1]:v]
+        for c in colors:
+            if remaining[c] == 0 or (proper and c in window):
+                continue
+            inc = lifts[c]
+            for u in window:
+                if u < c:
+                    inc += 1
+            remaining[c] -= 1
+            kappa[v] = c
+            rec(v + 1, weight + inc)
+            remaining[c] += 1
+
+    rec(1, 0)
+    return counts
 
 
 def brute_x_coefficient(gamma, content):
@@ -67,6 +103,51 @@ def test_against_product_enumeration():
                     brute_x_coefficient(gamma, la)
                 assert llt_coefficient(gamma, la) == \
                     brute_llt_coefficient(gamma, la)
+
+
+def weak_compositions(n, length):
+    if length == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n + 1):
+        for rest in weak_compositions(n - first, length - 1):
+            yield (first,) + rest
+
+
+def test_class_dp_matches_window_recursion_on_partitions():
+    # Through n = 6, one size past the product enumerations above.
+    for n in range(7):
+        for gamma in enumerate_dyck(n):
+            for la in enumerate_partitions(n):
+                for caps in (la, la[::-1]):
+                    lifts = [0] * len(caps)
+                    for proper in (True, False):
+                        assert _class_counts(gamma, caps, lifts, proper) == \
+                            window_counts(gamma, caps, lifts, proper)
+
+
+def test_class_dp_matches_window_recursion_with_zero_parts():
+    # Up to n + 1 parts, and 5 parts at n = 5 to bound the words.
+    for n in range(6):
+        for gamma in enumerate_dyck(n):
+            for length in range(1, min(n, 4) + 2):
+                for caps in weak_compositions(n, length):
+                    if 0 not in caps:
+                        continue
+                    lifts = [0] * length
+                    for proper in (True, False):
+                        assert _class_counts(gamma, caps, lifts, proper) == \
+                            window_counts(gamma, caps, lifts, proper)
+
+
+def test_class_dp_matches_window_recursion_for_principal():
+    for n in range(6):
+        for gamma in enumerate_dyck(n):
+            for colors in range(n + 3):
+                caps, lifts = [n] * colors, list(range(colors))
+                assert _class_counts(gamma, caps, lifts, True) == \
+                    window_counts(gamma, caps, lifts, True)
 
 
 def test_x_known_expansions():

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rookhl
 from rookhl import rook, symfunc
 from rookhl.cli import main
 from rookhl.rook import hl_coefficients
@@ -53,11 +55,32 @@ def test_expand_json(capsys):
     assert f == SymFunc(5, "hl_p", hl_coefficients((2, 2, 4, 4, 5)))
 
 
-def test_expand_cache_dir(capsys, tmp_path):
-    code, _ = run(capsys, ["expand", "--heights", "1,2,3",
+def test_expand_cache_dir(capsys, tmp_path, monkeypatch):
+    # Only LLT in the P basis needs Kostka-Foulkes, so only it touches the
+    # cache; a Schur query neither writes a file nor takes any charge.
+    calls = []
+    real = symfunc.kostka_foulkes
+    monkeypatch.setattr(symfunc, "kostka_foulkes",
+                        lambda la, mu: calls.append(la) or real(la, mu))
+    for n in (3, 4):
+        symfunc._TRANSITIONS.pop(n, None)
+    code, _ = run(capsys, ["expand", "--heights", "2,3,4,4",
                            "--basis", "s", "--cache-dir", str(tmp_path)])
     assert code == 0
-    assert (tmp_path / "transitions_3.json").exists()
+    assert list(tmp_path.iterdir()) == []
+    assert calls == []
+    argv = ["expand", "--heights", "1,2,3", "--what", "LLT", "--basis", "P",
+            "--cache-dir", str(tmp_path)]
+    code, first = run(capsys, argv)
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["transitions_3.json"]
+    assert calls
+    calls.clear()
+    symfunc._TRANSITIONS.pop(3, None)
+    code, again = run(capsys, argv)
+    assert code == 0
+    assert again == first
+    assert calls == []
 
 
 def test_tampered_cache_is_a_usage_error(capsys, tmp_path):
@@ -231,8 +254,12 @@ def test_bad_heights_names_flag(capsys):
 
 
 def test_module_entry_point():
+    # Run from the directory that holds the imported package, so the child
+    # finds it whether it came from PYTHONPATH, pytest's pythonpath or an
+    # installation.
     proc = subprocess.run(
         [sys.executable, "-m", "rookhl", "list-dyck", "--n", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        cwd=Path(rookhl.__file__).resolve().parents[1])
     assert proc.returncode == 0
     assert proc.stdout == "1,2\n2,2\n"
