@@ -27,7 +27,6 @@ from rookhl.rook import (
     r_poly, type_polynomials, hl_coefficient, hl_coefficients,
 )
 from rookhl.symfunc import (
-    ssyt, reading_word, charge_word, charge, kostka, kostka_foulkes,
     Transitions, transitions, SymFunc, coefficient_line, elementary, omega,
     hl_h, hl_h_tilde, multiply, evaluate, hl_direct_oracle,
 )

@@ -19,9 +19,8 @@ from rookhl.dyck import enumerate_dyck, format_heights, parse_heights
 from rookhl.partitions import format_partition, parse_partition
 from rookhl.rook import free_cells, hl_coefficients, placements, \
     placement_type, type_polynomials
-from rookhl.symfunc import SymFunc, coefficient_line, hl_direct_oracle, \
-    transitions
-from rookhl.verify import IDENTITIES, conversion_degrees, sweep
+from rookhl.symfunc import SymFunc, coefficient_line, hl_direct_oracle
+from rookhl.verify import IDENTITIES, sweep
 
 
 def _checked(parser, flag, fn, text):
@@ -31,22 +30,8 @@ def _checked(parser, flag, fn, text):
         parser.error(f"{flag}: {e}")
 
 
-def _cached_transitions(parser, degrees, cache_dir):
-    """Load or build the cached transition data; a cache file that fails
-    validation, or a directory that cannot hold one, is a usage error."""
-    for n in degrees:
-        try:
-            transitions(n, cache_dir)
-        except (ValueError, OSError) as e:
-            parser.error(f"--cache-dir: {e}")
-
-
 def cmd_expand(args, parser):
     gamma = _checked(parser, "--heights", parse_heights, args.heights)
-    if args.cache_dir and args.what == "LLT" and args.basis == "P":
-        # The one query that converts through Kostka-Foulkes: X in P is read
-        # off the placements, and m and s need only the Kostka numbers.
-        _cached_transitions(parser, [len(gamma)], args.cache_dir)
     if args.what == "X":
         if args.basis == "P":
             f = SymFunc(len(gamma), "hl_p", hl_coefficients(gamma))
@@ -102,9 +87,6 @@ def cmd_verify(args, parser):
     if args.jobs < 1:
         parser.error("--jobs: must be positive")
     names = IDENTITIES if args.identity == "all" else (args.identity,)
-    if args.cache_dir:
-        _cached_transitions(parser, conversion_degrees(args.n_max, names),
-                            args.cache_dir)
     reports = sweep(args.n_max, set(names), jobs=args.jobs)
     failures = [r for r in reports if not r.ok]
     if args.json:
@@ -153,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="monomial, Schur, or Hall-Littlewood P")
     p.add_argument("--json", action="store_true",
                    help="machine readable output")
-    p.add_argument("--cache-dir",
-                   help="directory for persisted transition matrices")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("rook",
@@ -177,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (affects wall time only)")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cache-dir",
-                   help="directory for persisted transition matrices")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle",

@@ -1,157 +1,68 @@
 """Symmetric functions with exact Laurent coefficients, in three bases:
 monomial, Schur, and Hall-Littlewood P.
 
-Basis changes run through unitriangular matrices computed from scratch and
-inverted by division-free back-substitution.  Monomial and Schur need only
-the Kostka numbers, counted one horizontal strip at a time.  The P basis
-needs the charge Kostka polynomials: semistandard tableaux are enumerated by
-backtracking and the charge statistic is taken on reading words, on the
-first P-basis use of a degree only.  A symmetrized-rational-function oracle
-for the P basis is included so the matrix route can be checked against an
-entirely different definition.
+The monomial basis is the hub of every basis change.  Schur and P functions
+are expanded in monomials by walking chains of horizontal strips: each chain
+counts once for the Kostka numbers and is weighted by Macdonald's psi for the
+P functions.  A conversion multiplies by the source basis's matrix and solves
+against the target's by division-free forward substitution; both matrices
+are upper unitriangular.  A symmetrized-rational-function oracle for the P
+basis is included so the matrix route can be checked against an entirely
+different definition.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import os
-import tempfile
-from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from rookhl.partitions import (
-    check_partition, conjugate, dominance_leq, enumerate_partitions,
-    multiplicities, nstat,
+    check_partition, conjugate, enumerate_partitions, multiplicities, nstat,
 )
 from rookhl.qseries import QLaurent, ZERO, ONE, from_int, q_power, q_factorial
 
 BASES = ("monomial", "schur", "hl_p")
 
-
-# -- tableaux and charge ------------------------------------------------------
-
-
-def ssyt(shape, content):
-    """All semistandard tableaux of the given shape and content.
-
-    Rows weakly increase left to right, columns strictly increase top to
-    bottom, and letter v appears content[v-1] times.  Tableaux are tuples
-    of row tuples.
-    """
-    shape = check_partition(shape)
-    remaining = list(content)
-    nletters = len(remaining)
-    rows: list[list[int]] = [[] for _ in shape]
-    out = []
-
-    def fill(r, c):
-        if r == len(shape):
-            out.append(tuple(tuple(row) for row in rows))
-            return
-        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, nletters + 1):
-            if remaining[v - 1] > 0:
-                remaining[v - 1] -= 1
-                rows[r].append(v)
-                fill(nr, nc)
-                rows[r].pop()
-                remaining[v - 1] += 1
-
-    if sum(shape) == sum(content):
-        fill(0, 0) if shape else out.append(())
-    return out
-
-
-def reading_word(tableau) -> tuple[int, ...]:
-    """Rows bottom to top, each left to right."""
-    word = []
-    for row in reversed(tableau):
-        word.extend(row)
-    return tuple(word)
-
-
-def charge_word(word) -> int:
-    """Charge of a word whose content is a partition.
-
-    Standard subwords are peeled off one at a time: locate the rightmost 1,
-    then for each next letter take its rightmost occurrence to the left of
-    the current position, wrapping to the rightmost occurrence overall when
-    none exists.  The letter's index grows by one exactly on a wrap, and
-    charge accumulates all indices over all rounds.
-    """
-    w = list(word)
-    counts = Counter(w)
-    top = max(w, default=0)
-    cseq = [counts.get(v, 0) for v in range(1, top + 1)]
-    if any(cseq[i] < cseq[i + 1] for i in range(len(cseq) - 1)) or 0 in cseq:
-        raise ValueError(f"content of {word!r} is not a partition")
-    total = 0
-    while w:
-        pos = max(k for k, v in enumerate(w) if v == 1)
-        taken = [pos]
-        idx = 0
-        r = 1
-        while any(v == r + 1 for v in w):
-            left = [k for k in range(pos) if w[k] == r + 1]
-            if left:
-                pos = left[-1]
-            else:
-                pos = max(k for k, v in enumerate(w) if v == r + 1)
-                idx += 1
-            total += idx
-            taken.append(pos)
-            r += 1
-        drop = set(taken)
-        w = [v for k, v in enumerate(w) if k not in drop]
-    return total
-
-
-def charge(tableau) -> int:
-    return charge_word(reading_word(tableau))
-
-
-def kostka(la, mu) -> int:
-    """Number of semistandard tableaux of shape la and content mu."""
-    return len(ssyt(la, mu))
-
-
-def kostka_foulkes(la, mu) -> QLaurent:
-    """Charge generating polynomial over tableaux of shape la, content mu."""
-    total = ZERO
-    for t in ssyt(la, mu):
-        total = total + q_power(charge(t))
-    return total
+# The attribute of Transitions expanding each non-monomial basis in monomials.
+_MATRIX = {"schur": "kostka", "hl_p": "pm"}
 
 
 # -- transition matrices -------------------------------------------------------
 
 
-def _unitriangular_inverse(m, one, zero):
-    """Inverse of an upper unitriangular matrix by back-substitution.
-    Entirely division-free, so it works over ints and over Laurent
-    polynomials alike."""
-    size = len(m)
-    inv = [[zero] * size for _ in range(size)]
-    for i in range(size):
-        inv[i][i] = one
-        for j in range(i + 1, size):
-            acc = zero
-            for k in range(i, j):
-                acc = acc + inv[i][k] * m[k][j]
-            inv[i][j] = zero - acc
-    return inv
+def _times(vec, m):
+    """Row vector times an upper unitriangular matrix, skipping zeros."""
+    out = list(vec)
+    for i, c in enumerate(vec):
+        if c:
+            row = m[i]
+            for j in range(i + 1, len(vec)):
+                if row[j]:
+                    out[j] = out[j] + c * row[j]
+    return out
 
 
-def _horizontal_strips(la, k):
+def _solve(vec, m):
+    """The row vector x with x m = vec, for m upper unitriangular, by
+    forward substitution.  Entirely division-free, so it works over ints
+    and over Laurent polynomials alike."""
+    x = list(vec)
+    for i in range(len(x)):
+        if x[i]:
+            row = m[i]
+            for j in range(i + 1, len(x)):
+                if row[j]:
+                    x[j] = x[j] - x[i] * row[j]
+    return x
+
+
+@cache
+def _horizontal_strips(la, k) -> tuple:
     """Every shape nu that adds k boxes to la, no two in one column: row i
-    of nu lies between la_i and la_(i-1), with one new row allowed."""
+    of nu lies between la_i and la_(i-1), with one new row allowed.  Every
+    column of every degree asks for the same strips, so they are
+    memoized."""
     out = []
     rows: list[int] = []
 
@@ -168,175 +79,103 @@ def _horizontal_strips(la, k):
             rows.pop()
 
     grow(0, k)
-    return out
+    return tuple(out)
 
 
-def _kostka_column(mu) -> dict:
-    """K_{la,mu} for every shape la at once, as {la: count}.
+@cache
+def _psi(la, nu) -> QLaurent:
+    """Macdonald's weight of the horizontal strip nu/la (III (5.8')): the
+    product of 1 - q^(m_j(la)) over the columns j that gain no box while
+    column j + 1 does.  Memoized like the strips it weighs."""
+    lac, nuc = conjugate(la), conjugate(nu)
+    lac += (0,) * (len(nuc) + 1 - len(lac))
+    weight = ONE
+    for j in range(1, len(nuc)):
+        if nuc[j - 1] == lac[j - 1] and nuc[j] > lac[j]:
+            weight = weight * (ONE - q_power(lac[j - 1] - lac[j]))
+    return weight
+
+
+def _strip_column(mu, weight=None) -> dict:
+    """Column mu of a monomial expansion, for every shape la at once, as
+    {la: value}.
 
     The boxes of letter v in a tableau of content mu form a horizontal
-    strip of size mu_v, so adding one strip per part of mu and summing
-    the ways to reach each shape counts the tableaux without listing them.
+    strip of size mu_v, so adding one strip per part of mu and summing over
+    the ways to reach each shape walks every tableau without listing it.
+    A chain counts once (the Kostka number), or the product of
+    weight(la, nu) over its strips.
     """
-    counts = {(): 1}
+    column = {(): 1 if weight is None else ONE}
     for part in mu:
-        grown: dict[tuple, int] = {}
-        for la, c in counts.items():
+        grown: dict = {}
+        for la, c in column.items():
             for nu in _horizontal_strips(la, part):
-                grown[nu] = grown.get(nu, 0) + c
-        counts = grown
-    return counts
+                w = c if weight is None else c * weight(la, nu)
+                grown[nu] = grown.get(nu, 0) + w
+        column = grown
+    return column
 
 
 class Transitions:
     """Base-change data for one degree.
 
     parts is the full reverse-lex list of partitions; all matrices are
-    indexed by position in that list (row = shape, column = content) and
-    are upper unitriangular because the listed order refines dominance.
-    The Kostka numbers are counted when the degree is built; the
-    Kostka-Foulkes matrix and the inverses are built on first use, so
-    monomial-Schur conversions never take a charge.
+    indexed by position in that list and are upper unitriangular because
+    the listed order refines dominance.  kostka (row la, column mu: the
+    coefficient of m_mu in s_la) is counted when the degree is built.  pm
+    (the coefficient of m_mu in P_la, Macdonald III (5.11')) and kf (the
+    Kostka-Foulkes polynomial K_la,mu(q), the coefficient of P_mu in s_la)
+    are built on first use, so monomial-Schur conversions never weigh a
+    strip.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.parts = enumerate_partitions(n)
         self.index = {la: i for i, la in enumerate(self.parts)}
+        self.kostka = self._strip_matrix(None, 0)
+
+    def _strip_matrix(self, weight, zero):
         size = len(self.parts)
-        self.kostka = [[0] * size for _ in range(size)]
+        m = [[zero] * size for _ in range(size)]
         for j, mu in enumerate(self.parts):
-            for la, k in _kostka_column(mu).items():
-                self.kostka[self.index[la]][j] = k
+            for la, c in _strip_column(mu, weight).items():
+                m[self.index[la]][j] = c
+        return m
+
+    @cached_property
+    def pm(self) -> list[list[QLaurent]]:
+        """The psi-weighted strip walk, checked for a unit diagonal."""
+        pm = self._strip_matrix(_psi, ZERO)
+        if any(pm[i][i] != ONE for i in range(len(pm))):
+            raise ValueError(f"P-to-monomial matrix of degree {self.n} is "
+                             f"not unitriangular")
+        return pm
 
     @cached_property
     def kf(self) -> list[list[QLaurent]]:
-        """Charge Kostka polynomials from tableaux, checked against the
-        counted Kostka numbers at q = 1."""
-        size = len(self.parts)
-        kf = [[ZERO] * size for _ in range(size)]
-        for i, la in enumerate(self.parts):
-            for j in range(i, size):
-                kf[i][j] = kostka_foulkes(la, self.parts[j])
-        if any(kf[i][i] != ONE for i in range(size)):
-            raise ValueError(f"Kostka-Foulkes matrix of degree {self.n} is "
-                             f"not unitriangular")
-        for i in range(size):
-            for j in range(i + 1, size):
-                if kf[i][j].at_one() != self.kostka[i][j]:
+        """Each Schur row solved against pm, checked against the counted
+        Kostka numbers at q = 1."""
+        kf = [_solve([from_int(k) for k in row], self.pm)
+              for row in self.kostka]
+        for i, row in enumerate(kf):
+            for j, poly in enumerate(row):
+                if poly.at_one() != self.kostka[i][j]:
                     raise ValueError(
-                        f"kf[{i}][{j}] of degree {self.n} is {kf[i][j]}, "
+                        f"kf[{i}][{j}] of degree {self.n} is {poly}, "
                         f"not {self.kostka[i][j]} at q = 1")
         return kf
-
-    @cached_property
-    def kostka_inv(self) -> list[list[int]]:
-        return _unitriangular_inverse(self.kostka, 1, 0)
-
-    @cached_property
-    def kf_inv(self) -> list[list[QLaurent]]:
-        return _unitriangular_inverse(self.kf, ONE, ZERO)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "parts": [list(p) for p in self.parts],
-            "kostka": self.kostka,
-            "kf": [[p.to_json() for p in row] for row in self.kf],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict, n: int) -> "Transitions":
-        """Rebuild degree n from to_json output.  The data comes from
-        outside the program, so it is checked first, against the counted
-        Kostka numbers and the shape every Kostka-Foulkes polynomial has:
-        0 unless la dominates mu, else monic of degree n(mu) - n(la).  A
-        failed check raises ValueError naming it."""
-        try:
-            if type(obj["n"]) is not int or obj["n"] != n:
-                raise ValueError(f"n is {obj['n']!r}, not {n}")
-            parts = [tuple(p) for p in obj["parts"]]
-            kostka = [list(row) for row in obj["kostka"]]
-            kf = [[QLaurent.from_json(v) for v in row] for row in obj["kf"]]
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"malformed transition data: {e!r}") from e
-        t = cls(n)
-        if parts != t.parts:
-            raise ValueError(f"parts are not the partitions of {n}")
-        size = len(t.parts)
-        for name, m in (("kostka", kostka), ("kf", kf)):
-            if len(m) != size or any(len(row) != size for row in m):
-                raise ValueError(f"{name} is not {size} x {size}")
-        for i, la in enumerate(t.parts):
-            for j, mu in enumerate(t.parts):
-                k, poly = kostka[i][j], kf[i][j]
-                if type(k) is not int:
-                    raise ValueError(f"kostka[{i}][{j}] is not an integer")
-                if j <= i:
-                    want = int(i == j)
-                    if k != want:
-                        raise ValueError(f"kostka[{i}][{j}] is {k}, not "
-                                         f"{want}: not unitriangular")
-                    if poly != (ONE if i == j else ZERO):
-                        raise ValueError(f"kf[{i}][{j}] is {poly}, not "
-                                         f"{want}: not unitriangular")
-                if poly.at_one() != k:
-                    raise ValueError(f"kf[{i}][{j}] at q = 1 is "
-                                     f"{poly.at_one()}, not kostka[{i}][{j}]"
-                                     f" = {k}")
-                if k != t.kostka[i][j]:
-                    raise ValueError(f"kostka[{i}][{j}] is {k}, not the "
-                                     f"horizontal-strip count "
-                                     f"{t.kostka[i][j]}")
-                if not dominance_leq(mu, la):
-                    if poly:
-                        raise ValueError(f"kf[{i}][{j}] is {poly}, not 0: "
-                                         f"{la} does not dominate {mu}")
-                elif (poly.max_exp != nstat(mu) - nstat(la)
-                      or poly.coeffs[-1] != 1):
-                    raise ValueError(f"kf[{i}][{j}] is {poly}, not monic of "
-                                     f"degree {nstat(mu) - nstat(la)}")
-        t.kf = kf
-        return t
 
 
 _TRANSITIONS: dict[int, Transitions] = {}
 
 
-def transitions(n: int, cache_dir: str | None = None) -> Transitions:
-    """Transition data for degree n, memoized in memory and optionally
-    persisted as one JSON file per degree under cache_dir.
-
-    When cache_dir is given the file is guaranteed to exist afterwards,
-    even if the data was already memoized in this process.  A cached file
-    that fails Transitions.from_json's checks raises ValueError naming the
-    file.  Each writer goes through its own temporary file, so concurrent
-    writers never share one.
-    """
-    path = None
-    if cache_dir is not None:
-        path = os.path.join(cache_dir, f"transitions_{n}.json")
+def transitions(n: int) -> Transitions:
+    """Transition data for degree n, memoized in memory."""
     t = _TRANSITIONS.get(n)
-    if t is None and path is not None and os.path.exists(path):
-        with open(path) as fh:
-            try:
-                t = Transitions.from_json(json.load(fh), n)
-            except ValueError as e:
-                raise ValueError(f"{path}: {e}") from e
     if t is None:
-        t = Transitions(n)
-    if path is not None and not os.path.exists(path):
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir,
-                                   prefix=f"transitions_{n}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(t.to_json(), fh)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    _TRANSITIONS[n] = t
+        t = _TRANSITIONS[n] = Transitions(n)
     return t
 
 
@@ -417,21 +256,11 @@ class SymFunc:
         if target == self.basis:
             return self
         t = transitions(self.degree)
-        route = {
-            ("monomial", "schur"): ["kostka_inv"],
-            ("schur", "monomial"): ["kostka"],
-            ("schur", "hl_p"): ["kf"],
-            ("hl_p", "schur"): ["kf_inv"],
-            ("monomial", "hl_p"): ["kostka_inv", "kf"],
-            ("hl_p", "monomial"): ["kf_inv", "kostka"],
-        }[(self.basis, target)]
         vec = [self.coeffs.get(la, ZERO) for la in t.parts]
-        for name in route:
-            m = getattr(t, name)
-            size = len(vec)
-            # row vector times matrix: out_j = sum_i vec_i * m[i][j]
-            vec = [sum((vec[i] * m[i][j] for i in range(size)), ZERO)
-                   for j in range(size)]
+        if self.basis != "monomial":
+            vec = _times(vec, getattr(t, _MATRIX[self.basis]))
+        if target != "monomial":
+            vec = _solve(vec, getattr(t, _MATRIX[target]))
         return SymFunc(self.degree, target,
                        {la: c for la, c in zip(t.parts, vec) if c})
 
@@ -479,7 +308,7 @@ def omega(f: SymFunc) -> SymFunc:
 
 
 def hl_h(mu) -> SymFunc:
-    """The q-Whittaker-side transform of P: sum of charge Kostka
+    """The q-Whittaker-side transform of P: sum of Kostka-Foulkes
     polynomials against Schur functions for the given content mu."""
     mu = check_partition(tuple(mu))
     n = sum(mu)

@@ -22,12 +22,11 @@ from rookhl.rook import (
     extended_placement, hl_coefficient, placements, rank_tables,
     type_polynomials,
 )
-from rookhl.symfunc import (
-    SymFunc, evaluate, hl_direct_oracle, kostka, transitions,
-)
+from rookhl.symfunc import SymFunc, evaluate, hl_direct_oracle, transitions
 from rookhl.verify import (
     check_llt, check_main, check_multiplicativity, sweep,
 )
+from tableaux import kostka
 
 FIG_PATH = (2, 2, 4, 4, 5)
 

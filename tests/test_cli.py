@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import rookhl
-from rookhl import rook, symfunc
+from rookhl import rook
 from rookhl.cli import main
 from rookhl.rook import hl_coefficients
 from rookhl.symfunc import SymFunc
@@ -55,85 +55,20 @@ def test_expand_json(capsys):
     assert f == SymFunc(5, "hl_p", hl_coefficients((2, 2, 4, 4, 5)))
 
 
-def test_expand_cache_dir(capsys, tmp_path, monkeypatch):
-    # Only LLT in the P basis needs Kostka-Foulkes, so only it touches the
-    # cache; a Schur query neither writes a file nor takes any charge.
-    calls = []
-    real = symfunc.kostka_foulkes
-    monkeypatch.setattr(symfunc, "kostka_foulkes",
-                        lambda la, mu: calls.append(la) or real(la, mu))
-    for n in (3, 4):
-        symfunc._TRANSITIONS.pop(n, None)
-    code, _ = run(capsys, ["expand", "--heights", "2,3,4,4",
-                           "--basis", "s", "--cache-dir", str(tmp_path)])
-    assert code == 0
-    assert list(tmp_path.iterdir()) == []
-    assert calls == []
-    argv = ["expand", "--heights", "1,2,3", "--what", "LLT", "--basis", "P",
-            "--cache-dir", str(tmp_path)]
-    code, first = run(capsys, argv)
-    assert code == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["transitions_3.json"]
-    assert calls
-    calls.clear()
-    symfunc._TRANSITIONS.pop(3, None)
-    code, again = run(capsys, argv)
-    assert code == 0
-    assert again == first
-    assert calls == []
-
-
-def test_tampered_cache_is_a_usage_error(capsys, tmp_path):
-    argv = ["expand", "--heights", "1,2,3", "--what", "LLT", "--basis", "P",
-            "--cache-dir", str(tmp_path)]
-    code, out = run(capsys, argv)
-    assert code == 0
-    assert "(2,1): 2 + q" in out.splitlines()
-    path = tmp_path / "transitions_3.json"
-    obj = json.loads(path.read_text())
-    obj["kf"][0][1] = {"min_exp": 0, "coeffs": [7]}
-    path.write_text(json.dumps(obj))
-    symfunc._TRANSITIONS.pop(3, None)
-    for argv in (argv, ["verify", "--n-max", "3", "--identity", "main",
-                        "--cache-dir", str(tmp_path)]):
+def test_cache_dir_is_a_usage_error(capsys, tmp_path):
+    # The transition cache is gone: a cold build of any degree costs about
+    # what loading a cached file did.  Scripts that still pass the flag
+    # fail loudly instead of running without it.
+    for argv in (["expand", "--heights", "1,2,3", "--what", "LLT",
+                  "--basis", "P"],
+                 ["verify", "--identity", "main", "--n-max", "3"]):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(argv + ["--cache-dir", str(tmp_path)])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"--cache-dir: {path}: kf[0][1]" in captured.err
-
-
-def test_consistently_tampered_cache_is_a_usage_error(capsys, tmp_path):
-    # kostka and kf agree with each other at q = 1 here, but not with the
-    # horizontal-strip count: the old loader printed (2,1): 1 + 2q.
-    argv = ["expand", "--heights", "1,2,3", "--what", "LLT", "--basis", "P",
-            "--cache-dir", str(tmp_path)]
-    assert run(capsys, argv)[0] == 0
-    path = tmp_path / "transitions_3.json"
-    obj = json.loads(path.read_text())
-    obj["kostka"][0][1] = 2
-    obj["kf"][0][1] = {"min_exp": 1, "coeffs": [2]}
-    path.write_text(json.dumps(obj))
-    symfunc._TRANSITIONS.pop(3, None)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"--cache-dir: {path}: kostka[0][1] is 2" in captured.err
-
-
-def test_verify_cache_dir_holds_only_converted_degrees(capsys, tmp_path):
-    code, _ = run(capsys, ["verify", "--identity", "principal", "--n-max",
-                           "2", "--cache-dir", str(tmp_path)])
-    assert code == 0
+        assert "unrecognized arguments: --cache-dir" in captured.err
     assert list(tmp_path.iterdir()) == []
-    code, _ = run(capsys, ["verify", "--identity", "mult", "--n-max", "6",
-                           "--cache-dir", str(tmp_path / "mult")])
-    assert code == 0
-    assert sorted(p.name for p in (tmp_path / "mult").iterdir()) == \
-        [f"transitions_{n}.json" for n in range(6)]
 
 
 def test_rook_list_golden(capsys):

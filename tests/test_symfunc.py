@@ -11,9 +11,11 @@ from rookhl.qseries import QLaurent, ZERO, ONE, Q, from_int, q_power
 from rookhl import symfunc
 from rookhl.rook import hl_coefficients
 from rookhl.symfunc import (
-    ssyt, reading_word, charge_word, charge, kostka, kostka_foulkes,
     Transitions, transitions, SymFunc, elementary, omega, hl_h, hl_h_tilde,
     multiply, evaluate, hl_direct_oracle,
+)
+from tableaux import (
+    ssyt, reading_word, charge_word, charge, kostka, kostka_foulkes,
 )
 
 
@@ -182,158 +184,71 @@ def test_transitions_degree_three():
     assert t.kf[2] == [ZERO, ZERO, ONE]
 
 
-def test_transition_inverses():
-    for n in range(7):
-        t = transitions(n)
-        size = len(t.parts)
-        for i in range(size):
-            for j in range(size):
-                want_int = 1 if i == j else 0
-                acc_i = sum(t.kostka[i][k] * t.kostka_inv[k][j]
-                            for k in range(size))
-                assert acc_i == want_int
-                acc_q = sum((t.kf[i][k] * t.kf_inv[k][j]
-                             for k in range(size)), ZERO)
-                assert acc_q == (ONE if i == j else ZERO)
-
-
-def test_transitions_disk_cache(tmp_path):
-    symfunc._TRANSITIONS.pop(3, None)
-    t1 = transitions(3, cache_dir=str(tmp_path))
-    assert (tmp_path / "transitions_3.json").exists()
-    symfunc._TRANSITIONS.pop(3, None)
-    t2 = transitions(3, cache_dir=str(tmp_path))
-    assert t2.parts == t1.parts
-    assert t2.kostka == t1.kostka
-    assert t2.kf == t1.kf
-    assert t2.kf_inv == t1.kf_inv
-
-
-def _tampered(edit):
-    obj = json.loads(json.dumps(transitions(3).to_json()))
-    edit(obj)
-    return obj
-
-
-@pytest.mark.parametrize("edit, check", [
-    (lambda o: o.update(n=4), "n is 4"),
-    (lambda o: o.update(n=True), "n is True"),
-    (lambda o: o.pop("kf"), "malformed"),
-    (lambda o: o["parts"].reverse(), "parts"),
-    (lambda o: o["kostka"].pop(), "kostka is not 3 x 3"),
-    (lambda o: o["kf"][1].pop(), "kf is not 3 x 3"),
-    (lambda o: o["kostka"][0].__setitem__(1, 1.0), "not an integer"),
-    (lambda o: o["kostka"][1].__setitem__(1, 2), r"kostka\[1\]\[1\]"),
-    (lambda o: o["kostka"][2].__setitem__(0, 1), r"kostka\[2\]\[0\]"),
-    (lambda o: o["kf"][1].__setitem__(1, {"min_exp": 1, "coeffs": [1]}),
-     r"kf\[1\]\[1\]"),
-    (lambda o: o["kf"][2].__setitem__(1, {"min_exp": 2, "coeffs": [1, -1]}),
-     r"kf\[2\]\[1\]"),
-    (lambda o: o["kf"][0].__setitem__(1, {"min_exp": 0, "coeffs": [7]}),
-     "at q = 1"),
-    # Consistent at q = 1, but not what the strip count gives.
-    (lambda o: (o["kostka"][0].__setitem__(1, 2),
-                o["kf"][0].__setitem__(1, {"min_exp": 1, "coeffs": [2]})),
-     r"kostka\[0\]\[1\] is 2, not the horizontal-strip count 1"),
-    (lambda o: o["kf"][0].__setitem__(1, {"min_exp": 0, "coeffs": [1]}),
-     r"kf\[0\]\[1\] is 1, not monic of degree 1"),
-    (lambda o: o["kf"][1].__setitem__(2, {"min_exp": 2, "coeffs": [2]}),
-     r"kf\[1\]\[2\] is 2q\^2, not monic of degree 2"),
-])
-def test_transitions_from_json_names_the_failed_check(edit, check):
-    with pytest.raises(ValueError, match=check):
-        Transitions.from_json(_tampered(edit), 3)
-
-
-def test_transitions_from_json_wants_zero_where_dominance_fails():
-    # (3,1,1,1) precedes (2,2,2) in reverse-lex order but does not dominate
-    # it, so that entry is above the diagonal and still must be 0.
-    t = transitions(6)
-    i, j = t.index[(3, 1, 1, 1)], t.index[(2, 2, 2)]
-    assert i < j and t.kostka[i][j] == 0
-    obj = json.loads(json.dumps(t.to_json()))
-    obj["kf"][i][j] = (ONE - Q).to_json()
-    with pytest.raises(ValueError, match=rf"kf\[{i}\]\[{j}\] is 1 - q, not "
-                       r"0: \(3, 1, 1, 1\) does not dominate \(2, 2, 2\)"):
-        Transitions.from_json(obj, 6)
-
-
-def test_transitions_cache_rejects_tampered_file(tmp_path):
-    path = tmp_path / "transitions_3.json"
-    obj = _tampered(lambda o: o["kf"][0].__setitem__(
-        1, {"min_exp": 0, "coeffs": [7]}))
-    path.write_text(json.dumps(obj))
-    symfunc._TRANSITIONS.pop(3, None)
-    with pytest.raises(ValueError, match="transitions_3.json: kf"):
-        transitions(3, cache_dir=str(tmp_path))
-
-
-def test_transitions_cache_write_ignores_stale_temp_name(tmp_path):
-    # Writers once shared the name transitions_N.json.tmp; a directory left
-    # under that name made every later write fail.
-    (tmp_path / "transitions_3.json.tmp").mkdir()
-    transitions(3, cache_dir=str(tmp_path))
-    assert (tmp_path / "transitions_3.json").is_file()
-    assert [p.name for p in tmp_path.glob("*.tmp")] == \
-        ["transitions_3.json.tmp"]
-
-
-def test_transitions_cache_leaves_no_temp_file(tmp_path, monkeypatch):
-    for n in range(4):
-        transitions(n, cache_dir=str(tmp_path))
-    assert sorted(p.name for p in tmp_path.iterdir()) == \
-        [f"transitions_{n}.json" for n in range(4)]
-
-    def fail(*args):
-        raise OSError("disk full")
-
-    # A failed write removes its temporary file.
-    monkeypatch.setattr(symfunc.os, "replace", fail)
-    with pytest.raises(OSError, match="disk full"):
-        transitions(4, cache_dir=str(tmp_path))
-    assert not list(tmp_path.glob("*.tmp"))
+def test_transitions_match_tableau_oracle():
+    # kf against the charge of every tableau; pm against its two
+    # specializations: P_la is s_la at q = 0 and m_la at q = 1.  The one-row
+    # P_(n) is the sum of (1 - q)^(l(mu) - 1) m_mu (Macdonald III (2.10)).
+    for n in range(9):
+        t = Transitions(n)
+        for i, la in enumerate(t.parts):
+            for j, mu in enumerate(t.parts):
+                assert t.kf[i][j] == kostka_foulkes(la, mu)
+                assert t.pm[i][j].eval(0) == t.kostka[i][j]
+                assert t.pm[i][j].at_one() == int(i == j)
+        if n:
+            assert t.pm[0] == [(ONE - Q) ** (len(mu) - 1) for mu in t.parts]
 
 
 def test_transitions_raise_on_non_unitriangular_kf(monkeypatch):
-    # A diagonal entry other than 1 means the charge computation is wrong;
-    # the build must fail loudly, also under python -O.
-    real = symfunc.kostka_foulkes
-    monkeypatch.setattr(symfunc, "kostka_foulkes",
-                        lambda la, mu: real(la, mu) * 2)
+    # A diagonal entry of pm other than 1 means the strip weights are wrong;
+    # the build, which kf reads through, must fail loudly, also under
+    # python -O.
+    real = symfunc._psi
+    monkeypatch.setattr(symfunc, "_psi", lambda la, nu: real(la, nu) * 2)
     with pytest.raises(ValueError, match="not unitriangular"):
         Transitions(2).kf
 
 
 def test_first_kf_read_checks_kostka_at_q_one(monkeypatch):
-    # The charge route and the strip count are independent; an entry on
-    # which they disagree at q = 1 fails the first read of kf.
-    real = symfunc.kostka_foulkes
-    monkeypatch.setattr(symfunc, "kostka_foulkes",
-                        lambda la, mu: real(la, mu) + (Q if la != mu else 0))
+    # P_la is m_la at q = 1, so kf at q = 1 is the strip-counted Kostka
+    # matrix.  A strip weight that does not vanish at q = 1 keeps the unit
+    # diagonal but breaks that, and the first read of kf fails.
+    real = symfunc._psi
+
+    def weight(la, nu):
+        psi = real(la, nu)
+        return psi if psi == ONE else psi + ONE
+
+    monkeypatch.setattr(symfunc, "_psi", weight)
     t = Transitions(3)
+    assert [t.pm[i][i] for i in range(3)] == [ONE] * 3
     with pytest.raises(ValueError, match=r"kf\[0\]\[1\] of degree 3 is "
-                                         r"2q, not 1 at q = 1"):
+                                         r"-1 \+ q, not 1 at q = 1"):
         t.kf
 
 
 def test_schur_conversion_takes_no_charge(monkeypatch):
+    # Monomial-Schur conversions need the strip count only; no strip is
+    # weighed and no P-basis matrix is built until a P conversion asks.
     calls = []
-    real = symfunc.kostka_foulkes
+    real = symfunc._psi
 
-    def counted(la, mu):
-        calls.append((la, mu))
-        return real(la, mu)
+    def counted(la, nu):
+        calls.append((la, nu))
+        return real(la, nu)
 
-    monkeypatch.setattr(symfunc, "kostka_foulkes", counted)
+    monkeypatch.setattr(symfunc, "_psi", counted)
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     x = chromatic_x((2, 2, 4, 4, 5))
     s = x.to_basis("schur")
     assert s.to_basis("monomial") == x
     assert calls == []
+    assert "pm" not in vars(transitions(5))
     assert "kf" not in vars(transitions(5))
     assert x.to_basis("hl_p") == SymFunc(5, "hl_p",
                                          hl_coefficients((2, 2, 4, 4, 5)))
-    assert len(calls) == sum(range(len(enumerate_partitions(5)) + 1))
+    assert calls
+    assert "pm" in vars(transitions(5))
 
 
 # -- SymFunc ------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import pytest
@@ -163,10 +164,10 @@ def test_sweep_parallel_equals_serial():
 
 
 def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
-    charges = []
-    real = symfunc.kostka_foulkes
-    monkeypatch.setattr(symfunc, "kostka_foulkes",
-                        lambda la, mu: charges.append(mu) or real(la, mu))
+    weighed = []
+    real = symfunc._psi
+    monkeypatch.setattr(symfunc, "_psi",
+                        lambda la, nu: weighed.append(nu) or real(la, nu))
     # The degrees whose Kostka-Foulkes matrix is built when the first task
     # starts, that is, by the warm-up.
     warm = []
@@ -182,7 +183,7 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(4, {"principal"})
     assert symfunc._TRANSITIONS == {}
-    assert charges == []
+    assert weighed == []
     assert warm == [set()]
     warm.clear()
     sweep(6, {"mult"})
@@ -195,21 +196,40 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
     assert warm == [{0, 1, 2}]
 
 
-def test_parallel_sweep_builds_kf_in_the_parent_only(monkeypatch, tmp_path):
-    # Every Kostka-Foulkes entry is taken by the warm-up before the pool
-    # starts; forked workers inherit it and take no charge themselves.
-    log = tmp_path / "pids"
-    real = symfunc.kostka_foulkes
+def _start_method_pool(monkeypatch, method):
+    """Make sweep build its pool from the named start method's context."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method} is not available")
+    monkeypatch.setattr(verify, "Pool",
+                        multiprocessing.get_context(method).Pool)
 
-    def logged(la, mu):
+
+def test_parallel_sweep_builds_kf_in_the_parent_only(monkeypatch, tmp_path):
+    # The warm-up builds every P-basis matrix before the pool starts; forked
+    # workers inherit them and weigh no strip themselves.  Fork is named
+    # explicitly: only forked workers see this monkeypatch.
+    _start_method_pool(monkeypatch, "fork")
+    log = tmp_path / "pids"
+    real = symfunc._psi
+
+    def logged(la, nu):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return real(la, mu)
+        return real(la, nu)
 
-    monkeypatch.setattr(symfunc, "kostka_foulkes", logged)
+    monkeypatch.setattr(symfunc, "_psi", logged)
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     assert all(r.ok for r in sweep(4, {"main", "llt", "mult"}, jobs=2))
     assert set(log.read_text().split()) == {str(os.getpid())}
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_parallel_sweep_equals_serial_under_every_start_method(monkeypatch,
+                                                               method):
+    # Workers that do not fork rebuild whatever they convert in.
+    serial = sweep(4, {"main", "llt", "mult"})
+    _start_method_pool(monkeypatch, method)
+    assert sweep(4, {"main", "llt", "mult"}, jobs=2) == serial
 
 
 def test_conversion_degrees():
