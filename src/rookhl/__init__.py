@@ -22,8 +22,7 @@ from rookhl.dyck import (
     ModularTriple, modular_triples,
 )
 from rookhl.rook import (
-    placements, chains, placement_type, extended_placement,
-    RankTables, rank_tables, free_cells, fc,
+    placements, placement_type, RankTables, rank_tables, free_cells,
     r_poly, type_polynomials, hl_coefficient, hl_coefficients,
 )
 from rookhl.symfunc import (

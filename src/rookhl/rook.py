@@ -7,10 +7,18 @@ the vertices 1..n into increasing chains; the placement's type is the
 partition given by the chain lengths.  The q-weight of a placement is the
 number of free cells, and summing q^fc over placements of a fixed type
 gives the polynomial at the center of every identity in this package.
+
+type_polynomials computes those sums without listing a placement: a
+transfer DP places the vertices one at a time and scores each row of free
+cells as soon as its vertex joins a chain.  placements, placement_type and
+free_cells list and score placements one by one, for `rookhl rook --list`;
+the tests sum them per type as the DP's oracle.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 from rookhl.dyck import area
@@ -48,22 +56,6 @@ def placements(gamma: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def chains(n: int, placement) -> list[tuple[int, ...]]:
-    """The increasing chains cut out by a placement on vertices 1..n,
-    listed by their smallest element."""
-    succ = dict(placement)
-    has_pred = set(succ.values())
-    out = []
-    for start in range(1, n + 1):
-        if start in has_pred:
-            continue
-        ch = [start]
-        while ch[-1] in succ:
-            ch.append(succ[ch[-1]])
-        out.append(tuple(ch))
-    return out
-
-
 def placement_type(n: int, placement) -> tuple[int, ...]:
     """Chain lengths, sorted descending: a partition of n."""
     succ = [0] * (n + 1)
@@ -79,25 +71,6 @@ def placement_type(n: int, placement) -> tuple[int, ...]:
             length[d] = length[j] + 1
             length[j] = 0
     return tuple(sorted(filter(None, length[1:]), reverse=True))
-
-
-def extended_placement(n: int, placement) -> list[list[tuple[int, int]]]:
-    """The literal extended cell sequence of each chain.
-
-    A chain d_1 < ... < d_l contributes alternating diagonal cells and
-    rooks: (d_1,d_1), (d_1,d_2), (d_2,d_2), ..., (d_l,d_l), (d_l, n+1),
-    the final rook being a phantom above the board.  The rank of the k-th
-    cell (1-based) is k // 2.
-    """
-    out = []
-    for ch in chains(n, placement):
-        seq = []
-        for t, d in enumerate(ch):
-            seq.append((d, d))
-            nxt = ch[t + 1] if t + 1 < len(ch) else n + 1
-            seq.append((d, nxt))
-        out.append(seq)
-    return out
 
 
 class RankTables(NamedTuple):
@@ -132,8 +105,10 @@ def rank_tables(n: int, placement) -> RankTables:
     return RankTables(col_rank, col_top, row_rank, row_left)
 
 
-def _free_cells(gamma, placement, gate=True):
-    """free_cells, with the column gate optional so that tests can show
+def free_cells(gamma, placement, gate=True) -> set[tuple[int, int]]:
+    """Board cells strictly below the extended rook of their column whose
+    row rank fits under their column rank (weakly from the left, strictly
+    from the right).  The column gate is optional so that tests can show
     what its removal breaks."""
     n = len(gamma)
     col_rank, col_top, row_rank, row_left = rank_tables(n, placement)
@@ -148,17 +123,6 @@ def _free_cells(gamma, placement, gate=True):
     return free
 
 
-def free_cells(gamma, placement) -> set[tuple[int, int]]:
-    """Board cells strictly below the extended rook of their column whose
-    row rank fits under their column rank (weakly from the left, strictly
-    from the right)."""
-    return _free_cells(gamma, placement)
-
-
-def fc(gamma, placement) -> int:
-    return len(free_cells(gamma, placement))
-
-
 def r_poly(gamma: tuple[int, ...], mu: tuple[int, ...]) -> QLaurent:
     """Sum of q^fc over placements of type mu on the board of gamma."""
     n = len(gamma)
@@ -168,24 +132,71 @@ def r_poly(gamma: tuple[int, ...], mu: tuple[int, ...]) -> QLaurent:
 
 
 def type_polynomials(gamma: tuple[int, ...]) -> dict[tuple[int, ...], QLaurent]:
-    """r_poly for every type in one enumeration pass.  Types with no
+    """r_poly for every type in one pass of the transfer DP.  Types with no
     placement are absent.
 
-    Each placement is scored by one call of free_cells, looked up at call
-    time so that it can be replaced; the scores are counted per type and
-    each type's polynomial is built once from its counts.
+    The DP is _type_polynomials, looked up at call time so that it can be
+    replaced with its column gate off.
+    """
+    return _type_polynomials(gamma)
+
+
+def _type_polynomials(gamma, gate=True):
+    """Sum q^fc over the placements of each type, vertex by vertex.
+
+    A state lists the rank of each vertex placed so far: its position in
+    its chain.  Vertex d either starts a chain (rank 1) or follows an open
+    vertex i of its row (gamma[i-1] < d), taking rank(i) + 1 and closing i.
+    Every column of row d is then decided, so row d's free cells are
+    counted at once.  With left = i (or d when d starts a chain) and
+    b = rank(d) - 1, the cell (j, d) of an open column j is free iff
+    j < left and b <= rank(j), or left < j and b < rank(j): the rule of
+    free_cells read row by row.  A closed column scores no later row, so
+    its rank is forgotten as 0; with the gate off it keeps scoring, and
+    its rank is kept negated.
+
+    Each state maps to its fc histogram packed into one int, `width` bits
+    per fc value.  A count never exceeds n!, the number of choice
+    sequences (row d offers at most d choices), so slots never carry.
+    States that agree merge their histograms.  A final state's type is its
+    sorted positive ranks, the lengths of its chains.
     """
     n = len(gamma)
-    hist: dict[tuple[int, ...], dict[int, int]] = {}
-    for p in placements(gamma):
-        counts = hist.setdefault(placement_type(n, p), {})
-        k = len(free_cells(gamma, p))
-        counts[k] = counts.get(k, 0) + 1
+    width = math.factorial(n).bit_length()
+    states = {(): 1}
+    on = 0      # row d meets columns 1..on, as gamma is weakly increasing
+    for d in range(1, n + 1):
+        while on < d - 1 and gamma[on] < d:
+            on += 1
+        nxt = {}
+        for ranks, hist in states.items():
+            row = ranks[:on] if gate else tuple(map(abs, ranks[:on]))
+            ordered = sorted(row)
+            # Starting a chain, b = 0: every scoring column's cell is free.
+            key = ranks + (1,)
+            free = on - ordered.count(0)
+            nxt[key] = nxt.get(key, 0) + (hist << width * free)
+            for p in range(on):
+                b = ranks[p]
+                if b > 0:
+                    # Columns ranked above b, and those ranked b left of p.
+                    free = on - bisect_right(ordered, b) + row[:p].count(b)
+                    key = (ranks[:p] + (0 if gate else -b,) + ranks[p + 1:]
+                           + (b + 1,))
+                    nxt[key] = nxt.get(key, 0) + (hist << width * free)
+        states = nxt
+    by_type: dict[tuple[int, ...], int] = {}
+    for ranks, hist in states.items():
+        mu = tuple(sorted((r for r in ranks if r > 0), reverse=True))
+        by_type[mu] = by_type.get(mu, 0) + hist
+    mask = (1 << width) - 1
     out = {}
-    for mu, counts in hist.items():
-        lo = min(counts)
-        out[mu] = QLaurent(lo, [counts.get(k, 0)
-                                for k in range(lo, max(counts) + 1)])
+    for mu, hist in by_type.items():
+        counts = []
+        while hist:
+            counts.append(hist & mask)
+            hist >>= width
+        out[mu] = QLaurent(0, counts)
     return out
 
 
@@ -209,6 +220,6 @@ def hl_coefficient(gamma: tuple[int, ...], mu: tuple[int, ...],
 
 
 def hl_coefficients(gamma: tuple[int, ...]) -> dict[tuple[int, ...], QLaurent]:
-    """hl_coefficient for every type present, from one enumeration pass."""
+    """hl_coefficient for every type present, from one pass of the DP."""
     return {mu: hl_coefficient(gamma, mu, r)
             for mu, r in type_polynomials(gamma).items()}

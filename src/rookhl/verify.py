@@ -294,11 +294,15 @@ def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
     """Run every selected check for all sizes up to n_max and return the
     flattened reports in task order, independent of jobs."""
     tasks = sweep_tasks(n_max, identities)
-    # Build the transition data of every degree the checks convert in,
-    # Kostka-Foulkes included, before any worker starts, so that forked
-    # workers inherit it instead of each building it again.
+    # Build the P-basis matrix of every degree the checks convert in, and
+    # Kostka-Foulkes where llt reads it (through hl_h), before any worker
+    # starts, so that forked workers inherit them instead of each building
+    # them again.
     for n in conversion_degrees(n_max, identities):
-        transitions(n).kf
+        t = transitions(n)
+        t.pm
+        if "llt" in identities:
+            t.kf
     if jobs <= 1:
         chunks = [_task_reports(t) for t in tasks]
     else:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,10 @@ import pytest
 import rookhl
 from rookhl import rook
 from rookhl.cli import main
+from rookhl.partitions import parse_partition
+from rookhl.qseries import ZERO, q_power
 from rookhl.rook import hl_coefficients
-from rookhl.symfunc import SymFunc
+from rookhl.symfunc import SymFunc, coefficient_line
 
 
 def run(capsys, argv):
@@ -86,6 +89,26 @@ def test_rook_list_golden(capsys):
     assert all(l.split(" type=")[1].startswith("3,2 ") for l in placements)
 
 
+def test_rook_list_sums_to_the_type_polynomials(capsys):
+    # --list scores every placement one by one; the polynomial lines that
+    # follow come from the transfer DP.  The fc= values of each type must
+    # add up to that type's line.
+    for heights in ("1,2,3,4,5,6,7", "2,2,4,4,5,7,7", "2,3,3,5,6,6,7",
+                    "3,3,4,6,7,7,7"):
+        code, out = run(capsys, ["rook", "--heights", heights, "--list"])
+        assert code == 0
+        lines = out.splitlines()
+        listed = [l for l in lines if " type=" in l]
+        sums = {}
+        for l in listed:
+            mu, k = l.split(" type=")[1].split(" fc=")
+            mu = parse_partition(mu)
+            sums[mu] = sums.get(mu, ZERO) + q_power(int(k))
+        want = [coefficient_line(mu, poly)
+                for mu, poly in sorted(sums.items(), reverse=True)]
+        assert lines[len(listed):] == want
+
+
 def test_rook_all_types(capsys):
     code, out = run(capsys, ["rook", "--heights", "1,2"])
     assert code == 0
@@ -127,10 +150,8 @@ def test_verify_json(capsys):
 
 
 def test_verify_finds_counterexample(capsys, monkeypatch):
-    monkeypatch.setattr(
-        rook, "free_cells",
-        lambda gamma, placement: rook._free_cells(gamma, placement,
-                                                  gate=False))
+    monkeypatch.setattr(rook, "_type_polynomials",
+                        partial(rook._type_polynomials, gate=False))
     code, out = run(capsys, ["verify", "--identity", "main", "--n-max", "3"])
     assert code == 1
     assert "counterexample" in out

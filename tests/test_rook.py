@@ -5,14 +5,19 @@ from pathlib import Path
 
 import pytest
 
-from rookhl.dyck import area, enumerate_dyck, poset_cells, complete_path
+from rookhl.dyck import (
+    area, enumerate_dyck, poset_cells, complete_path, modular_triples,
+)
 from rookhl.partitions import enumerate_partitions
 from rookhl.qseries import QLaurent, ONE, q_factorial, q_power
-from rookhl import rook
+from rookhl import rook, verify
+from rookhl.cli import main
 from rookhl.rook import (
-    placements, chains, placement_type, extended_placement, rank_tables,
-    free_cells, fc, r_poly, type_polynomials, hl_coefficient,
-    hl_coefficients,
+    placements, placement_type, rank_tables, free_cells, r_poly,
+    type_polynomials, hl_coefficient, hl_coefficients,
+)
+from placement_oracle import (
+    chains, enumerated_type_polynomials, extended_placement, fc,
 )
 
 
@@ -198,14 +203,14 @@ def test_ungated_rule_differs_on_fig_path():
     # The strict reading of the free-cell rule needs the column gate; with
     # the gate off, cell (1, 4) of the first worked example leaks in.
     p = ((1, 3), (2, 4), (3, 5))
-    assert rook._free_cells(FIG_PATH, p, gate=False) == {(1, 4)}
-    assert rook._free_cells(FIG_PATH, p, gate=True) == set()
+    assert free_cells(FIG_PATH, p, gate=False) == {(1, 4)}
+    assert free_cells(FIG_PATH, p, gate=True) == set()
 
 
 def oracle_free_cells(gamma, p, gate=True):
     """The free-cell rule read literally: ranks from the chains, cells from
     the whole board, each looked up in dicts.  Independent of the one-pass
-    rank tables that rook._free_cells uses."""
+    rank tables that free_cells uses."""
     n = len(gamma)
     succ = dict(p)
     pred = {j: i for i, j in p}
@@ -225,7 +230,7 @@ def test_free_cells_match_oracle():
         for gamma in enumerate_dyck(n):
             for p in placements(gamma):
                 for gate in (True, False):
-                    assert rook._free_cells(gamma, p, gate) == \
+                    assert free_cells(gamma, p, gate) == \
                         oracle_free_cells(gamma, p, gate)
 
 
@@ -240,17 +245,51 @@ def test_type_polynomials_match_oracle_sums():
             assert type_polynomials(gamma) == want
 
 
-def test_type_polynomials_score_through_the_free_cells_hook(monkeypatch):
-    # The negative controls and the benchmark's tracer replace
-    # rook.free_cells; scoring must call it once per placement.
-    calls = []
+def test_type_polynomials_match_enumeration():
+    # The transfer DP against placements listed and scored one by one, on
+    # every path through n = 7, and with the column gate off through n = 6.
+    for n in range(8):
+        for gamma in enumerate_dyck(n):
+            assert type_polynomials(gamma) == \
+                enumerated_type_polynomials(gamma)
+            if n <= 6:
+                assert rook._type_polynomials(gamma, gate=False) == \
+                    enumerated_type_polynomials(gamma, gate=False)
 
-    def counting(gamma, placement):
-        calls.append(placement)
-        return rook._free_cells(gamma, placement)
 
-    monkeypatch.setattr(rook, "free_cells", counting)
-    for gamma in [FIG_PATH] + enumerate_dyck(6)[::40]:
-        calls.clear()
-        type_polynomials(gamma)
-        assert sorted(calls) == sorted(placements(gamma))
+def test_gate_hook_reaches_every_rook_side_caller(monkeypatch, capsys):
+    # The negative controls turn the DP's gate off by replacing
+    # rook._type_polynomials; every caller must look that name up.
+    seen = []
+    real = rook._type_polynomials
+
+    def recording(gamma, gate=True):
+        seen.append(gamma)
+        return real(gamma, gate)
+
+    monkeypatch.setattr(rook, "_type_polynomials", recording)
+    small = (2, 3, 3)
+    calls = [
+        (lambda: r_poly(FIG_PATH, (3, 2)), {FIG_PATH}),
+        (lambda: type_polynomials(FIG_PATH), {FIG_PATH}),
+        (lambda: hl_coefficient(FIG_PATH, (3, 2)), {FIG_PATH}),
+        (lambda: hl_coefficients(FIG_PATH), {FIG_PATH}),
+        (lambda: verify.check_main(FIG_PATH), {FIG_PATH}),
+        (lambda: verify.check_llt(FIG_PATH), {FIG_PATH}),
+        (lambda: verify.check_principal(FIG_PATH, 2), {FIG_PATH}),
+        (lambda: verify.check_multiplicativity(small, 2),
+         {small, (2, 3, 3, 5, 5)}),
+        (lambda: verify.check_multiplicativity(small, 2, True),
+         {small, (2, 2), (2, 3, 3, 5, 5)}),
+        (lambda: verify.check_modular(4, "r_poly"),
+         {g for t in modular_triples(4)
+          for g in (t.middle, t.lower, t.upper)}),
+        (lambda: main(["rook", "--heights", "2,2,4,4,5"]), {FIG_PATH}),
+        (lambda: main(["expand", "--heights", "2,2,4,4,5",
+                       "--what", "X", "--basis", "P"]), {FIG_PATH}),
+    ]
+    for call, paths in calls:
+        seen.clear()
+        call()
+        assert set(seen) == paths
+    capsys.readouterr()

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+from functools import partial
 
 import pytest
 
@@ -27,10 +28,8 @@ def test_check_main_small_sizes():
 
 
 def test_check_main_reports_counterexample_when_rule_is_broken(monkeypatch):
-    monkeypatch.setattr(
-        rook, "free_cells",
-        lambda gamma, placement: rook._free_cells(gamma, placement,
-                                                  gate=False))
+    monkeypatch.setattr(rook, "_type_polynomials",
+                        partial(rook._type_polynomials, gate=False))
     rep = check_main(FIG_PATH)
     assert rep.status == "counterexample"
     assert rep.instance == "heights=2,2,4,4,5"
@@ -168,15 +167,18 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
     real = symfunc._psi
     monkeypatch.setattr(symfunc, "_psi",
                         lambda la, nu: weighed.append(nu) or real(la, nu))
-    # The degrees whose Kostka-Foulkes matrix is built when the first task
-    # starts, that is, by the warm-up.
+    # The degrees whose P-basis and Kostka-Foulkes matrices are built when
+    # the first task starts, that is, by the warm-up.
     warm = []
     real_task = verify._task_reports
 
+    def built(name):
+        return {n for n, tr in symfunc._TRANSITIONS.items()
+                if name in vars(tr)}
+
     def task(t):
         if not warm:
-            warm.append({n for n, tr in symfunc._TRANSITIONS.items()
-                         if "kf" in vars(tr)})
+            warm.append((built("pm"), built("kf")))
         return real_task(t)
 
     monkeypatch.setattr(verify, "_task_reports", task)
@@ -184,16 +186,23 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
     sweep(4, {"principal"})
     assert symfunc._TRANSITIONS == {}
     assert weighed == []
-    assert warm == [set()]
+    assert warm == [(set(), set())]
     warm.clear()
+    # Only llt reads Kostka-Foulkes; main and mult convert through pm.
     sweep(6, {"mult"})
     assert set(symfunc._TRANSITIONS) == set(range(6))
-    assert warm == [set(range(6))]
+    assert warm == [(set(range(6)), set())]
+    assert built("kf") == set()
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(2, {"main", "modular"})
     assert set(symfunc._TRANSITIONS) == {0, 1, 2}
-    assert warm == [{0, 1, 2}]
+    assert warm == [({0, 1, 2}, set())]
+    assert built("kf") == set()
+    warm.clear()
+    monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
+    sweep(3, {"llt", "mult"})
+    assert warm == [({0, 1, 2, 3}, {0, 1, 2, 3})]
 
 
 def _start_method_pool(monkeypatch, method):
