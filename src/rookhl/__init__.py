@@ -18,7 +18,7 @@ from rookhl.partitions import (
 )
 from rookhl.dyck import (
     from_heights, parse_heights, format_heights, enumerate_dyck,
-    area, area_sequence, edges, poset_cells, concat, complete_path,
+    area, area_sequence, concat, complete_path,
     ModularTriple, modular_triples,
 )
 from rookhl.rook import (
@@ -26,12 +26,12 @@ from rookhl.rook import (
     r_poly, type_polynomials, hl_coefficient, hl_coefficients,
 )
 from rookhl.symfunc import (
-    Transitions, transitions, SymFunc, coefficient_line, elementary, omega,
-    hl_h, hl_h_tilde, multiply, evaluate, hl_direct_oracle,
+    Transitions, transitions, SymFunc, coefficient_line, omega,
+    hl_h, hl_h_tilde, multiply, hl_direct_oracle,
 )
 from rookhl.chromatic import (
     x_coefficient, llt_coefficient, chromatic_x, llt_poly,
-    principal_direct,
+    principal_direct, principal_series,
 )
 from rookhl.verify import (
     CheckReport, IDENTITIES, check_main, check_modular,

@@ -8,12 +8,17 @@ specialization of X.  It places one color class at a time, in increasing
 color order, so an ascent is counted when its larger vertex gets a color:
 exactly the window neighbors that already hold one are smaller-colored.
 The state is the set of vertices colored so far, and each state carries
-its exponent histogram packed into one integer.  The tests compare the DP
-with a vertex-by-vertex recursion over the windows and with brute-force
-product enumerations that know nothing of windows.
+its exponent histogram packed into one integer.  The DP reads the full
+set's histogram after every color, so one pass gives the labelings by
+every prefix of the colors: X and LLT take the last prefix, the principal
+specialization every one.  The tests compare the DP with a
+vertex-by-vertex recursion over the windows and with brute-force product
+enumerations that know nothing of windows.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from rookhl.dyck import area_sequence
 from rookhl.partitions import enumerate_partitions
@@ -22,8 +27,9 @@ from rookhl.symfunc import SymFunc
 
 
 def _class_counts(gamma, caps, lifts, proper):
-    """Exponent histogram over labelings of the vertices by colors
-    1..len(caps) that use color c at most caps[c-1] times.
+    """Exponent histograms over labelings of the vertices by colors 1..k
+    that use color c at most caps[c-1] times, one for each prefix
+    k = 0..len(caps): entry k is the histogram for caps[:k], lifts[:k].
 
     A labeling weighs q^(ascents + sum of lifts[c-1] over its vertices'
     colors c), an ascent being an edge whose smaller endpoint carries the
@@ -37,6 +43,12 @@ def _class_counts(gamma, caps, lifts, proper):
     adds popcount(low[w] & S) for each w in I (its window below w holds
     those smaller colors) plus lifts[c]*|I|.  |I| runs from what the later
     colors cannot hold up to caps[c]; with proper set, I is independent.
+
+    The labelings by the first k colors are the states that reach the full
+    set after color k.  The lower bound on |I| never drops one of them
+    (the colors after k are left empty), and a full state passes every
+    later color unchanged, as the empty class, so the histogram of the
+    full set after color k is entry k.
     """
     n = len(gamma)
     aseq = area_sequence(gamma)
@@ -47,7 +59,9 @@ def _class_counts(gamma, caps, lifts, proper):
     bits = (len(caps) ** n).bit_length() + 1
     later = sum(caps)
     states = {0: 1}
+    packed = []
     for cap, lift in zip(caps, lifts):
+        packed.append(states.get(full, 0))
         later -= cap
         if cap == 0:
             # Every state fits in the later colors: it passes unchanged.
@@ -89,12 +103,20 @@ def _class_counts(gamma, caps, lifts, proper):
                         stack.append((t + 1, I | 1 << free[t], m + 1,
                                       e + (w & S).bit_count()))
         states = grown
-    counts = [0] * (sum(aseq) + n * max(lifts, default=0) + 1)
-    packed = states.get(full, 0)
+    packed.append(states.get(full, 0))
     mask = (1 << bits) - 1
-    for e in range(len(counts)):
-        counts[e] = packed >> bits * e & mask
-    return counts
+    area = sum(aseq)
+    out = []
+    # Entry k reaches exponent area + n * max(lifts[:k]).
+    for hist, top in zip(packed, accumulate(lifts, max, initial=0)):
+        counts = [0] * (area + n * top + 1)
+        e = 0
+        while hist:
+            counts[e] = hist & mask
+            hist >>= bits
+            e += 1
+        out.append(counts)
+    return out
 
 
 def _checked_content(gamma, content) -> tuple[int, ...]:
@@ -112,7 +134,7 @@ def x_coefficient(gamma, content) -> QLaurent:
     sorted partition."""
     content = _checked_content(gamma, content)
     return QLaurent(0, _class_counts(gamma, content, [0] * len(content),
-                                     proper=True))
+                                     proper=True)[-1])
 
 
 def llt_coefficient(gamma, content) -> QLaurent:
@@ -123,7 +145,7 @@ def llt_coefficient(gamma, content) -> QLaurent:
     # each label c to ncolors + 1 - c and reverse the content.
     content = _checked_content(gamma, reversed(tuple(content)))
     return QLaurent(0, _class_counts(gamma, content, [0] * len(content),
-                                     proper=False))
+                                     proper=False)[-1])
 
 
 def chromatic_x(gamma) -> SymFunc:
@@ -142,10 +164,18 @@ def llt_poly(gamma) -> SymFunc:
                     for la in enumerate_partitions(n)})
 
 
+def principal_series(gamma, alpha_max: int) -> list[QLaurent]:
+    """principal_direct(gamma, k) for k = 0..alpha_max, from one pass of
+    the class DP.  Color c has cap n and lift c - 1 whatever the number of
+    colors, so the colorings from 1..k are read off after color k."""
+    if alpha_max < 0:
+        raise ValueError("colors must be nonnegative")
+    return [QLaurent(0, counts)
+            for counts in _class_counts(gamma, [len(gamma)] * alpha_max,
+                                        range(alpha_max), proper=True)]
+
+
 def principal_direct(gamma, colors: int) -> QLaurent:
     """Sum of q^(ascents + sum of (color - 1)) over proper colorings with
     colors drawn from 1..colors, summed one color class at a time."""
-    if colors < 0:
-        raise ValueError("colors must be nonnegative")
-    return QLaurent(0, _class_counts(gamma, [len(gamma)] * colors,
-                                     list(range(colors)), proper=True))
+    return principal_series(gamma, colors)[colors]

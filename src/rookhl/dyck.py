@@ -82,21 +82,6 @@ def area_sequence(gamma: tuple[int, ...]) -> tuple[int, ...]:
                  for i in range(1, n + 1))
 
 
-def edges(gamma: tuple[int, ...]) -> set[tuple[int, int]]:
-    """Graph edges: pairs i < j with j at or below the height of column i."""
-    return {(i, j)
-            for i, m in enumerate(gamma, start=1)
-            for j in range(i + 1, m + 1)}
-
-
-def poset_cells(gamma: tuple[int, ...]) -> set[tuple[int, int]]:
-    """Board cells (column i, row j): pairs i < j strictly above the path."""
-    n = len(gamma)
-    return {(i, j)
-            for i, m in enumerate(gamma, start=1)
-            for j in range(m + 1, n + 1)}
-
-
 def concat(g1: tuple[int, ...], g2: tuple[int, ...]) -> tuple[int, ...]:
     """Place g2 after g1; no edges or cells connect the two blocks' graphs,
     every cross pair becomes a board cell."""

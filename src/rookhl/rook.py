@@ -160,8 +160,17 @@ def _type_polynomials(gamma, gate=True):
     sequences (row d offers at most d choices), so slots never carry.
     States that agree merge their histograms.  A final state's type is its
     sorted positive ranks, the lengths of its chains.
+
+    Reading row d's columns as a prefix needs heights that never decrease
+    and never fall below the diagonal, so any other heights raise
+    ValueError.  Heights above n are accepted: they only close columns.
     """
     n = len(gamma)
+    for i, m in enumerate(gamma, start=1):
+        if m < i:
+            raise ValueError(f"height {m} at column {i} is below the diagonal")
+        if i > 1 and m < gamma[i - 2]:
+            raise ValueError(f"heights decrease at column {i}")
     width = math.factorial(n).bit_length()
     states = {(): 1}
     on = 0      # row d meets columns 1..on, as gamma is weakly increasing

@@ -293,13 +293,6 @@ class SymFunc:
                     for e in obj["coeffs"]})
 
 
-def elementary(k: int) -> SymFunc:
-    """e_k as a monomial-basis function."""
-    if k < 0:
-        raise ValueError("elementary requires k >= 0")
-    return SymFunc(k, "monomial", {(1,) * k: ONE})
-
-
 def omega(f: SymFunc) -> SymFunc:
     """The involution transposing every Schur index (q is untouched)."""
     s = f.to_basis("schur")
@@ -350,25 +343,6 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
                 acc[e] = acc.get(e, ZERO) + ca * cb
     out = {tuple(p for p in e if p): c for e, c in acc.items()}
     return SymFunc(nvars, "monomial", out)
-
-
-def evaluate(f: SymFunc, xs, q0) -> Fraction:
-    """Exact value of f at concrete rational x's and rational q."""
-    xs = [Fraction(x) for x in xs]
-    q0 = Fraction(q0)
-    fm = f.to_basis("monomial")
-    total = Fraction(0)
-    for la, c in fm.coeffs.items():
-        if len(la) > len(xs):
-            continue
-        mval = Fraction(0)
-        for alpha in _padded_orbits(la, len(xs)):
-            term = Fraction(1)
-            for x, e in zip(xs, alpha):
-                term *= x ** e
-            mval += term
-        total += c.eval(q0) * mval
-    return total
 
 
 def hl_direct_oracle(mu, xs, q0) -> Fraction:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from functools import cache
 from multiprocessing import Pool
 
-from rookhl.chromatic import chromatic_x, llt_poly, principal_direct
+from rookhl.chromatic import chromatic_x, llt_poly, principal_series
 from rookhl.dyck import (
     area, area_sequence, complete_path, concat, enumerate_dyck,
     format_heights, modular_triples,
@@ -190,16 +190,21 @@ def check_llt(gamma) -> CheckReport:
 def check_principal(gamma, alpha_max: int) -> list[CheckReport]:
     """Three routes to the principal specialization, for each number of
     colors: direct coloring enumeration, the placement-type sum with
-    falling q-factorials, and the hook-style product over columns."""
+    falling q-factorials, and the hook-style product over columns.  The
+    direct route is one pass of the class DP for every number of colors;
+    the types are summed by their number of parts, the only thing the
+    falling factorial reads."""
     a = area(gamma)
     aseq = area_sequence(gamma)
-    rpolys = type_polynomials(gamma)
+    by_parts = {}
+    for mu, r in type_polynomials(gamma).items():
+        by_parts[len(mu)] = by_parts.get(len(mu), ZERO) + r
+    series = principal_series(gamma, alpha_max)
     reports = []
-    for colors in range(alpha_max + 1):
-        direct = principal_direct(gamma, colors)
+    for colors, direct in enumerate(series):
         via_types = ZERO
-        for mu, r in rpolys.items():
-            via_types = via_types + r * q_falling(colors, len(mu))
+        for parts, r in by_parts.items():
+            via_types = via_types + r * q_falling(colors, parts)
         via_types = q_power(a) * via_types
         if any(colors - ai < 0 for ai in aseq):
             product = ZERO

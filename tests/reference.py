@@ -1,0 +1,54 @@
+"""Reference forms that only the tests read: a path's graph edges and board
+cells listed as sets, e_k in the monomial basis, and the exact value of a
+symmetric function at rational points.
+
+The package never lists edges or cells (the coloring DP reads each vertex's
+window, the rook DP each row's open columns), so these are independent of
+how it walks a path.
+"""
+
+from fractions import Fraction
+
+from rookhl.qseries import ONE
+from rookhl.symfunc import SymFunc, _padded_orbits
+
+
+def edges(gamma: tuple[int, ...]) -> set[tuple[int, int]]:
+    """Graph edges: pairs i < j with j at or below the height of column i."""
+    return {(i, j)
+            for i, m in enumerate(gamma, start=1)
+            for j in range(i + 1, m + 1)}
+
+
+def poset_cells(gamma: tuple[int, ...]) -> set[tuple[int, int]]:
+    """Board cells (column i, row j): pairs i < j strictly above the path."""
+    n = len(gamma)
+    return {(i, j)
+            for i, m in enumerate(gamma, start=1)
+            for j in range(m + 1, n + 1)}
+
+
+def elementary(k: int) -> SymFunc:
+    """e_k as a monomial-basis function."""
+    if k < 0:
+        raise ValueError("elementary requires k >= 0")
+    return SymFunc(k, "monomial", {(1,) * k: ONE})
+
+
+def evaluate(f: SymFunc, xs, q0) -> Fraction:
+    """Exact value of f at concrete rational x's and rational q."""
+    xs = [Fraction(x) for x in xs]
+    q0 = Fraction(q0)
+    fm = f.to_basis("monomial")
+    total = Fraction(0)
+    for la, c in fm.coeffs.items():
+        if len(la) > len(xs):
+            continue
+        mval = Fraction(0)
+        for alpha in _padded_orbits(la, len(xs)):
+            term = Fraction(1)
+            for x, e in zip(xs, alpha):
+                term *= x ** e
+            mval += term
+        total += c.eval(q0) * mval
+    return total

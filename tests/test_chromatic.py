@@ -2,18 +2,20 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from rookhl.dyck import area, area_sequence, edges, enumerate_dyck
+from rookhl.dyck import area, area_sequence, enumerate_dyck
 from rookhl.partitions import enumerate_partitions, multiplicities
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, from_int, q_power, q_factorial
 from rookhl.rook import r_poly
 from rookhl.chromatic import (
     _class_counts, x_coefficient, llt_coefficient, chromatic_x, llt_poly,
-    principal_direct,
+    principal_direct, principal_series,
 )
-from rookhl.symfunc import SymFunc, evaluate
+from rookhl.symfunc import SymFunc
+from reference import edges, evaluate
 
 
 def window_counts(gamma, caps, lifts, proper):
@@ -68,6 +70,7 @@ def brute_x_coefficient(gamma, content):
     return total
 
 
+@cache
 def brute_principal(gamma, colors):
     """Sum of q^(ascents + sum of (color - 1)) over every proper coloring
     from 1..colors, found by explicit product enumeration."""
@@ -115,6 +118,15 @@ def weak_compositions(n, length):
             yield (first,) + rest
 
 
+def assert_prefixes_match_window_recursion(gamma, caps, lifts, proper):
+    """Entry k of the class DP's list is the window recursion's histogram
+    for the first k colors, for every k."""
+    prefixes = _class_counts(gamma, caps, lifts, proper)
+    assert len(prefixes) == len(caps) + 1
+    for k, counts in enumerate(prefixes):
+        assert counts == window_counts(gamma, caps[:k], lifts[:k], proper)
+
+
 def test_class_dp_matches_window_recursion_on_partitions():
     # Through n = 6, one size past the product enumerations above.
     for n in range(7):
@@ -123,8 +135,8 @@ def test_class_dp_matches_window_recursion_on_partitions():
                 for caps in (la, la[::-1]):
                     lifts = [0] * len(caps)
                     for proper in (True, False):
-                        assert _class_counts(gamma, caps, lifts, proper) == \
-                            window_counts(gamma, caps, lifts, proper)
+                        assert_prefixes_match_window_recursion(
+                            gamma, caps, lifts, proper)
 
 
 def test_class_dp_matches_window_recursion_with_zero_parts():
@@ -137,17 +149,21 @@ def test_class_dp_matches_window_recursion_with_zero_parts():
                         continue
                     lifts = [0] * length
                     for proper in (True, False):
-                        assert _class_counts(gamma, caps, lifts, proper) == \
-                            window_counts(gamma, caps, lifts, proper)
+                        assert_prefixes_match_window_recursion(
+                            gamma, caps, lifts, proper)
 
 
 def test_class_dp_matches_window_recursion_for_principal():
+    # One pass with n + 2 colors gives every smaller number of colors: its
+    # entry k equals the recursion run with k colors alone.
     for n in range(6):
         for gamma in enumerate_dyck(n):
-            for colors in range(n + 3):
-                caps, lifts = [n] * colors, list(range(colors))
-                assert _class_counts(gamma, caps, lifts, True) == \
-                    window_counts(gamma, caps, lifts, True)
+            alpha_max = n + 2
+            prefixes = _class_counts(gamma, [n] * alpha_max,
+                                     range(alpha_max), True)
+            assert len(prefixes) == alpha_max + 1
+            for k, counts in enumerate(prefixes):
+                assert counts == window_counts(gamma, [n] * k, range(k), True)
 
 
 def test_x_known_expansions():
@@ -240,6 +256,19 @@ def test_principal_direct_against_product_enumeration():
             for colors in range(n + 3):
                 assert principal_direct(gamma, colors) == \
                     brute_principal(gamma, colors)
+
+
+def test_principal_series_against_product_enumeration():
+    for n in range(6):
+        for gamma in enumerate_dyck(n):
+            series = principal_series(gamma, n + 2)
+            assert len(series) == n + 3
+            for colors, poly in enumerate(series):
+                assert poly == brute_principal(gamma, colors)
+    assert principal_series((), 0) == [ONE]
+    assert principal_series((2, 2), 2) == [ZERO, ZERO, QLaurent(1, (1, 1))]
+    with pytest.raises(ValueError):
+        principal_series((1,), -1)
 
 
 def test_principal_direct_is_specialized_x():

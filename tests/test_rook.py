@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from rookhl.dyck import (
-    area, enumerate_dyck, poset_cells, complete_path, modular_triples,
+    area, enumerate_dyck, complete_path, modular_triples,
 )
 from rookhl.partitions import enumerate_partitions
 from rookhl.qseries import QLaurent, ONE, q_factorial, q_power
@@ -19,6 +19,7 @@ from rookhl.rook import (
 from placement_oracle import (
     chains, enumerated_type_polynomials, extended_placement, fc,
 )
+from reference import poset_cells
 
 
 def subsets_oracle(gamma):
@@ -255,6 +256,21 @@ def test_type_polynomials_match_enumeration():
             if n <= 6:
                 assert rook._type_polynomials(gamma, gate=False) == \
                     enumerated_type_polynomials(gamma, gate=False)
+
+
+def test_type_polynomials_reject_heights_the_dp_cannot_read():
+    # Decreasing heights, or heights below the diagonal, break the DP's
+    # reading of each row as a prefix of columns: they raise, gate or not.
+    for gamma in ((3, 2, 3), (2, 1, 3), (1, 1, 3)):
+        with pytest.raises(ValueError):
+            type_polynomials(gamma)
+        with pytest.raises(ValueError):
+            rook._type_polynomials(gamma, gate=False)
+    # Heights above n only close columns, and stay accepted.
+    for gamma in ((2, 2, 4), (2, 2, 4, 5, 5)):
+        for gate in (True, False):
+            assert rook._type_polynomials(gamma, gate) == \
+                enumerated_type_polynomials(gamma, gate)
 
 
 def test_gate_hook_reaches_every_rook_side_caller(monkeypatch, capsys):

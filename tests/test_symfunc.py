@@ -11,9 +11,10 @@ from rookhl.qseries import QLaurent, ZERO, ONE, Q, from_int, q_power
 from rookhl import symfunc
 from rookhl.rook import hl_coefficients
 from rookhl.symfunc import (
-    Transitions, transitions, SymFunc, elementary, omega, hl_h, hl_h_tilde,
-    multiply, evaluate, hl_direct_oracle,
+    Transitions, transitions, SymFunc, omega, hl_h, hl_h_tilde,
+    multiply, hl_direct_oracle,
 )
+from reference import elementary, evaluate
 from tableaux import (
     ssyt, reading_word, charge_word, charge, kostka, kostka_foulkes,
 )

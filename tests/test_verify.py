@@ -6,7 +6,7 @@ import pytest
 
 from rookhl.dyck import enumerate_dyck, modular_triples
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, q_power
-from rookhl import rook, symfunc, verify
+from rookhl import chromatic, rook, symfunc, verify
 from rookhl.chromatic import chromatic_x, llt_poly
 from rookhl.rook import type_polynomials
 from rookhl.verify import (
@@ -138,6 +138,45 @@ def test_check_principal_small_sizes():
             assert all(r.ok for r in reports)
     insts = [r.instance for r in check_principal((1, 2), 1)]
     assert insts == ["heights=1,2;colors=0", "heights=1,2;colors=1"]
+
+
+def test_check_principal_runs_the_class_dp_once_per_path(monkeypatch):
+    # Every number of colors is read off one pass, looked up at call time.
+    seen = []
+    real = chromatic._class_counts
+
+    def recording(gamma, caps, lifts, proper):
+        seen.append(gamma)
+        return real(gamma, caps, lifts, proper)
+
+    monkeypatch.setattr(chromatic, "_class_counts", recording)
+    for n in range(5):
+        for gamma in enumerate_dyck(n):
+            seen.clear()
+            assert all(r.ok for r in check_principal(gamma, n + 2))
+            assert seen == [gamma]
+    seen.clear()
+    sweep(4, {"principal"})
+    assert seen == [g for n in range(5) for g in enumerate_dyck(n)]
+
+
+def test_check_principal_reports_a_direct_side_counterexample(monkeypatch):
+    # Break the coloring side at two colors only: that instance, and no
+    # other, must be reported, with the rook and product sides intact.
+    real = verify.principal_series
+    monkeypatch.setattr(
+        verify, "principal_series",
+        lambda g, m: [Q * p if k == 2 else p
+                      for k, p in enumerate(real(g, m))])
+    reports = check_principal(FIG_PATH, 3)
+    assert [r.instance for r in reports if r.ok] == [
+        "heights=2,2,4,4,5;colors=0", "heights=2,2,4,4,5;colors=1",
+        "heights=2,2,4,4,5;colors=3"]
+    assert [r for r in reports if not r.ok] == [CheckReport(
+        "principal", "heights=2,2,4,4,5;colors=2", "counterexample",
+        lhs="direct=q^3 + 3q^4 + 3q^5 + q^6",
+        rhs="types=q^2 + 3q^3 + 3q^4 + q^5;"
+            "product=q^2 + 3q^3 + 3q^4 + q^5")]
 
 
 def test_sweep_main_count_and_determinism():
