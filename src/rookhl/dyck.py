@@ -32,6 +32,22 @@ def from_heights(heights) -> tuple[int, ...]:
     return hs
 
 
+def check_heights(gamma) -> None:
+    """Raise ValueError, with from_heights's messages, unless the heights
+    never decrease and never fall below the diagonal.
+
+    Both transfer DPs need this shape: the coloring DP reads each vertex's
+    neighbors below it as one window, the rook DP each row's open columns
+    as a prefix.  Heights above n are accepted, since they only close
+    columns.
+    """
+    for i, m in enumerate(gamma, start=1):
+        if m < i:
+            raise ValueError(f"height {m} at column {i} is below the diagonal")
+        if i > 1 and m < gamma[i - 2]:
+            raise ValueError(f"heights decrease at column {i}")
+
+
 def parse_heights(text: str) -> tuple[int, ...]:
     """Parse '2,2,4,4,5' into a validated height tuple; '-' or '' is n=0."""
     text = text.strip()

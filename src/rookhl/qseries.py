@@ -52,13 +52,6 @@ class QLaurent:
             return 0
         return self.min_exp + len(self.coeffs) - 1
 
-    def coeff(self, exp: int) -> int:
-        """Coefficient of q**exp."""
-        i = exp - self.min_exp
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def is_polynomial(self) -> bool:
         """True when no negative power of q appears."""
         return not self.coeffs or self.min_exp >= 0
@@ -200,10 +193,6 @@ class QLaurent:
 
     def to_json(self) -> dict:
         return {"min_exp": self.min_exp, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QLaurent":
-        return cls(int(obj["min_exp"]), [int(c) for c in obj["coeffs"]])
 
 
 ZERO = QLaurent()

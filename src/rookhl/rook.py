@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from rookhl.dyck import area
+from rookhl.dyck import area, check_heights
 from rookhl.partitions import check_partition, multiplicities, nstat
 from rookhl.qseries import QLaurent, ZERO, q_factorial, q_power
 
@@ -163,14 +163,11 @@ def _type_polynomials(gamma, gate=True):
 
     Reading row d's columns as a prefix needs heights that never decrease
     and never fall below the diagonal, so any other heights raise
-    ValueError.  Heights above n are accepted: they only close columns.
+    ValueError (dyck.check_heights, which the coloring DP shares).
+    Heights above n are accepted: they only close columns.
     """
+    check_heights(gamma)
     n = len(gamma)
-    for i, m in enumerate(gamma, start=1):
-        if m < i:
-            raise ValueError(f"height {m} at column {i} is below the diagonal")
-        if i > 1 and m < gamma[i - 2]:
-            raise ValueError(f"heights decrease at column {i}")
     width = math.factorial(n).bit_length()
     states = {(): 1}
     on = 0      # row d meets columns 1..on, as gamma is weakly increasing

@@ -286,12 +286,6 @@ class SymFunc:
                        for la in sorted(self.coeffs, reverse=True)],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SymFunc":
-        return cls(int(obj["degree"]), obj["basis"],
-                   {tuple(e["part"]): QLaurent.from_json(e["poly"])
-                    for e in obj["coeffs"]})
-
 
 def omega(f: SymFunc) -> SymFunc:
     """The involution transposing every Schur index (q is untouched)."""

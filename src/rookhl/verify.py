@@ -9,9 +9,9 @@ size bound, deterministically, optionally spreading tasks over processes
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import cache
 from multiprocessing import Pool
+from typing import NamedTuple
 
 from rookhl.chromatic import chromatic_x, llt_poly, principal_series
 from rookhl.dyck import (
@@ -29,8 +29,7 @@ from rookhl.rook import hl_coefficients, type_polynomials
 from rookhl.symfunc import SymFunc, hl_h, hl_h_tilde, multiply, omega, transitions
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     identity: str
     instance: str
     status: str
@@ -42,7 +41,7 @@ class CheckReport:
         return self.status == "verified"
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _report(identity, instance, lhs, rhs) -> CheckReport:

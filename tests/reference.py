@@ -1,6 +1,7 @@
 """Reference forms that only the tests read: a path's graph edges and board
-cells listed as sets, e_k in the monomial basis, and the exact value of a
-symmetric function at rational points.
+cells listed as sets, e_k in the monomial basis, the exact value of a
+symmetric function at rational points, single coefficients of a Laurent
+polynomial, and the readers of the package's JSON forms.
 
 The package never lists edges or cells (the coloring DP reads each vertex's
 window, the rook DP each row's open columns), so these are independent of
@@ -9,7 +10,7 @@ how it walks a path.
 
 from fractions import Fraction
 
-from rookhl.qseries import ONE
+from rookhl.qseries import ONE, QLaurent
 from rookhl.symfunc import SymFunc, _padded_orbits
 
 
@@ -52,3 +53,23 @@ def evaluate(f: SymFunc, xs, q0) -> Fraction:
             mval += term
         total += c.eval(q0) * mval
     return total
+
+
+def coeff(p: QLaurent, exp: int) -> int:
+    """Coefficient of q**exp in p."""
+    i = exp - p.min_exp
+    if 0 <= i < len(p.coeffs):
+        return p.coeffs[i]
+    return 0
+
+
+def qlaurent_from_json(obj: dict) -> QLaurent:
+    """The QLaurent that QLaurent.to_json wrote."""
+    return QLaurent(int(obj["min_exp"]), [int(c) for c in obj["coeffs"]])
+
+
+def symfunc_from_json(obj: dict) -> SymFunc:
+    """The SymFunc that SymFunc.to_json (and `expand --json`) wrote."""
+    return SymFunc(int(obj["degree"]), obj["basis"],
+                   {tuple(e["part"]): qlaurent_from_json(e["poly"])
+                    for e in obj["coeffs"]})

@@ -2,7 +2,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import pytest
 
@@ -11,7 +11,7 @@ from rookhl.partitions import enumerate_partitions, multiplicities
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, from_int, q_power, q_factorial
 from rookhl.rook import r_poly
 from rookhl.chromatic import (
-    _class_counts, x_coefficient, llt_coefficient, chromatic_x, llt_poly,
+    _class_counts, _partition_counts, x_coefficient, llt_coefficient, chromatic_x, llt_poly,
     principal_direct, principal_series,
 )
 from rookhl.symfunc import SymFunc
@@ -164,6 +164,50 @@ def test_class_dp_matches_window_recursion_for_principal():
             assert len(prefixes) == alpha_max + 1
             for k, counts in enumerate(prefixes):
                 assert counts == window_counts(gamma, [n] * k, range(k), True)
+
+
+def test_partition_trie_matches_the_coefficients():
+    # chromatic_x and llt_poly walk the partitions as a trie of parts; each
+    # partition must get what the class DP gives it alone, and a zero
+    # coefficient no key.
+    for n in range(8):
+        for gamma in enumerate_dyck(n):
+            parts = enumerate_partitions(n)
+            want = {
+                True: {la: c for la in parts
+                       if (c := x_coefficient(gamma, la))},
+                False: {la: c for la in parts
+                        if (c := llt_coefficient(gamma, la))},
+            }
+            assert chromatic_x(gamma).coeffs == want[True]
+            assert llt_poly(gamma).coeffs == want[False]
+            if n > 6:
+                continue
+            # Either order of the parts, for colorings and for words.
+            for proper in (True, False):
+                for ascending in (True, False):
+                    assert _partition_counts(gamma, proper, ascending) == \
+                        want[proper]
+
+
+def test_class_dp_rejects_heights_it_cannot_read():
+    # A window is contiguous only for heights that never decrease and never
+    # fall below the diagonal; other heights raise from every entry point,
+    # with from_heights's messages.
+    cases = {(3, 2, 3): "heights decrease at column 2",
+             (2, 1, 3): "height 1 at column 2 is below the diagonal",
+             (1, 1, 3): "height 1 at column 2 is below the diagonal"}
+    for gamma, message in cases.items():
+        for call in (partial(x_coefficient, gamma, (2, 1)),
+                     partial(llt_coefficient, gamma, (2, 1)),
+                     partial(chromatic_x, gamma), partial(llt_poly, gamma),
+                     partial(principal_series, gamma, 3)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    # Heights above n only close columns, and stay accepted.
+    assert chromatic_x((2, 2, 4)) == chromatic_x((2, 2, 3))
+    assert llt_poly((2, 2, 4)) == llt_poly((2, 2, 3))
+    assert principal_series((2, 2, 4), 4) == principal_series((2, 2, 3), 4)
 
 
 def test_x_known_expansions():

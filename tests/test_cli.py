@@ -13,6 +13,7 @@ from rookhl.partitions import parse_partition
 from rookhl.qseries import ZERO, q_power
 from rookhl.rook import hl_coefficients
 from rookhl.symfunc import SymFunc, coefficient_line
+from reference import symfunc_from_json
 
 
 def run(capsys, argv):
@@ -54,7 +55,7 @@ def test_expand_json(capsys):
     code, out = run(capsys, ["expand", "--heights", "2,2,4,4,5",
                              "--basis", "P", "--json"])
     assert code == 0
-    f = SymFunc.from_json(json.loads(out))
+    f = symfunc_from_json(json.loads(out))
     assert f == SymFunc(5, "hl_p", hl_coefficients((2, 2, 4, 4, 5)))
 
 
@@ -207,6 +208,19 @@ def test_bad_heights_names_flag(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--heights" in err and "column 2" in err
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # Every command imports rookhl.cli; importing dataclasses would also
+    # load inspect, ast, dis and tokenize.  -S keeps site's imports out.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import rookhl.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code,
+         str(Path(rookhl.__file__).resolve().parents[1])],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point():

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from rookhl.dyck import (
-    from_heights, parse_heights, format_heights, enumerate_dyck,
+    check_heights, from_heights, parse_heights, format_heights, enumerate_dyck,
     area, area_sequence, concat, complete_path,
     ModularTriple, modular_triples,
 )
@@ -30,6 +30,26 @@ def test_from_heights_names_offending_column():
         from_heights((True,))
     with pytest.raises(ValueError, match="column 2"):
         from_heights((1, True))
+
+
+def error_of(fn, gamma):
+    try:
+        fn(gamma)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_check_heights_agrees_with_from_heights():
+    # Below n + 1 the DPs' check and from_heights reject the same tuples
+    # with the same message; heights above n pass the DPs' check.
+    for n in range(5):
+        for gamma in product(range(n + 1), repeat=n):
+            assert error_of(check_heights, gamma) == \
+                error_of(from_heights, gamma)
+        for gamma in enumerate_dyck(n):
+            if gamma:
+                check_heights(gamma[:-1] + (n + 2,))
 
 
 def test_enumerate_dyck_counts_are_catalan():

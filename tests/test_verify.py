@@ -7,6 +7,7 @@ import pytest
 from rookhl.dyck import enumerate_dyck, modular_triples
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, q_power
 from rookhl import chromatic, rook, symfunc, verify
+from rookhl.cli import main
 from rookhl.chromatic import chromatic_x, llt_poly
 from rookhl.rook import type_polynomials
 from rookhl.verify import (
@@ -158,6 +159,34 @@ def test_check_principal_runs_the_class_dp_once_per_path(monkeypatch):
     seen.clear()
     sweep(4, {"principal"})
     assert seen == [g for n in range(5) for g in enumerate_dyck(n)]
+
+
+def test_x_and_llt_never_run_the_class_dp_per_partition(monkeypatch,
+                                                       capsys):
+    # chromatic_x and llt_poly walk the partition trie; _class_counts, looked
+    # up at call time, is left to principal and to single coefficients.
+    seen = []
+    real = chromatic._class_counts
+
+    def recording(gamma, caps, lifts, proper):
+        seen.append(gamma)
+        return real(gamma, caps, lifts, proper)
+
+    monkeypatch.setattr(chromatic, "_class_counts", recording)
+    paths = [g for n in range(5) for g in enumerate_dyck(n)] + [FIG_PATH]
+    for gamma in paths:
+        assert check_main(gamma).ok
+        assert check_llt(gamma).ok
+    assert all(r.ok for r in check_modular(5, "chromatic"))
+    for what, basis in (("X", "s"), ("LLT", "m")):
+        assert main(["expand", "--heights", "2,2,4,4,5", "--what", what,
+                     "--basis", basis]) == 0
+    capsys.readouterr()
+    assert seen == []
+    # The hook does reach the route that keeps the class DP.
+    for gamma in paths:
+        assert all(r.ok for r in check_principal(gamma, len(gamma) + 2))
+    assert seen == paths
 
 
 def test_check_principal_reports_a_direct_side_counterexample(monkeypatch):
