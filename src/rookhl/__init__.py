@@ -8,12 +8,12 @@ exact equality of such polynomials.
 """
 
 from rookhl.qseries import (
-    QLaurent, ZERO, ONE, Q, from_int, q_power, exact_div,
+    QLaurent, ZERO, ONE, Q, from_int, q_power, exact_div, pack, unpack,
     q_int, q_factorial, q_binomial, q_falling,
 )
 from rookhl.partitions import (
     is_partition, check_partition, enumerate_partitions, conjugate,
-    nstat, multiplicities, dominance_leq, is_vertical_strip,
+    nstat, multiplicities, is_vertical_strip,
     parse_partition, format_partition,
 )
 from rookhl.dyck import (
@@ -30,8 +30,8 @@ from rookhl.symfunc import (
     hl_h, hl_h_tilde, multiply, hl_direct_oracle,
 )
 from rookhl.chromatic import (
-    x_coefficient, llt_coefficient, chromatic_x, llt_poly,
-    principal_direct, principal_series,
+    chromatic_x, llt_poly, principal_monomial, principal_from_x,
+    principal_direct,
 )
 from rookhl.verify import (
     CheckReport, IDENTITIES, check_main, check_modular,

@@ -3,33 +3,38 @@
 Vertices are the columns 1..n; the neighbors of a vertex below it form a
 contiguous window whose length is the area contribution of that column.
 One transfer DP serves the chromatic function X (Shareshian-Wachs ascents
-over proper colorings), the unicellular LLT word sum, and the principal
-specialization of X.  It places one color class at a time, in increasing
-color order, so an ascent is counted when its larger vertex gets a color:
-exactly the window neighbors that already hold one are smaller-colored.
-The state is the set of vertices colored so far, and each state carries
-its exponent histogram packed into one integer.
+over proper colorings) and the unicellular LLT word sum.  It places one
+color class at a time, in increasing color order, so an ascent is counted
+when its larger vertex gets a color: exactly the window neighbors that
+already hold one are smaller-colored.  The state is the set of vertices
+colored so far, and each state carries its exponent histogram packed into
+one integer.
 
-One step, _add_class, gives the next color to every state; two loops
-run it.  _class_counts runs it color by color and reads the full set's
-histogram after every color, so one pass gives the labelings by every
-prefix of the colors: the principal specialization reads every one, and
-x_coefficient and llt_coefficient, for one composition, the last.
-chromatic_x and llt_poly walk the partitions of n as a trie of parts,
-descending for X and ascending for LLT, so partitions with a common prefix
-share its states.  The tests compare the trie with x_coefficient and
-llt_coefficient, the DP with a vertex-by-vertex recursion over the
-windows, and both with brute-force product enumerations that know nothing
-of windows.
+One step, _add_class, gives the next color to every state, and one loop
+runs it: chromatic_x and llt_poly walk the partitions of n as a trie of
+parts, descending for X and ascending for LLT, so partitions with a common
+prefix share its states.
+
+The principal specialization, the colorings from 1..k weighted by
+q^(ascents + sum of (color - 1)), is read off X's monomial coefficients:
+ps_k(X) = sum over la of [m_la]X * m_la(1, q, ..., q^(k-1)) (Stanley,
+EC2 7.8).  principal_monomial is the second factor, a memoized pure
+function of (la, k), and principal_from_x sums the products for every k
+up to a bound, at q = 2^bits, as ints for verify's packed comparison.
+
+The tests compare the trie with a color-by-color driver of the same step,
+the DP and the principal route with a vertex-by-vertex recursion over the
+windows, and all of them with brute-force product enumerations that know
+nothing of windows.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from functools import cache
 
 from rookhl.dyck import area_sequence, check_heights
-from rookhl.qseries import QLaurent
+from rookhl.qseries import ONE, ZERO, QLaurent, pack, unpack
 from rookhl.symfunc import SymFunc
 
 
@@ -42,7 +47,7 @@ def _windows(gamma) -> list[int]:
             for v, a in enumerate(area_sequence(gamma))]
 
 
-def _add_class(states, low, cap, lift, later, bits, proper):
+def _add_class(states, low, cap, later, bits, proper):
     """Give the next color to a class I of the uncolored vertices of every
     state, leaving at most `later` of them to the colors after it.
 
@@ -50,8 +55,8 @@ def _add_class(states, low, cap, lift, later, bits, proper):
     exponent histogram, `bits` bits per exponent e from bit e*bits on, and
     so does the map returned for the vertices colored after it.  Coloring I
     adds popcount(low[w] & S) for each w in I (its window below w holds
-    those smaller colors) plus lift*|I|.  |I| runs from what the later
-    colors cannot hold up to cap; with proper set, I is independent.
+    those smaller colors).  |I| runs from what the later colors cannot
+    hold up to cap; with proper set, I is independent.
     """
     n = len(low)
     vertices = range(n)
@@ -66,7 +71,7 @@ def _add_class(states, low, cap, lift, later, bits, proper):
             continue
         if lo == left:
             # The later colors can hold nothing more: this class is rest.
-            e = lift * left
+            e = 0
             for v in vertices:
                 if rest >> v & 1:
                     if proper and low[v] & rest:
@@ -83,7 +88,7 @@ def _add_class(states, low, cap, lift, later, bits, proper):
             j, I, m, e = stack.pop()
             if m >= lo:
                 T = S | I
-                grown[T] = grown.get(T, 0) + (hist << bits * (e + lift * m))
+                grown[T] = grown.get(T, 0) + (hist << bits * e)
             if m < hi:
                 for t in range(j, left - lo + m + 1 if m < lo else left):
                     w = low[free[t]]
@@ -94,64 +99,10 @@ def _add_class(states, low, cap, lift, later, bits, proper):
     return grown
 
 
-def _unpack(hist, bits) -> list[int]:
-    """The counts packed `bits` bits apart, up to the highest nonzero."""
-    mask = (1 << bits) - 1
-    counts = []
-    while hist:
-        counts.append(hist & mask)
-        hist >>= bits
-    return counts
-
-
-def _class_counts(gamma, caps, lifts, proper):
-    """Exponent histograms over labelings of the vertices by colors 1..k
-    that use color c at most caps[c-1] times, one for each prefix
-    k = 0..len(caps): entry k is the histogram for caps[:k], lifts[:k].
-
-    A labeling weighs q^(ascents + sum of lifts[c-1] over its vertices'
-    colors c), an ascent being an edge whose smaller endpoint carries the
-    strictly smaller color.  proper=True forbids equal colors across an
-    edge (colorings), proper=False allows them (words).
-
-    The colors are placed one class at a time by _add_class, starting
-    from the empty set.  No count exceeds len(caps)**n, so `bits` bits per
-    exponent never carry into the next one.
-
-    The labelings by the first k colors are the states that reach the full
-    set after color k.  The lower bound on |I| never drops one of them
-    (the colors after k are left empty), and a full state passes every
-    later color unchanged, as the empty class, so the histogram of the
-    full set after color k is entry k.
-    """
-    low = _windows(gamma)
-    n = len(low)
-    full = (1 << n) - 1
-    bits = (len(caps) ** n).bit_length() + 1
-    later = sum(caps)
-    states = {0: 1}
-    packed = []
-    for cap, lift in zip(caps, lifts):
-        packed.append(states.get(full, 0))
-        later -= cap
-        # With cap 0 every state fits in the later colors: it passes
-        # unchanged.
-        if cap:
-            states = _add_class(states, low, cap, lift, later, bits, proper)
-    packed.append(states.get(full, 0))
-    area = sum(map(int.bit_count, low))
-    # Entry k reaches exponent area + n * max(lifts[:k]).
-    out = []
-    for hist, top in zip(packed, accumulate(lifts, max, initial=0)):
-        counts = _unpack(hist, bits)
-        out.append(counts + [0] * (area + n * top + 1 - len(counts)))
-    return out
-
-
 def _partition_counts(gamma, proper, ascending) -> dict:
     """{la: coefficient of x^la} over every partition la of n with a
-    nonzero coefficient, the colorings (proper) or words of _class_counts
-    with caps la and no lifts.
+    nonzero coefficient: the labelings (colorings if proper, words if not)
+    that use color c exactly la[c-1] times, weighted by q^ascents.
 
     The partitions are walked as a trie of parts, ascending or descending:
     a node holds the state map after its prefix of parts, and each child
@@ -173,7 +124,7 @@ def _partition_counts(gamma, proper, ascending) -> dict:
     def walk(states, parts, left):
         if not left:
             la = tuple(sorted(parts, reverse=True))
-            out[la] = QLaurent(0, _unpack(states[full], bits))
+            out[la] = unpack(states[full], bits)
             return
         if ascending:
             least = parts[-1] if parts else 1
@@ -182,41 +133,12 @@ def _partition_counts(gamma, proper, ascending) -> dict:
         else:
             sizes = range(min(parts[-1] if parts else n, left), 0, -1)
         for p in sizes:
-            grown = _add_class(states, low, p, 0, left - p, bits, proper)
+            grown = _add_class(states, low, p, left - p, bits, proper)
             if grown:
                 walk(grown, parts + (p,), left - p)
 
     walk({0: 1}, (), n)
     return out
-
-
-def _checked_content(gamma, content) -> tuple[int, ...]:
-    content = tuple(content)
-    if any(c < 0 for c in content):
-        raise ValueError("content entries must be nonnegative")
-    if sum(content) != len(gamma):
-        raise ValueError(f"content {content} does not sum to {len(gamma)}")
-    return content
-
-
-def x_coefficient(gamma, content) -> QLaurent:
-    """Coefficient of x^content in the ascent-weighted sum over proper
-    colorings.  content may be any composition; by symmetry it matches the
-    sorted partition."""
-    content = _checked_content(gamma, content)
-    return QLaurent(0, _class_counts(gamma, content, [0] * len(content),
-                                     proper=True)[-1])
-
-
-def llt_coefficient(gamma, content) -> QLaurent:
-    """Coefficient of x^content in the inversion-weighted sum over all
-    labelings.  An inversion is an edge whose smaller endpoint carries the
-    strictly larger label."""
-    # Counting ascents of the color-reversed word counts inversions: flip
-    # each label c to ncolors + 1 - c and reverse the content.
-    content = _checked_content(gamma, reversed(tuple(content)))
-    return QLaurent(0, _class_counts(gamma, content, [0] * len(content),
-                                     proper=False)[-1])
 
 
 def chromatic_x(gamma) -> SymFunc:
@@ -233,18 +155,56 @@ def llt_poly(gamma) -> SymFunc:
                    _partition_counts(gamma, proper=False, ascending=True))
 
 
-def principal_series(gamma, alpha_max: int) -> list[QLaurent]:
-    """principal_direct(gamma, k) for k = 0..alpha_max, from one pass of
-    the class DP.  Color c has cap n and lift c - 1 whatever the number of
-    colors, so the colorings from 1..k are read off after color k."""
+@cache
+def principal_monomial(la, k) -> QLaurent:
+    """m_la(1, q, ..., q^(k-1)): the parts of la placed in k positions
+    0..k-1, at most one per position, part p at position i weighing
+    q^(i*p), and equal parts not told apart.
+
+    The last position holds no part or one part of each distinct size.  A
+    pure function of its arguments, so it is memoized: a sweep asks for the
+    same (la, k) on every path of a size.
+    """
+    if not la:
+        return ONE
+    if k < len(la):
+        return ZERO
+    total = principal_monomial(la, k - 1)
+    for i, p in enumerate(la):
+        if i == 0 or la[i - 1] != p:
+            rest = la[:i] + la[i + 1:]
+            total = total + principal_monomial(rest, k - 1).shift((k - 1) * p)
+    return total
+
+
+@cache
+def _packed_monomial(la, k, bits) -> int:
+    return pack(principal_monomial(la, k), bits)
+
+
+def principal_from_x(coeffs, alpha_max: int, bits: int) -> list[int]:
+    """ps_k(X) at q = 2^bits for k = 0..alpha_max, where coeffs holds X's
+    monomial coefficients: the sum over la of [m_la]X times
+    principal_monomial(la, k), both packed by qseries.pack.
+
+    A partition with more than alpha_max parts adds nothing at any k, and
+    is left out.  pack raises ValueError on a coefficient it cannot hold,
+    so bits must exceed every coefficient's bit length by one; ps_k at
+    q = 1 bounds every coefficient of X and of m_la that it reads, since
+    all of them are nonnegative.
+    """
     if alpha_max < 0:
         raise ValueError("colors must be nonnegative")
-    return [QLaurent(0, counts)
-            for counts in _class_counts(gamma, [len(gamma)] * alpha_max,
-                                        range(alpha_max), proper=True)]
+    terms = [(la, pack(c, bits)) for la, c in coeffs.items()
+             if len(la) <= alpha_max]
+    return [sum(x * _packed_monomial(la, k, bits) for la, x in terms)
+            for k in range(alpha_max + 1)]
 
 
 def principal_direct(gamma, colors: int) -> QLaurent:
     """Sum of q^(ascents + sum of (color - 1)) over proper colorings with
-    colors drawn from 1..colors, summed one color class at a time."""
-    return principal_series(gamma, colors)[colors]
+    colors drawn from 1..colors, from X's monomial coefficients.  No
+    coefficient exceeds colors^n, the number of labelings."""
+    bits = (colors ** len(gamma)).bit_length() + 1
+    value = principal_from_x(chromatic_x(gamma).coeffs, colors, bits)[colors]
+    return unpack(value, bits)

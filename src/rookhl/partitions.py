@@ -59,23 +59,6 @@ def multiplicities(la: tuple[int, ...]) -> Counter:
     return Counter(la)
 
 
-def dominance_leq(mu: tuple[int, ...], la: tuple[int, ...]) -> bool:
-    """True when mu is dominated by la (partial sums of la are >= those of mu).
-
-    Only defined for partitions of the same number.
-    """
-    if sum(mu) != sum(la):
-        raise ValueError(f"dominance compares partitions of equal size, "
-                         f"got {mu} and {la}")
-    total_mu = total_la = 0
-    for i in range(max(len(mu), len(la))):
-        total_mu += mu[i] if i < len(mu) else 0
-        total_la += la[i] if i < len(la) else 0
-        if total_mu > total_la:
-            return False
-    return True
-
-
 def is_vertical_strip(nu: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     """True when nu/mu is a vertical strip: mu fits inside nu and each row
     grows by at most one box."""

@@ -210,6 +210,43 @@ def q_power(k: int) -> QLaurent:
     return QLaurent(k, (1,))
 
 
+def pack(p: QLaurent, bits: int) -> int:
+    """p at q = 2**bits, for a polynomial whose coefficients are all in
+    [0, 2**(bits-1)).
+
+    Evaluation is a ring homomorphism, so sums and products of packed
+    values pack the sums and products.  Two such polynomials differ by one
+    whose coefficients lie strictly between -2**(bits-1) and 2**(bits-1),
+    and such a nonzero polynomial is nonzero at 2**bits: packed values are
+    equal exactly when the polynomials are.  A negative power of q, a
+    negative coefficient or one of 2**(bits-1) or more breaks that
+    argument, and raises ValueError.
+    """
+    if p.min_exp < 0:
+        raise ValueError(f"cannot pack {p}: negative power of q")
+    limit = 1 << bits >> 1
+    value = 0
+    for c in reversed(p.coeffs):
+        if not 0 <= c < limit:
+            raise ValueError(f"cannot pack {p} in {bits} bits: coefficient "
+                             f"{c} is not in [0, 2**{bits - 1})")
+        value = value << bits | c
+    return value << bits * p.min_exp
+
+
+def unpack(value: int, bits: int) -> QLaurent:
+    """The polynomial with coefficients in [0, 2**bits) whose value at
+    q = 2**bits is value; it inverts pack."""
+    if value < 0 or bits < 1:
+        raise ValueError(f"cannot unpack {value} in {bits} bits")
+    mask = (1 << bits) - 1
+    coeffs = []
+    while value:
+        coeffs.append(value & mask)
+        value >>= bits
+    return QLaurent(0, coeffs)
+
+
 def exact_div(a: QLaurent, b: QLaurent) -> QLaurent:
     """Exact division a / b in the Laurent ring.
 

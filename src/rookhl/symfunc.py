@@ -213,10 +213,6 @@ class SymFunc:
     def zero(cls, degree: int, basis: str = "monomial") -> "SymFunc":
         return cls(degree, basis, {})
 
-    @classmethod
-    def one(cls, basis: str = "monomial") -> "SymFunc":
-        return cls(0, basis, {(): ONE})
-
     def coefficient(self, la) -> QLaurent:
         return self.coeffs.get(tuple(la), ZERO)
 

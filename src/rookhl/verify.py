@@ -9,11 +9,14 @@ size bound, deterministically, optionally spreading tasks over processes
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from multiprocessing import Pool
 from typing import NamedTuple
 
-from rookhl.chromatic import chromatic_x, llt_poly, principal_series
+from rookhl.chromatic import (
+    chromatic_x, llt_poly, principal_from_x, principal_monomial,
+)
 from rookhl.dyck import (
     area, area_sequence, complete_path, concat, enumerate_dyck,
     format_heights, modular_triples,
@@ -23,7 +26,8 @@ from rookhl.partitions import (
     multiplicities, nstat,
 )
 from rookhl.qseries import (
-    QLaurent, ZERO, ONE, Q, q_binomial, q_falling, q_int, q_power,
+    QLaurent, ZERO, ONE, Q, pack, q_binomial, q_falling, q_int, q_power,
+    unpack,
 )
 from rookhl.rook import hl_coefficients, type_polynomials
 from rookhl.symfunc import SymFunc, hl_h, hl_h_tilde, multiply, omega, transitions
@@ -186,39 +190,73 @@ def check_llt(gamma) -> CheckReport:
     return CheckReport("llt", instance, "verified")
 
 
+@cache
+def _packed_falling(k, parts, bits) -> int:
+    return pack(q_falling(k, parts), bits)
+
+
+@cache
+def _packed_q_int(m, bits) -> int:
+    return pack(q_int(m), bits)
+
+
 def check_principal(gamma, alpha_max: int) -> list[CheckReport]:
     """Three routes to the principal specialization, for each number of
-    colors: direct coloring enumeration, the placement-type sum with
-    falling q-factorials, and the hook-style product over columns.  The
-    direct route is one pass of the class DP for every number of colors;
-    the types are summed by their number of parts, the only thing the
-    falling factorial reads."""
+    colors k: the colorings, read off X's monomial coefficients times
+    m_la(1, q, ..., q^(k-1)); the placement-type sum with falling
+    q-factorials; and the hook-style product over columns.  X comes from
+    one walk of the class DP per path, and the types are summed by their
+    number of parts, the only thing the falling factorial reads.
+
+    The routes are compared as ints, each evaluated at q = 2^bits
+    (qseries.pack).  Every term of every route has nonnegative
+    coefficients, so each coefficient of a route is at most its value at
+    q = 1, and so are the coefficients of every factor in a nonzero term.
+    Those values are plain ints: sum of X_la(1) * m_la(1, ..., 1), sum of
+    r(1) * k!/(k - p)!, and the product of (k - a_i).  bits exceeds the
+    bit length of the largest by one, so every coefficient is below
+    2^(bits-1) and equal ints mean equal polynomials.  A factor past that
+    bound, or with a negative coefficient, raises ValueError.  The ints
+    are unpacked only to write a counterexample.
+    """
     a = area(gamma)
     aseq = area_sequence(gamma)
+    x = chromatic_x(gamma).coeffs
     by_parts = {}
     for mu, r in type_polynomials(gamma).items():
         by_parts[len(mu)] = by_parts.get(len(mu), ZERO) + r
-    series = principal_series(gamma, alpha_max)
+    ks = range(alpha_max + 1)
+    # The product is nonzero from the first k above every a_i on.
+    top = max(aseq, default=-1)
+    at_one = [
+        *(sum(c.at_one() * principal_monomial(la, k).at_one()
+              for la, c in x.items()) for k in ks),
+        *(sum(r.at_one() * math.perm(k, p) for p, r in by_parts.items())
+          for k in ks),
+        *(math.prod(k - ai for ai in aseq) for k in ks if k > top),
+    ]
+    bits = max(at_one, default=0).bit_length() + 1
+    direct = principal_from_x(x, alpha_max, bits)
+    packed = [(p, pack(r, bits)) for p, r in by_parts.items()
+              if p <= alpha_max]
     reports = []
-    for colors, direct in enumerate(series):
-        via_types = ZERO
-        for parts, r in by_parts.items():
-            via_types = via_types + r * q_falling(colors, parts)
-        via_types = q_power(a) * via_types
-        if any(colors - ai < 0 for ai in aseq):
-            product = ZERO
+    for colors in ks:
+        via_types = sum(r * _packed_falling(colors, p, bits)
+                        for p, r in packed if p <= colors) << bits * a
+        if colors > top:
+            product = math.prod(_packed_q_int(colors - ai, bits)
+                                for ai in aseq) << bits * a
         else:
-            product = q_power(a)
-            for ai in aseq:
-                product = product * q_int(colors - ai)
+            product = 0
         instance = f"heights={format_heights(gamma)};colors={colors}"
-        if direct == via_types == product:
+        if direct[colors] == via_types == product:
             reports.append(CheckReport("principal", instance, "verified"))
         else:
             reports.append(CheckReport(
                 "principal", instance, "counterexample",
-                lhs=f"direct={direct}",
-                rhs=f"types={via_types};product={product}"))
+                lhs=f"direct={unpack(direct[colors], bits)}",
+                rhs=f"types={unpack(via_types, bits)};"
+                    f"product={unpack(product, bits)}"))
     return reports
 
 

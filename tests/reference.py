@@ -1,7 +1,8 @@
 """Reference forms that only the tests read: a path's graph edges and board
-cells listed as sets, e_k in the monomial basis, the exact value of a
-symmetric function at rational points, single coefficients of a Laurent
-polynomial, and the readers of the package's JSON forms.
+cells listed as sets, dominance order, e_k and 1 in the monomial basis,
+the exact value of a symmetric function at rational points, single
+coefficients of a Laurent polynomial, and the readers of the package's
+JSON forms.
 
 The package never lists edges or cells (the coloring DP reads each vertex's
 window, the rook DP each row's open columns), so these are independent of
@@ -27,6 +28,28 @@ def poset_cells(gamma: tuple[int, ...]) -> set[tuple[int, int]]:
     return {(i, j)
             for i, m in enumerate(gamma, start=1)
             for j in range(m + 1, n + 1)}
+
+
+def dominance_leq(mu: tuple[int, ...], la: tuple[int, ...]) -> bool:
+    """True when mu is dominated by la (partial sums of la are >= those of mu).
+
+    Only defined for partitions of the same number.
+    """
+    if sum(mu) != sum(la):
+        raise ValueError(f"dominance compares partitions of equal size, "
+                         f"got {mu} and {la}")
+    total_mu = total_la = 0
+    for i in range(max(len(mu), len(la))):
+        total_mu += mu[i] if i < len(mu) else 0
+        total_la += la[i] if i < len(la) else 0
+        if total_mu > total_la:
+            return False
+    return True
+
+
+def one(basis: str = "monomial") -> SymFunc:
+    """The constant 1, in degree 0."""
+    return SymFunc(0, basis, {(): ONE})
 
 
 def elementary(k: int) -> SymFunc:

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from functools import partial
 
-from rookhl.chromatic import chromatic_x, llt_coefficient, x_coefficient
+from rookhl.chromatic import chromatic_x
 from rookhl.cli import main
 from rookhl.dyck import area, enumerate_dyck
 from rookhl.partitions import enumerate_partitions, multiplicities, nstat
@@ -26,6 +26,7 @@ from rookhl.symfunc import SymFunc, hl_direct_oracle, transitions
 from rookhl.verify import (
     check_llt, check_main, check_multiplicativity, sweep,
 )
+from class_dp import llt_coefficient, x_coefficient
 from placement_oracle import extended_placement
 from reference import evaluate
 from tableaux import kostka

@@ -8,19 +8,24 @@ import pytest
 
 from rookhl.dyck import area, area_sequence, enumerate_dyck
 from rookhl.partitions import enumerate_partitions, multiplicities
-from rookhl.qseries import QLaurent, ZERO, ONE, Q, from_int, q_power, q_factorial
+from rookhl.qseries import (
+    QLaurent, ZERO, ONE, Q, from_int, q_power, q_factorial, unpack,
+)
 from rookhl.rook import r_poly
 from rookhl.chromatic import (
-    _class_counts, _partition_counts, x_coefficient, llt_coefficient, chromatic_x, llt_poly,
-    principal_direct, principal_series,
+    _partition_counts, chromatic_x, llt_poly, principal_direct,
+    principal_from_x, principal_monomial,
 )
 from rookhl.symfunc import SymFunc
-from reference import edges, evaluate
+from class_dp import class_counts, llt_coefficient, x_coefficient
+from reference import edges, evaluate, one
 
 
 def window_counts(gamma, caps, lifts, proper):
-    """Oracle for chromatic._class_counts: the same exponent histogram,
-    found by coloring the vertices one at a time in increasing order.
+    """Oracle for the class DP: the exponent histogram of labelings that
+    use color c at most caps[c] times, each vertex of color c weighing
+    q^lifts[c] more, found by coloring the vertices one at a time in
+    increasing order.
 
     The neighbors of vertex v below it are the window of its last a_v
     vertices, so the ascents v closes are the window colors below its own.
@@ -118,13 +123,13 @@ def weak_compositions(n, length):
             yield (first,) + rest
 
 
-def assert_prefixes_match_window_recursion(gamma, caps, lifts, proper):
+def assert_prefixes_match_window_recursion(gamma, caps, proper):
     """Entry k of the class DP's list is the window recursion's histogram
     for the first k colors, for every k."""
-    prefixes = _class_counts(gamma, caps, lifts, proper)
+    prefixes = class_counts(gamma, caps, proper)
     assert len(prefixes) == len(caps) + 1
     for k, counts in enumerate(prefixes):
-        assert counts == window_counts(gamma, caps[:k], lifts[:k], proper)
+        assert counts == window_counts(gamma, caps[:k], [0] * k, proper)
 
 
 def test_class_dp_matches_window_recursion_on_partitions():
@@ -133,10 +138,9 @@ def test_class_dp_matches_window_recursion_on_partitions():
         for gamma in enumerate_dyck(n):
             for la in enumerate_partitions(n):
                 for caps in (la, la[::-1]):
-                    lifts = [0] * len(caps)
                     for proper in (True, False):
                         assert_prefixes_match_window_recursion(
-                            gamma, caps, lifts, proper)
+                            gamma, caps, proper)
 
 
 def test_class_dp_matches_window_recursion_with_zero_parts():
@@ -147,23 +151,46 @@ def test_class_dp_matches_window_recursion_with_zero_parts():
                 for caps in weak_compositions(n, length):
                     if 0 not in caps:
                         continue
-                    lifts = [0] * length
                     for proper in (True, False):
                         assert_prefixes_match_window_recursion(
-                            gamma, caps, lifts, proper)
+                            gamma, caps, proper)
+
+
+def principal_series(gamma, alpha_max):
+    """principal_from_x's values for k = 0..alpha_max, unpacked; no
+    coefficient exceeds alpha_max**n, the labelings."""
+    bits = (alpha_max ** len(gamma)).bit_length() + 1
+    return [unpack(v, bits) for v in
+            principal_from_x(chromatic_x(gamma).coeffs, alpha_max, bits)]
 
 
 def test_class_dp_matches_window_recursion_for_principal():
-    # One pass with n + 2 colors gives every smaller number of colors: its
-    # entry k equals the recursion run with k colors alone.
+    # X's coefficients times m_la(1, q, ..., q^(k-1)), for every k up to
+    # n + 2, equal the recursion run with k colors, color c lifted by c - 1.
     for n in range(6):
         for gamma in enumerate_dyck(n):
-            alpha_max = n + 2
-            prefixes = _class_counts(gamma, [n] * alpha_max,
-                                     range(alpha_max), True)
-            assert len(prefixes) == alpha_max + 1
-            for k, counts in enumerate(prefixes):
-                assert counts == window_counts(gamma, [n] * k, range(k), True)
+            series = principal_series(gamma, n + 2)
+            assert len(series) == n + 3
+            for k, poly in enumerate(series):
+                assert poly == QLaurent(
+                    0, window_counts(gamma, [n] * k, range(k), True))
+
+
+def test_principal_monomial_against_injective_placements():
+    # m_la(1, q, ..., q^(k-1)) sums q^(sum of position * part) over the
+    # injective maps from the parts to the positions 0..k-1, a map and its
+    # images under permuting equal parts counted once.
+    for n in range(8):
+        for la in enumerate_partitions(n):
+            for k in range(n + 3):
+                weights = Counter(
+                    sum(i * p for i, p in placed) for placed in {
+                        tuple(sorted(zip(positions, la)))
+                        for positions in itertools.permutations(
+                            range(k), len(la))})
+                want = sum((from_int(m) * q_power(e)
+                            for e, m in weights.items()), ZERO)
+                assert principal_monomial(la, k) == want, (la, k)
 
 
 def test_partition_trie_matches_the_coefficients():
@@ -201,17 +228,19 @@ def test_class_dp_rejects_heights_it_cannot_read():
         for call in (partial(x_coefficient, gamma, (2, 1)),
                      partial(llt_coefficient, gamma, (2, 1)),
                      partial(chromatic_x, gamma), partial(llt_poly, gamma),
-                     partial(principal_series, gamma, 3)):
+                     partial(principal_direct, gamma, 3)):
             with pytest.raises(ValueError, match=message):
                 call()
     # Heights above n only close columns, and stay accepted.
     assert chromatic_x((2, 2, 4)) == chromatic_x((2, 2, 3))
     assert llt_poly((2, 2, 4)) == llt_poly((2, 2, 3))
-    assert principal_series((2, 2, 4), 4) == principal_series((2, 2, 3), 4)
+    for colors in range(5):
+        assert principal_direct((2, 2, 4), colors) == \
+            principal_direct((2, 2, 3), colors)
 
 
 def test_x_known_expansions():
-    assert chromatic_x(()) == SymFunc.one()
+    assert chromatic_x(()) == one()
     assert chromatic_x((1,)) == SymFunc(1, "monomial", {(1,): ONE})
     assert chromatic_x((1, 2)) == SymFunc(
         2, "monomial", {(2,): ONE, (1, 1): from_int(2)})
@@ -224,7 +253,7 @@ def test_x_known_expansions():
 
 
 def test_llt_known_expansions():
-    assert llt_poly(()) == SymFunc.one()
+    assert llt_poly(()) == one()
     assert llt_poly((2, 2)) == SymFunc(
         2, "monomial", {(2,): ONE, (1, 1): ONE + Q})
     assert llt_poly((2, 2)).to_basis("schur") == SymFunc(
@@ -313,6 +342,18 @@ def test_principal_series_against_product_enumeration():
     assert principal_series((2, 2), 2) == [ZERO, ZERO, QLaurent(1, (1, 1))]
     with pytest.raises(ValueError):
         principal_series((1,), -1)
+
+
+def test_principal_from_x_raises_below_its_bound():
+    # (2,2,4,4,5) has 108 colorings from 1..3, so 8 bits leave every
+    # coefficient below 2^(bits-1).  With 4 bits or fewer a coefficient of
+    # X itself (10 on (2,2,1)) does not fit, and packing raises.
+    x = chromatic_x((2, 2, 4, 4, 5)).coeffs
+    assert [unpack(v, 8) for v in principal_from_x(x, 3, 8)] == \
+        [brute_principal((2, 2, 4, 4, 5), k) for k in range(4)]
+    for bits in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match="cannot pack"):
+            principal_from_x(x, 3, bits)
 
 
 def test_principal_direct_is_specialized_x():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rookhl.qseries import (
-    QLaurent, ZERO, ONE, Q, from_int, q_power, exact_div,
+    QLaurent, ZERO, ONE, Q, from_int, q_power, exact_div, pack, unpack,
     q_int, q_factorial, q_binomial, q_falling,
 )
 from reference import coeff, qlaurent_from_json
@@ -135,6 +135,40 @@ def test_exact_div_laurent_shift():
 
 
 # -- q-combinatorics -----------------------------------------------------------
+
+@given(st.integers(min_value=0, max_value=4),
+       st.lists(st.integers(min_value=0, max_value=2 ** 20), max_size=6),
+       st.integers(min_value=22, max_value=70))
+def test_pack_round_trips_and_is_a_homomorphism(shift, coeffs, bits):
+    p = QLaurent(shift, coeffs)
+    assert pack(p, bits) == sum(c << bits * (shift + i)
+                                for i, c in enumerate(coeffs))
+    assert unpack(pack(p, bits), bits) == p
+    # The square of the packed value packs the square, which unpacks while
+    # its coefficients stay below 2^(bits-1).
+    square = p * p
+    if max(square.coeffs, default=0) < 1 << bits - 1:
+        assert pack(p, bits) ** 2 == pack(square, bits)
+        assert unpack(pack(p, bits) ** 2, bits) == square
+    assert pack(ZERO, 1) == 0 and unpack(0, 1) == ZERO
+
+
+def test_pack_raises_where_the_value_would_not_determine_the_polynomial():
+    assert pack(QLaurent(0, (1, 3, 0, 1)), 3) == 1 + (3 << 3) + (1 << 9)
+    # unpack reads every coefficient below 2^bits, as products of packed
+    # values may hold.
+    assert unpack(5 << 3 | 7, 3) == QLaurent(0, (7, 5))
+    for p, bits in ((QLaurent(0, (1, -1)), 8),        # negative coefficient
+                    (QLaurent(-1, (1,)), 8),          # negative power of q
+                    (QLaurent(0, (1, 4)), 3),         # 4 = 2^(3-1)
+                    (ONE, 1),                         # 1 = 2^0
+                    (ONE, 0)):
+        with pytest.raises(ValueError, match="cannot pack"):
+            pack(p, bits)
+    for value, bits in ((-1, 8), (5, 0)):
+        with pytest.raises(ValueError, match="cannot unpack"):
+            unpack(value, bits)
+
 
 def test_q_int_values():
     assert q_int(0) == ZERO

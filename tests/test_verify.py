@@ -8,7 +8,7 @@ from rookhl.dyck import enumerate_dyck, modular_triples
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, q_power
 from rookhl import chromatic, rook, symfunc, verify
 from rookhl.cli import main
-from rookhl.chromatic import chromatic_x, llt_poly
+from rookhl.chromatic import chromatic_x, llt_poly, principal_direct
 from rookhl.rook import type_polynomials
 from rookhl.verify import (
     CheckReport, check_main, check_modular, check_multiplicativity,
@@ -132,25 +132,29 @@ def test_check_llt_small_sizes():
 
 
 def test_check_principal_small_sizes():
+    # Every bound on the colors, down to those where all three routes
+    # vanish at every k and the packing width is one bit.
     for n in range(5):
         for gamma in enumerate_dyck(n):
-            reports = check_principal(gamma, n + 2)
-            assert len(reports) == n + 3
-            assert all(r.ok for r in reports)
+            for alpha_max in range(n + 3):
+                reports = check_principal(gamma, alpha_max)
+                assert len(reports) == alpha_max + 1
+                assert all(r.ok for r in reports)
     insts = [r.instance for r in check_principal((1, 2), 1)]
     assert insts == ["heights=1,2;colors=0", "heights=1,2;colors=1"]
 
 
 def test_check_principal_runs_the_class_dp_once_per_path(monkeypatch):
-    # Every number of colors is read off one pass, looked up at call time.
+    # Every number of colors is read off X's coefficients, from one walk of
+    # the class DP, looked up at call time.
     seen = []
-    real = chromatic._class_counts
+    real = verify.chromatic_x
 
-    def recording(gamma, caps, lifts, proper):
+    def recording(gamma):
         seen.append(gamma)
-        return real(gamma, caps, lifts, proper)
+        return real(gamma)
 
-    monkeypatch.setattr(chromatic, "_class_counts", recording)
+    monkeypatch.setattr(verify, "chromatic_x", recording)
     for n in range(5):
         for gamma in enumerate_dyck(n):
             seen.clear()
@@ -163,40 +167,56 @@ def test_check_principal_runs_the_class_dp_once_per_path(monkeypatch):
 
 def test_x_and_llt_never_run_the_class_dp_per_partition(monkeypatch,
                                                        capsys):
-    # chromatic_x and llt_poly walk the partition trie; _class_counts, looked
-    # up at call time, is left to principal and to single coefficients.
-    seen = []
-    real = chromatic._class_counts
+    # The partition trie is the class DP's only driver: every step runs
+    # inside one walk of it, and each check walks it once per path and
+    # function.  Both are looked up at call time.
+    walks, outside, open_walks = [], [], []
+    real_walk, real_step = chromatic._partition_counts, chromatic._add_class
 
-    def recording(gamma, caps, lifts, proper):
-        seen.append(gamma)
-        return real(gamma, caps, lifts, proper)
+    def walk(gamma, proper, ascending):
+        walks.append((gamma, proper))
+        open_walks.append(gamma)
+        try:
+            return real_walk(gamma, proper, ascending)
+        finally:
+            open_walks.pop()
 
-    monkeypatch.setattr(chromatic, "_class_counts", recording)
+    def step(states, *args):
+        if not open_walks:
+            outside.append(states)
+        return real_step(states, *args)
+
+    monkeypatch.setattr(chromatic, "_partition_counts", walk)
+    monkeypatch.setattr(chromatic, "_add_class", step)
     paths = [g for n in range(5) for g in enumerate_dyck(n)] + [FIG_PATH]
     for gamma in paths:
+        walks.clear()
         assert check_main(gamma).ok
         assert check_llt(gamma).ok
+        assert all(r.ok for r in check_principal(gamma, len(gamma) + 2))
+        assert walks == [(gamma, True), (gamma, False), (gamma, True)]
+    walks.clear()
     assert all(r.ok for r in check_modular(5, "chromatic"))
+    assert sorted(walks) == sorted(
+        {(g, True) for t in modular_triples(5)
+         for g in (t.middle, t.lower, t.upper)})
+    walks.clear()
     for what, basis in (("X", "s"), ("LLT", "m")):
         assert main(["expand", "--heights", "2,2,4,4,5", "--what", what,
                      "--basis", basis]) == 0
     capsys.readouterr()
-    assert seen == []
-    # The hook does reach the route that keeps the class DP.
-    for gamma in paths:
-        assert all(r.ok for r in check_principal(gamma, len(gamma) + 2))
-    assert seen == paths
+    assert walks == [(FIG_PATH, True), (FIG_PATH, False)]
+    assert outside == []
 
 
 def test_check_principal_reports_a_direct_side_counterexample(monkeypatch):
-    # Break the coloring side at two colors only: that instance, and no
+    # Break the coloring side at two colors only, multiplying the packed
+    # m_la(1, q) by q (a shift by the packing width): that instance, and no
     # other, must be reported, with the rook and product sides intact.
-    real = verify.principal_series
+    real = chromatic._packed_monomial
     monkeypatch.setattr(
-        verify, "principal_series",
-        lambda g, m: [Q * p if k == 2 else p
-                      for k, p in enumerate(real(g, m))])
+        chromatic, "_packed_monomial",
+        lambda la, k, bits: real(la, k, bits) << (bits if k == 2 else 0))
     reports = check_principal(FIG_PATH, 3)
     assert [r.instance for r in reports if r.ok] == [
         "heights=2,2,4,4,5;colors=0", "heights=2,2,4,4,5;colors=1",
@@ -206,6 +226,32 @@ def test_check_principal_reports_a_direct_side_counterexample(monkeypatch):
         lhs="direct=q^3 + 3q^4 + 3q^5 + q^6",
         rhs="types=q^2 + 3q^3 + 3q^4 + q^5;"
             "product=q^2 + 3q^3 + 3q^4 + q^5")]
+
+
+@pytest.mark.parametrize("side", ["direct", "types"])
+def test_check_principal_bounds_every_route(monkeypatch, side):
+    # Scale one route by 3^30: its coefficients outgrow the other two
+    # routes' values at q = 1, so the packing width must come from all of
+    # them for the report to name the exact polynomials instead of raising.
+    big = 3 ** 30
+    if side == "direct":
+        monkeypatch.setattr(verify, "chromatic_x",
+                            lambda g: chromatic_x(g).scale(big))
+    else:
+        monkeypatch.setattr(
+            verify, "type_polynomials",
+            lambda g: {mu: r * big for mu, r in type_polynomials(g).items()})
+    reports = check_principal(FIG_PATH, 4)
+    assert [r.ok for r in reports] == [True, True, False, False, False]
+    for colors, report in enumerate(reports[2:], start=2):
+        right = principal_direct(FIG_PATH, colors)
+        scaled = right * big
+        assert report == CheckReport(
+            "principal", f"heights=2,2,4,4,5;colors={colors}",
+            "counterexample",
+            lhs=f"direct={scaled if side == 'direct' else right}",
+            rhs=f"types={scaled if side == 'types' else right};"
+                f"product={right}")
 
 
 def test_sweep_main_count_and_determinism():
