@@ -18,7 +18,7 @@ from rookhl.partitions import (
 )
 from rookhl.dyck import (
     from_heights, parse_heights, format_heights, enumerate_dyck,
-    area, area_sequence, concat, complete_path,
+    area, area_sequence, reflect, concat, complete_path,
     ModularTriple, modular_triples,
 )
 from rookhl.rook import (
@@ -27,7 +27,7 @@ from rookhl.rook import (
 )
 from rookhl.symfunc import (
     Transitions, transitions, SymFunc, coefficient_line, omega,
-    hl_h, hl_h_tilde, multiply, hl_direct_oracle,
+    hl_h, hl_h_tilde, multiply,
 )
 from rookhl.chromatic import (
     chromatic_x, llt_poly, principal_monomial, principal_from_x,

@@ -144,15 +144,17 @@ def _partition_counts(gamma, proper, ascending) -> dict:
 def chromatic_x(gamma) -> SymFunc:
     """The full coloring generating function in the monomial basis, from
     one walk of the partition trie with the parts descending."""
-    return SymFunc(len(gamma), "monomial",
-                   _partition_counts(gamma, proper=True, ascending=False))
+    return SymFunc._trusted(
+        len(gamma), "monomial",
+        _partition_counts(gamma, proper=True, ascending=False))
 
 
 def llt_poly(gamma) -> SymFunc:
     """The full word generating function in the monomial basis, from one
     walk of the partition trie with the parts ascending."""
-    return SymFunc(len(gamma), "monomial",
-                   _partition_counts(gamma, proper=False, ascending=True))
+    return SymFunc._trusted(
+        len(gamma), "monomial",
+        _partition_counts(gamma, proper=False, ascending=True))
 
 
 @cache

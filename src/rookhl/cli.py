@@ -2,31 +2,32 @@
 
 Subcommands: expand (coloring or word generating function of one path, in a
 chosen basis), rook (placements and type polynomials), list-dyck, verify
-(identity sweeps with counterexample reporting), oracle (direct rational
-evaluation of a Hall-Littlewood P).  Exit codes: 0 success, 1 a verify run
-found a counterexample, 2 usage error.
+(identity sweeps with counterexample reporting).  Exit codes: 0 success,
+1 a verify run found a counterexample, 2 usage error.
+
+A command imports only what it runs: json where --json or rook --list
+writes it, and multiprocessing only when a verify sweep fans out over
+--jobs processes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
 from rookhl.chromatic import chromatic_x, llt_poly
 from rookhl.dyck import enumerate_dyck, format_heights, parse_heights
 from rookhl.partitions import format_partition, parse_partition
 from rookhl.rook import free_cells, hl_coefficients, placements, \
     placement_type, type_polynomials
-from rookhl.symfunc import SymFunc, coefficient_line, hl_direct_oracle
+from rookhl.symfunc import SymFunc, coefficient_line
 from rookhl.verify import IDENTITIES, sweep
 
 
 def _checked(parser, flag, fn, text):
     try:
         return fn(text)
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         parser.error(f"{flag}: {e}")
 
 
@@ -42,6 +43,7 @@ def cmd_expand(args, parser):
     target = {"m": "monomial", "s": "schur", "P": "hl_p"}[args.basis]
     f = f.to_basis(target)
     if args.json:
+        import json
         print(json.dumps(f.to_json()))
     else:
         for line in f.lines():
@@ -58,6 +60,7 @@ def cmd_rook(args, parser):
             parser.error(f"--type: {want} does not partition {len(gamma)}")
     n = len(gamma)
     if args.list:
+        import json
         for p in placements(gamma):
             mu = placement_type(n, p)
             if want is not None and mu != want:
@@ -90,6 +93,7 @@ def cmd_verify(args, parser):
     reports = sweep(args.n_max, set(names), jobs=args.jobs)
     failures = [r for r in reports if not r.ok]
     if args.json:
+        import json
         print(json.dumps([r.to_json() for r in reports]))
     else:
         for r in reports:
@@ -102,20 +106,6 @@ def cmd_verify(args, parser):
         else:
             print(f"{len(reports)} checks: all verified")
     return 1 if failures else 0
-
-
-def cmd_oracle(args, parser):
-    mu = _checked(parser, "--mu", parse_partition, args.mu)
-    xs = _checked(parser, "--xs",
-                  lambda t: tuple(Fraction(tok) for tok in t.split(",")),
-                  args.xs)
-    q0 = _checked(parser, "--q", Fraction, args.q)
-    try:
-        value = hl_direct_oracle(mu, xs, q0)
-    except ValueError as e:
-        parser.error(str(e))
-    print(value)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,16 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (affects wall time only)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle",
-                       help="evaluate a symmetric function directly")
-    p.add_argument("kind", choices=("hl",),
-                   help="hl: Hall-Littlewood P from its symmetrization")
-    p.add_argument("--mu", required=True, help="partition, e.g. 3,2")
-    p.add_argument("--xs", required=True,
-                   help="comma separated rationals, e.g. 2,3,1/2")
-    p.add_argument("--q", required=True, help="rational, e.g. 1/2")
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 

@@ -8,8 +8,6 @@ exact polynomial division that fails hard on a nonzero remainder.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class QLaurent:
     """A Laurent polynomial in q with integer coefficients.
@@ -153,17 +151,6 @@ class QLaurent:
     def at_one(self) -> int:
         """Evaluate at q = 1."""
         return sum(self.coeffs)
-
-    def eval(self, q0: Fraction) -> Fraction:
-        """Evaluate exactly at a rational point q0."""
-        q0 = Fraction(q0)
-        if self.min_exp < 0 and q0 == 0:
-            raise ZeroDivisionError("negative q-power evaluated at q=0")
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total += c * q0 ** (self.min_exp + i)
-        return total
 
     # -- presentation --------------------------------------------------------
 

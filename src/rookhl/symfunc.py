@@ -6,21 +6,23 @@ are expanded in monomials by walking chains of horizontal strips: each chain
 counts once for the Kostka numbers and is weighted by Macdonald's psi for the
 P functions.  A conversion multiplies by the source basis's matrix and solves
 against the target's by division-free forward substitution; both matrices
-are upper unitriangular.  A symmetrized-rational-function oracle for the P
-basis is included so the matrix route can be checked against an entirely
-different definition.
+are upper unitriangular.
+
+SymFunc(...) checks every key and coefficient it is given.  The results the
+package builds from keys it has already checked (basis changes, sums,
+scalings, the coloring DP's outputs) go through SymFunc._trusted, which
+checks nothing.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache, cached_property
 
 from rookhl.partitions import (
-    check_partition, conjugate, enumerate_partitions, multiplicities, nstat,
+    check_partition, conjugate, enumerate_partitions, nstat,
 )
-from rookhl.qseries import QLaurent, ZERO, ONE, from_int, q_power, q_factorial
+from rookhl.qseries import QLaurent, ZERO, ONE, from_int, q_power
 
 BASES = ("monomial", "schur", "hl_p")
 
@@ -210,6 +212,17 @@ class SymFunc:
         self.coeffs = clean
 
     @classmethod
+    def _trusted(cls, degree: int, basis: str, coeffs: dict) -> "SymFunc":
+        """A SymFunc the package builds from checked parts: basis is one of
+        BASES, every key a partition of degree and every value a
+        QLaurent.  Zero values are dropped; nothing else is checked."""
+        f = object.__new__(cls)
+        f.degree = degree
+        f.basis = basis
+        f.coeffs = {la: c for la, c in coeffs.items() if c}
+        return f
+
+    @classmethod
     def zero(cls, degree: int, basis: str = "monomial") -> "SymFunc":
         return cls(degree, basis, {})
 
@@ -231,7 +244,7 @@ class SymFunc:
         out = dict(self.coeffs)
         for la, c in other.coeffs.items():
             out[la] = out.get(la, ZERO) + c
-        return SymFunc(self.degree, self.basis, out)
+        return SymFunc._trusted(self.degree, self.basis, out)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         return self + other.scale(from_int(-1))
@@ -239,8 +252,9 @@ class SymFunc:
     def scale(self, poly) -> "SymFunc":
         if isinstance(poly, int):
             poly = from_int(poly)
-        return SymFunc(self.degree, self.basis,
-                       {la: c * poly for la, c in self.coeffs.items()})
+        return SymFunc._trusted(
+            self.degree, self.basis,
+            {la: c * poly for la, c in self.coeffs.items()})
 
     def map_coeffs(self, fn) -> "SymFunc":
         return SymFunc(self.degree, self.basis,
@@ -257,8 +271,7 @@ class SymFunc:
             vec = _times(vec, getattr(t, _MATRIX[self.basis]))
         if target != "monomial":
             vec = _solve(vec, getattr(t, _MATRIX[target]))
-        return SymFunc(self.degree, target,
-                       {la: c for la, c in zip(t.parts, vec) if c})
+        return SymFunc._trusted(self.degree, target, dict(zip(t.parts, vec)))
 
     # -- presentation ----------------------------------------------------
 
@@ -333,41 +346,3 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
                 acc[e] = acc.get(e, ZERO) + ca * cb
     out = {tuple(p for p in e if p): c for e, c in acc.items()}
     return SymFunc(nvars, "monomial", out)
-
-
-def hl_direct_oracle(mu, xs, q0) -> Fraction:
-    """The P function evaluated straight from its symmetrization formula,
-    bypassing tableaux entirely.
-
-    Averages x^mu over all variable orderings against the product of
-    (x_i - q x_j)/(x_i - x_j), then divides by the q-factorials of the
-    part multiplicities (counting absent parts as the 0 multiplicity).
-    Needs pairwise distinct x's.
-    """
-    mu = check_partition(tuple(mu))
-    xs = [Fraction(x) for x in xs]
-    q0 = Fraction(q0)
-    k = len(xs)
-    if len(set(xs)) != k:
-        raise ValueError("evaluation points must be pairwise distinct")
-    if len(mu) > k:
-        return Fraction(0)
-    denom = Fraction(1)
-    mults = multiplicities(mu)
-    mults[0] = k - len(mu)
-    for m in mults.values():
-        fact = q_factorial(m).eval(q0)
-        if fact == 0:
-            raise ValueError(f"multiplicity factorial vanishes at q={q0}")
-        denom *= fact
-    exps = tuple(mu) + (0,) * (k - len(mu))
-    total = Fraction(0)
-    for w in itertools.permutations(range(k)):
-        term = Fraction(1)
-        for t in range(k):
-            term *= xs[w[t]] ** exps[t]
-        for i in range(k):
-            for j in range(i + 1, k):
-                term *= (xs[w[i]] - q0 * xs[w[j]]) / (xs[w[i]] - xs[w[j]])
-        total += term
-    return total / denom

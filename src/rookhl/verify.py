@@ -5,13 +5,20 @@ CheckReport records: status "verified", or "counterexample" with both sides
 rendered as strings.  The sweep driver runs checks over all paths up to a
 size bound, deterministically, optionally spreading tasks over processes
 (ordering and output are identical either way).
+
+main, llt and principal compare a coloring side (X or the LLT polynomial)
+with a rook side (placement types).  A path and its reflection in the
+anti-diagonal (dyck.reflect) have the same X and LLT, so a sweep runs one
+task per reversal orbit: the coloring side is computed once, and each
+member of the orbit is reported against its own rook side.  The rook
+sides are never shared: that they agree on the orbit is what is checked.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from multiprocessing import Pool
+from itertools import groupby
 from typing import NamedTuple
 
 from rookhl.chromatic import (
@@ -19,7 +26,7 @@ from rookhl.chromatic import (
 )
 from rookhl.dyck import (
     area, area_sequence, complete_path, concat, enumerate_dyck,
-    format_heights, modular_triples,
+    format_heights, modular_triples, reflect,
 )
 from rookhl.partitions import (
     conjugate, enumerate_partitions, format_partition, is_vertical_strip,
@@ -55,14 +62,20 @@ def _report(identity, instance, lhs, rhs) -> CheckReport:
                        lhs=str(lhs), rhs=str(rhs))
 
 
+def _main_side(gamma) -> SymFunc:
+    return chromatic_x(gamma).to_basis("hl_p")
+
+
+def _main_report(gamma, lhs) -> CheckReport:
+    rhs = SymFunc(len(gamma), "hl_p", hl_coefficients(gamma))
+    return _report("main", f"heights={format_heights(gamma)}", lhs, rhs)
+
+
 def check_main(gamma) -> CheckReport:
     """Coloring route against rook route for one path: the full monomial
     expansion pushed into the P basis must equal the placement-derived
     coefficients."""
-    n = len(gamma)
-    lhs = chromatic_x(gamma).to_basis("hl_p")
-    rhs = SymFunc(n, "hl_p", hl_coefficients(gamma))
-    return _report("main", f"heights={format_heights(gamma)}", lhs, rhs)
+    return _main_report(gamma, _main_side(gamma))
 
 
 def check_modular(n: int, level: str) -> list[CheckReport]:
@@ -168,12 +181,12 @@ def check_multiplicativity(gamma, k: int,
     return reports
 
 
-def check_llt(gamma) -> CheckReport:
-    """Both closed forms of the word generating function from placement
-    data: one through the transposed q-Whittaker transforms, one through
-    their inverted-q normalizations."""
+def _llt_side(gamma) -> SymFunc:
+    return llt_poly(gamma).to_basis("schur")
+
+
+def _llt_report(gamma, lhs) -> CheckReport:
     n, a = len(gamma), area(gamma)
-    lhs = llt_poly(gamma).to_basis("schur")
     rpolys = type_polynomials(gamma)
     form1 = SymFunc.zero(n, "schur")
     form2 = SymFunc.zero(n, "schur")
@@ -188,6 +201,13 @@ def check_llt(gamma) -> CheckReport:
             return CheckReport("llt", instance + f";form={form}",
                                "counterexample", lhs=str(lhs), rhs=str(rhs))
     return CheckReport("llt", instance, "verified")
+
+
+def check_llt(gamma) -> CheckReport:
+    """Both closed forms of the word generating function from placement
+    data: one through the transposed q-Whittaker transforms, one through
+    their inverted-q normalizations."""
+    return _llt_report(gamma, _llt_side(gamma))
 
 
 @cache
@@ -219,83 +239,121 @@ def check_principal(gamma, alpha_max: int) -> list[CheckReport]:
     bound, or with a negative coefficient, raises ValueError.  The ints
     are unpacked only to write a counterexample.
     """
-    a = area(gamma)
-    aseq = area_sequence(gamma)
-    x = chromatic_x(gamma).coeffs
-    by_parts = {}
-    for mu, r in type_polynomials(gamma).items():
-        by_parts[len(mu)] = by_parts.get(len(mu), ZERO) + r
+    return _principal_reports((gamma,), alpha_max,
+                              chromatic_x(gamma).coeffs)[0]
+
+
+def _principal_reports(members, alpha_max: int,
+                       x) -> list[list[CheckReport]]:
+    """check_principal's reports for each path of members, all of which
+    have X's monomial coefficients x.  They share the direct route, and
+    the packing width bounds every route of every member."""
     ks = range(alpha_max + 1)
-    # The product is nonzero from the first k above every a_i on.
-    top = max(aseq, default=-1)
-    at_one = [
-        *(sum(c.at_one() * principal_monomial(la, k).at_one()
-              for la, c in x.items()) for k in ks),
-        *(sum(r.at_one() * math.perm(k, p) for p, r in by_parts.items())
-          for k in ks),
-        *(math.prod(k - ai for ai in aseq) for k in ks if k > top),
-    ]
+    at_one = [sum(c.at_one() * principal_monomial(la, k).at_one()
+                  for la, c in x.items()) for k in ks]
+    rooks = []
+    for gamma in members:
+        aseq = area_sequence(gamma)
+        by_parts = {}
+        for mu, r in type_polynomials(gamma).items():
+            by_parts[len(mu)] = by_parts.get(len(mu), ZERO) + r
+        # The product is nonzero from the first k above every a_i on.
+        top = max(aseq, default=-1)
+        at_one += [sum(r.at_one() * math.perm(k, p)
+                       for p, r in by_parts.items()) for k in ks]
+        at_one += [math.prod(k - ai for ai in aseq) for k in ks if k > top]
+        rooks.append((gamma, aseq, by_parts, top))
     bits = max(at_one, default=0).bit_length() + 1
     direct = principal_from_x(x, alpha_max, bits)
-    packed = [(p, pack(r, bits)) for p, r in by_parts.items()
-              if p <= alpha_max]
-    reports = []
-    for colors in ks:
-        via_types = sum(r * _packed_falling(colors, p, bits)
-                        for p, r in packed if p <= colors) << bits * a
-        if colors > top:
-            product = math.prod(_packed_q_int(colors - ai, bits)
-                                for ai in aseq) << bits * a
-        else:
-            product = 0
-        instance = f"heights={format_heights(gamma)};colors={colors}"
-        if direct[colors] == via_types == product:
-            reports.append(CheckReport("principal", instance, "verified"))
-        else:
-            reports.append(CheckReport(
-                "principal", instance, "counterexample",
-                lhs=f"direct={unpack(direct[colors], bits)}",
-                rhs=f"types={unpack(via_types, bits)};"
-                    f"product={unpack(product, bits)}"))
-    return reports
+    out = []
+    for gamma, aseq, by_parts, top in rooks:
+        a = area(gamma)
+        packed = [(p, pack(r, bits)) for p, r in by_parts.items()
+                  if p <= alpha_max]
+        reports = []
+        for colors in ks:
+            via_types = sum(r * _packed_falling(colors, p, bits)
+                            for p, r in packed if p <= colors) << bits * a
+            if colors > top:
+                product = math.prod(_packed_q_int(colors - ai, bits)
+                                    for ai in aseq) << bits * a
+            else:
+                product = 0
+            instance = f"heights={format_heights(gamma)};colors={colors}"
+            if direct[colors] == via_types == product:
+                reports.append(CheckReport("principal", instance,
+                                           "verified"))
+            else:
+                reports.append(CheckReport(
+                    "principal", instance, "counterexample",
+                    lhs=f"direct={unpack(direct[colors], bits)}",
+                    rhs=f"types={unpack(via_types, bits)};"
+                        f"product={unpack(product, bits)}"))
+        out.append(reports)
+    return out
 
 
 IDENTITIES = ("main", "modular", "mult", "llt", "principal")
 
+# The identities whose sweep runs one task per reversal orbit of paths.
+ORBIT_IDENTITIES = ("main", "llt", "principal")
 
-def _task_reports(task) -> list[CheckReport]:
+
+def _task_reports(task) -> list[list[CheckReport]]:
+    """The reports of one task, one list per path it covers: each member
+    of the orbit for main, llt and principal, one path otherwise.  An
+    orbit's coloring side is computed once, from its first member."""
     kind = task[0]
     if kind == "main":
-        return [check_main(task[1])]
-    if kind == "modular":
-        return check_modular(task[1], task[2])
-    if kind == "mult":
-        return check_multiplicativity(task[1], task[2],
-                                      function_level=task[3])
+        lhs = _main_side(task[1][0])
+        return [[_main_report(g, lhs)] for g in task[1]]
     if kind == "llt":
-        return [check_llt(task[1])]
+        lhs = _llt_side(task[1][0])
+        return [[_llt_report(g, lhs)] for g in task[1]]
     if kind == "principal":
-        return check_principal(task[1], task[2])
+        return _principal_reports(task[1], task[2],
+                                  chromatic_x(task[1][0]).coeffs)
+    if kind == "modular":
+        return [check_modular(task[1], task[2])]
+    if kind == "mult":
+        return [check_multiplicativity(task[1], task[2],
+                                       function_level=task[3])]
     raise ValueError(f"unknown task {task!r}")
+
+
+def _orbits(n_max: int) -> list[tuple]:
+    """The reversal orbits of the paths with n <= n_max: (gamma,) for a
+    palindromic path, else (gamma, reflect(gamma)) with gamma the
+    lexicographically smaller, in enumerate_dyck's order of gamma."""
+    out = []
+    for n in range(n_max + 1):
+        for g in enumerate_dyck(n):
+            r = reflect(g)
+            if g < r:
+                out.append((g, r))
+            elif g == r:
+                out.append((g,))
+    return out
 
 
 def sweep_tasks(n_max: int, identities) -> list[tuple]:
     """The deterministic task list a sweep will run.
 
-    Size ranges per identity: main and llt visit every path with n <= n_max;
-    modular runs the placement level for n <= n_max and the coloring level
-    for n <= min(n_max, 5); mult uses blocks k in 1..3 with n + k <= n_max
-    (function level additionally n <= 3, k <= 2); principal sweeps color
-    counts 0..n+2.
+    Size ranges per identity: main and llt visit every path with n <= n_max,
+    one task per reversal orbit; modular runs the placement level for
+    n <= n_max and the coloring level for n <= min(n_max, 5); mult uses
+    blocks k in 1..3 with n + k <= n_max (function level additionally
+    n <= 3, k <= 2); principal sweeps color counts 0..n+2, one task per
+    orbit.
     """
     ids = set(identities)
     unknown = ids - set(IDENTITIES)
     if unknown:
         raise ValueError(f"unknown identities: {sorted(unknown)}")
+    orbits = _orbits(n_max) if ids & set(ORBIT_IDENTITIES) else []
     tasks: list[tuple] = []
     if "main" in ids:
-        for n in range(n_max + 1):
-            tasks.extend(("main", g) for g in enumerate_dyck(n))
+        tasks.extend(("main", o) for o in orbits)
     if "modular" in ids:
         for n in range(n_max + 1):
             tasks.append(("modular", n, "r_poly"))
@@ -311,12 +369,9 @@ def sweep_tasks(n_max: int, identities) -> list[tuple]:
                 tasks.extend(("mult", g, k, True)
                              for g in enumerate_dyck(n))
     if "llt" in ids:
-        for n in range(n_max + 1):
-            tasks.extend(("llt", g) for g in enumerate_dyck(n))
+        tasks.extend(("llt", o) for o in orbits)
     if "principal" in ids:
-        for n in range(n_max + 1):
-            tasks.extend(("principal", g, n + 2)
-                         for g in enumerate_dyck(n))
+        tasks.extend(("principal", o, len(o[0]) + 2) for o in orbits)
     return tasks
 
 
@@ -332,9 +387,36 @@ def conversion_degrees(n_max: int, identities) -> range:
     return range(0)
 
 
+# The process pool class of a sweep with jobs > 1, looked up when the sweep
+# runs.  None stands for multiprocessing.Pool, imported there, so that a
+# command which never fans out does not load multiprocessing.  Tests and
+# profilers may set another class, such as a start method's context.Pool.
+Pool = None
+
+
+def _in_path_order(tasks, chunks) -> list[CheckReport]:
+    """The reports of the tasks, flattened in the order of a sweep with one
+    task per path.  The tasks of one identity are consecutive, and an
+    orbit identity's paths go by size, then lexicographically, as
+    enumerate_dyck lists them."""
+    reports = []
+    for kind, block in groupby(zip(tasks, chunks), key=lambda tc: tc[0][0]):
+        if kind in ORBIT_IDENTITIES:
+            by_path = sorted(((len(g), g), lists) for task, chunk in block
+                             for g, lists in zip(task[1], chunk))
+            per_path = [lists for _, lists in by_path]
+        else:
+            per_path = [lists for _, chunk in block for lists in chunk]
+        for lists in per_path:
+            reports.extend(lists)
+    return reports
+
+
 def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
     """Run every selected check for all sizes up to n_max and return the
-    flattened reports in task order, independent of jobs."""
+    flattened reports in path order, independent of jobs.  At most
+    min(jobs, tasks) worker processes start, and none for a single
+    task."""
     tasks = sweep_tasks(n_max, identities)
     # Build the P-basis matrix of every degree the checks convert in, and
     # Kostka-Foulkes where llt reads it (through hl_h), before any worker
@@ -345,9 +427,13 @@ def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
         t.pm
         if "llt" in identities:
             t.kf
-    if jobs <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         chunks = [_task_reports(t) for t in tasks]
     else:
-        with Pool(jobs) as pool:
+        pool_class = Pool
+        if pool_class is None:
+            from multiprocessing import Pool as pool_class
+        with pool_class(workers) as pool:
             chunks = pool.map(_task_reports, tasks, chunksize=1)
-    return [r for chunk in chunks for r in chunk]
+    return _in_path_order(tasks, chunks)

@@ -1,17 +1,20 @@
 """Reference forms that only the tests read: a path's graph edges and board
 cells listed as sets, dominance order, e_k and 1 in the monomial basis,
-the exact value of a symmetric function at rational points, single
-coefficients of a Laurent polynomial, and the readers of the package's
-JSON forms.
+the exact value of a Laurent polynomial and of a symmetric function at
+rational points, a Hall-Littlewood P evaluated straight from its
+symmetrization formula, single coefficients of a Laurent polynomial, and
+the readers of the package's JSON forms.
 
 The package never lists edges or cells (the coloring DP reads each vertex's
 window, the rook DP each row's open columns), so these are independent of
 how it walks a path.
 """
 
+import itertools
 from fractions import Fraction
 
-from rookhl.qseries import ONE, QLaurent
+from rookhl.partitions import check_partition, multiplicities
+from rookhl.qseries import ONE, QLaurent, q_factorial
 from rookhl.symfunc import SymFunc, _padded_orbits
 
 
@@ -59,6 +62,18 @@ def elementary(k: int) -> SymFunc:
     return SymFunc(k, "monomial", {(1,) * k: ONE})
 
 
+def q_eval(p: QLaurent, q0) -> Fraction:
+    """Evaluate p exactly at a rational point q0."""
+    q0 = Fraction(q0)
+    if p.min_exp < 0 and q0 == 0:
+        raise ZeroDivisionError("negative q-power evaluated at q=0")
+    total = Fraction(0)
+    for i, c in enumerate(p.coeffs):
+        if c:
+            total += c * q0 ** (p.min_exp + i)
+    return total
+
+
 def evaluate(f: SymFunc, xs, q0) -> Fraction:
     """Exact value of f at concrete rational x's and rational q."""
     xs = [Fraction(x) for x in xs]
@@ -74,8 +89,46 @@ def evaluate(f: SymFunc, xs, q0) -> Fraction:
             for x, e in zip(xs, alpha):
                 term *= x ** e
             mval += term
-        total += c.eval(q0) * mval
+        total += q_eval(c, q0) * mval
     return total
+
+
+def hl_direct_oracle(mu, xs, q0) -> Fraction:
+    """The P function evaluated straight from its symmetrization formula,
+    bypassing tableaux entirely.
+
+    Averages x^mu over all variable orderings against the product of
+    (x_i - q x_j)/(x_i - x_j), then divides by the q-factorials of the
+    part multiplicities (counting absent parts as the 0 multiplicity).
+    Needs pairwise distinct x's.
+    """
+    mu = check_partition(tuple(mu))
+    xs = [Fraction(x) for x in xs]
+    q0 = Fraction(q0)
+    k = len(xs)
+    if len(set(xs)) != k:
+        raise ValueError("evaluation points must be pairwise distinct")
+    if len(mu) > k:
+        return Fraction(0)
+    denom = Fraction(1)
+    mults = multiplicities(mu)
+    mults[0] = k - len(mu)
+    for m in mults.values():
+        fact = q_eval(q_factorial(m), q0)
+        if fact == 0:
+            raise ValueError(f"multiplicity factorial vanishes at q={q0}")
+        denom *= fact
+    exps = tuple(mu) + (0,) * (k - len(mu))
+    total = Fraction(0)
+    for w in itertools.permutations(range(k)):
+        term = Fraction(1)
+        for t in range(k):
+            term *= xs[w[t]] ** exps[t]
+        for i in range(k):
+            for j in range(i + 1, k):
+                term *= (xs[w[i]] - q0 * xs[w[j]]) / (xs[w[i]] - xs[w[j]])
+        total += term
+    return total / denom
 
 
 def coeff(p: QLaurent, exp: int) -> int:

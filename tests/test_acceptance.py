@@ -22,13 +22,13 @@ from rookhl import rook
 from rookhl.rook import (
     hl_coefficient, placements, rank_tables, type_polynomials,
 )
-from rookhl.symfunc import SymFunc, hl_direct_oracle, transitions
+from rookhl.symfunc import SymFunc, transitions
 from rookhl.verify import (
     check_llt, check_main, check_multiplicativity, sweep,
 )
 from class_dp import llt_coefficient, x_coefficient
 from placement_oracle import extended_placement
-from reference import evaluate
+from reference import evaluate, hl_direct_oracle
 from tableaux import kostka
 
 FIG_PATH = (2, 2, 4, 4, 5)

@@ -6,7 +6,7 @@ from functools import cache, partial
 
 import pytest
 
-from rookhl.dyck import area, area_sequence, enumerate_dyck
+from rookhl.dyck import area, area_sequence, enumerate_dyck, reflect
 from rookhl.partitions import enumerate_partitions, multiplicities
 from rookhl.qseries import (
     QLaurent, ZERO, ONE, Q, from_int, q_power, q_factorial, unpack,
@@ -18,7 +18,7 @@ from rookhl.chromatic import (
 )
 from rookhl.symfunc import SymFunc
 from class_dp import class_counts, llt_coefficient, x_coefficient
-from reference import edges, evaluate, one
+from reference import edges, evaluate, one, q_eval
 
 
 def window_counts(gamma, caps, lifts, proper):
@@ -262,6 +262,17 @@ def test_llt_known_expansions():
     assert llt_poly((1, 2)) == chromatic_x((1, 2))
 
 
+def test_x_and_llt_agree_on_each_reversal_orbit():
+    # A sweep computes X and LLT once per orbit {gamma, reflect(gamma)}:
+    # both members must have the same functions.
+    for n in range(8):
+        for gamma in enumerate_dyck(n):
+            mirror = reflect(gamma)
+            if gamma < mirror:
+                assert chromatic_x(gamma) == chromatic_x(mirror), gamma
+                assert llt_poly(gamma) == llt_poly(mirror), gamma
+
+
 def test_symmetry_over_compositions():
     for n in range(1, 6):
         for gamma in enumerate_dyck(n):
@@ -366,4 +377,4 @@ def test_principal_direct_is_specialized_x():
                 want = principal_direct(gamma, colors)
                 q0 = Fraction(3, 7)
                 xs = [q0 ** i for i in range(colors)]
-                assert want.eval(q0) == evaluate(f, xs, q0)
+                assert q_eval(want, q0) == evaluate(f, xs, q0)

@@ -180,28 +180,6 @@ def test_verify_rejects_bad_args(capsys):
     assert exc.value.code == 2
 
 
-def test_oracle(capsys):
-    code, out = run(capsys, ["oracle", "hl", "--mu", "2",
-                             "--xs", "2,3", "--q", "1/2"])
-    assert code == 0
-    assert out == "16\n"
-    code, out = run(capsys, ["oracle", "hl", "--mu", "1,1",
-                             "--xs", "2,3", "--q", "5/7"])
-    assert out == "6\n"
-
-
-def test_oracle_errors(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", "hl", "--mu", "2", "--xs", "2,2", "--q", "1/2"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", "hl", "--mu", "2", "--xs", "2,3", "--q", "1/0"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", "hl", "--mu", "1,2", "--xs", "2,3", "--q", "1"])
-    assert exc.value.code == 2
-
-
 def test_bad_heights_names_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--heights", "2,1"])
@@ -212,9 +190,12 @@ def test_bad_heights_names_flag(capsys):
 
 def test_cli_import_leaves_dataclasses_out():
     # Every command imports rookhl.cli; importing dataclasses would also
-    # load inspect, ast, dis and tokenize.  -S keeps site's imports out.
+    # load inspect, ast, dis and tokenize.  A command imports json only to
+    # write it and multiprocessing only to fan out, and nothing in the
+    # package evaluates at rational points.  -S keeps site's imports out.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import rookhl.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'multiprocessing', "
+            "'json', 'fractions'} & set(sys.modules)))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code,
          str(Path(rookhl.__file__).resolve().parents[1])],

@@ -5,7 +5,7 @@ import pytest
 
 from rookhl.dyck import (
     check_heights, from_heights, parse_heights, format_heights, enumerate_dyck,
-    area, area_sequence, concat, complete_path,
+    area, area_sequence, concat, complete_path, reflect,
     ModularTriple, modular_triples,
 )
 from reference import edges, poset_cells
@@ -119,6 +119,26 @@ def test_concat():
              for j in range(1, len(g2) + 1)}
     assert poset_cells(g) == poset_cells(g1) | {
         (i + n1, j + n1) for i, j in poset_cells(g2)} | cross
+
+
+def test_reflect_is_an_involution_on_valid_heights():
+    # The relabeling v -> n + 1 - v maps the edges of a path's graph onto
+    # the edges of its reflection's, and the paths it fixes number
+    # C(n, floor(n / 2)).
+    assert reflect((2, 2, 4, 4, 5)) == (1, 3, 3, 5, 5)
+    assert reflect(()) == ()
+    for n in range(10):
+        palindromic = 0
+        for g in enumerate_dyck(n):
+            r = reflect(g)
+            assert from_heights(r) == r
+            assert reflect(r) == g
+            assert area(r) == area(g)
+            palindromic += r == g
+            if n <= 7:
+                assert edges(r) == {(n + 1 - j, n + 1 - i)
+                                    for i, j in edges(g)}
+        assert palindromic == math.comb(n, n // 2)
 
 
 def test_complete_path():

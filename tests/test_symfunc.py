@@ -12,9 +12,11 @@ from rookhl import symfunc
 from rookhl.rook import hl_coefficients
 from rookhl.symfunc import (
     Transitions, transitions, SymFunc, omega, hl_h, hl_h_tilde,
-    multiply, hl_direct_oracle,
+    multiply,
 )
-from reference import elementary, evaluate, one, symfunc_from_json
+from reference import (
+    elementary, evaluate, hl_direct_oracle, one, q_eval, symfunc_from_json,
+)
 from tableaux import (
     ssyt, reading_word, charge_word, charge, kostka, kostka_foulkes,
 )
@@ -194,7 +196,7 @@ def test_transitions_match_tableau_oracle():
         for i, la in enumerate(t.parts):
             for j, mu in enumerate(t.parts):
                 assert t.kf[i][j] == kostka_foulkes(la, mu)
-                assert t.pm[i][j].eval(0) == t.kostka[i][j]
+                assert q_eval(t.pm[i][j], 0) == t.kostka[i][j]
                 assert t.pm[i][j].at_one() == int(i == j)
         if n:
             assert t.pm[0] == [(ONE - Q) ** (len(mu) - 1) for mu in t.parts]
@@ -265,6 +267,25 @@ def test_symfunc_drops_zeros_and_validates():
         SymFunc(2, "power", {(2,): ONE})
     with pytest.raises(ValueError):
         SymFunc(2, "monomial", {(2,): ONE}) + SymFunc(2, "schur", {(2,): ONE})
+
+
+def test_checked_constructor_rejects_what_the_trusted_one_skips():
+    # SymFunc(...) is the constructor for user input and the CLI; the
+    # package's own results go through SymFunc._trusted and must come out
+    # the same as if they had been checked.
+    for bad in ({(1, 2): ONE}, {(2, 0): ONE}, {(0,): ONE}, {(-1, 3): ONE}):
+        with pytest.raises(ValueError):
+            SymFunc(2, "monomial", bad)
+    with pytest.raises(ValueError):
+        SymFunc(3, "monomial", {(2,): ONE})          # wrong degree
+    with pytest.raises(ValueError):
+        SymFunc(2, "elementary", {(2,): ONE})        # unknown basis
+    g = SymFunc(2, "monomial", {(2,): ONE, (1, 1): Q})
+    f = chromatic_x((2, 2, 4, 4, 5))
+    for built in (f, f.to_basis("hl_p"), f.to_basis("schur"), g + g,
+                  g - g, g.scale(Q), g.scale(ZERO)):
+        assert built == SymFunc(built.degree, built.basis, built.coeffs)
+        assert all(built.coeffs.values())
 
 
 def test_schur_to_monomial_matches_determinant_oracle():

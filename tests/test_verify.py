@@ -4,18 +4,27 @@ from functools import partial
 
 import pytest
 
-from rookhl.dyck import enumerate_dyck, modular_triples
+from rookhl.dyck import enumerate_dyck, modular_triples, reflect
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, q_power
 from rookhl import chromatic, rook, symfunc, verify
 from rookhl.cli import main
 from rookhl.chromatic import chromatic_x, llt_poly, principal_direct
-from rookhl.rook import type_polynomials
+from rookhl.rook import hl_coefficients, type_polynomials
 from rookhl.verify import (
     CheckReport, check_main, check_modular, check_multiplicativity,
     check_llt, check_principal, conversion_degrees, sweep, sweep_tasks,
 )
 
 FIG_PATH = (2, 2, 4, 4, 5)
+
+
+def paths_through(n_max):
+    return [g for n in range(n_max + 1) for g in enumerate_dyck(n)]
+
+
+def orbit_firsts(n_max):
+    """The first member of each reversal orbit, in sweep order."""
+    return [g for g in paths_through(n_max) if g <= reflect(g)]
 
 
 def test_check_main_small_sizes():
@@ -146,7 +155,8 @@ def test_check_principal_small_sizes():
 
 def test_check_principal_runs_the_class_dp_once_per_path(monkeypatch):
     # Every number of colors is read off X's coefficients, from one walk of
-    # the class DP, looked up at call time.
+    # the class DP, looked up at call time.  A sweep walks it once per
+    # reversal orbit, for the orbit's first member.
     seen = []
     real = verify.chromatic_x
 
@@ -162,7 +172,7 @@ def test_check_principal_runs_the_class_dp_once_per_path(monkeypatch):
             assert seen == [gamma]
     seen.clear()
     sweep(4, {"principal"})
-    assert seen == [g for n in range(5) for g in enumerate_dyck(n)]
+    assert seen == orbit_firsts(4)
 
 
 def test_x_and_llt_never_run_the_class_dp_per_partition(monkeypatch,
@@ -254,6 +264,60 @@ def test_check_principal_bounds_every_route(monkeypatch, side):
                 f"product={right}")
 
 
+@pytest.mark.parametrize("identity", ["main", "llt", "principal"])
+def test_sweep_runs_the_coloring_dp_once_per_orbit(monkeypatch, identity):
+    # Both coloring functions are looked up at call time.  X serves main
+    # and principal, LLT serves llt, and each runs once per orbit.
+    seen = {"x": [], "llt": []}
+
+    def recording(name, real):
+        return lambda gamma: seen[name].append(gamma) or real(gamma)
+
+    monkeypatch.setattr(verify, "chromatic_x",
+                        recording("x", verify.chromatic_x))
+    monkeypatch.setattr(verify, "llt_poly", recording("llt", verify.llt_poly))
+    assert all(r.ok for r in sweep(5, {identity}))
+    want = {"x": orbit_firsts(5), "llt": []}
+    if identity == "llt":
+        want = {"x": [], "llt": orbit_firsts(5)}
+    assert seen == want
+    assert len(want["x"] or want["llt"]) == 1 + 1 + 2 + 4 + 10 + 26
+
+
+def test_sweep_equals_the_per_path_checks():
+    # One task per orbit, its reports put back in path order: the sweep
+    # must list exactly what the checks give path by path.
+    paths = paths_through(5)
+    assert sweep(5, {"main", "llt", "principal"}) == [
+        *(check_main(g) for g in paths),
+        *(check_llt(g) for g in paths),
+        *(r for g in paths for r in check_principal(g, len(g) + 2))]
+
+
+@pytest.mark.parametrize("identity", ["main", "llt", "principal"])
+@pytest.mark.parametrize("member", [0, 1])
+def test_each_orbit_member_is_reported_on_its_own_rook_side(monkeypatch,
+                                                           identity,
+                                                           member):
+    # Break the rook side of one member of one orbit: the sweep must
+    # report that path, and only that path, whichever member it is.  The
+    # scale 3^30 takes principal's type route past what the other member
+    # bounds, so the shared packing width must cover both members.
+    bad = sorted((FIG_PATH, reflect(FIG_PATH)))[member]
+    big = 3 ** 30
+    monkeypatch.setattr(
+        verify, "hl_coefficients",
+        lambda g: {mu: c * big for mu, c in hl_coefficients(g).items()}
+        if g == bad else hl_coefficients(g))
+    monkeypatch.setattr(
+        verify, "type_polynomials",
+        lambda g: {mu: r * big for mu, r in type_polynomials(g).items()}
+        if g == bad else type_polynomials(g))
+    failed = {r.instance.split(";")[0]
+              for r in sweep(5, {identity}) if not r.ok}
+    assert failed == {"heights=" + ",".join(map(str, bad))}
+
+
 def test_sweep_main_count_and_determinism():
     reports = sweep(4, {"main"})
     assert len(reports) == 23
@@ -320,7 +384,8 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
 
 
 def _start_method_pool(monkeypatch, method):
-    """Make sweep build its pool from the named start method's context."""
+    """Make sweep build its pool from the named start method's context,
+    through the pool class it looks up when it fans out."""
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"start method {method} is not available")
     monkeypatch.setattr(verify, "Pool",
@@ -349,10 +414,44 @@ def test_parallel_sweep_builds_kf_in_the_parent_only(monkeypatch, tmp_path):
 @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
 def test_parallel_sweep_equals_serial_under_every_start_method(monkeypatch,
                                                                method):
-    # Workers that do not fork rebuild whatever they convert in.
-    serial = sweep(4, {"main", "llt", "mult"})
+    # Workers that do not fork rebuild whatever they convert in.  The
+    # orbit tasks of main, llt and principal come back in any order of
+    # completion, and their reports in path order.
+    ids = {"main", "llt", "mult", "principal"}
+    serial = sweep(4, ids)
     _start_method_pool(monkeypatch, method)
-    assert sweep(4, {"main", "llt", "mult"}, jobs=2) == serial
+    assert sweep(4, ids, jobs=2) == serial
+
+
+def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
+    # A recorder stands in for the pool class: it starts no process and
+    # runs the tasks in order.
+    started = []
+
+    class Recorder:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=None):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(verify, "Pool", Recorder)
+    for n_max, ids, jobs, workers in (
+            (0, {"main"}, 8, []),               # one task: none start
+            (0, {"mult"}, 4, []),               # no task at all
+            (1, {"main"}, 8, [2]),              # two orbits
+            (2, {"main", "llt"}, 16, [8]),
+            (4, {"principal"}, 2, [2]),
+            (4, {"main"}, 1, [])):
+        started.clear()
+        assert sweep(n_max, ids, jobs=jobs) == sweep(n_max, ids)
+        assert started == workers
 
 
 def test_conversion_degrees():
@@ -380,6 +479,20 @@ def test_sweep_tasks_ranges():
     assert ("modular", 7, "r_poly") in mods
     assert ("modular", 5, "chromatic") in mods
     assert ("modular", 6, "chromatic") not in mods
+    # main, llt and principal: one task per reversal orbit, a palindromic
+    # path alone and any other with its reflection, covering every path
+    # with n <= n_max once.
+    for identity in ("main", "llt", "principal"):
+        tasks = sweep_tasks(6, {identity})
+        assert len(tasks) == 1 + 1 + 2 + 4 + 10 + 26 + 76
+        assert [t[1][0] for t in tasks] == orbit_firsts(6)
+        for t in tasks:
+            g = t[1][0]
+            assert t[1] == ((g,) if g == reflect(g) else (g, reflect(g)))
+            assert t[2:] == ((len(g) + 2,) if identity == "principal"
+                             else ())
+        assert sorted(g for t in tasks for g in t[1]) == \
+            sorted(paths_through(6))
 
 
 def test_report_json():
