@@ -13,9 +13,11 @@ how it walks a path.
 import itertools
 from fractions import Fraction
 
-from rookhl.partitions import check_partition, multiplicities
-from rookhl.qseries import ONE, QLaurent, q_factorial
-from rookhl.symfunc import SymFunc, _padded_orbits
+from rookhl.dyck import area
+from rookhl.partitions import check_partition, multiplicities, nstat
+from rookhl.qseries import ONE, Q, QLaurent, q_factorial, q_power
+from rookhl.rook import type_polynomials
+from rookhl.symfunc import SymFunc, _padded_orbits, hl_h, hl_h_tilde, omega
 
 
 def edges(gamma: tuple[int, ...]) -> set[tuple[int, int]]:
@@ -149,3 +151,18 @@ def symfunc_from_json(obj: dict) -> SymFunc:
     return SymFunc(int(obj["degree"]), obj["basis"],
                    {tuple(e["part"]): qlaurent_from_json(e["poly"])
                     for e in obj["coeffs"]})
+
+
+def llt_forms(gamma) -> tuple[SymFunc, SymFunc]:
+    """Both closed forms of the word generating function in the Schur
+    basis, summed type by type from the path's type polynomials: through
+    omega(hl_h(mu)), and through hl_h_tilde(mu)."""
+    n, a = len(gamma), area(gamma)
+    form1 = SymFunc.zero(n, "schur")
+    form2 = SymFunc.zero(n, "schur")
+    for mu, r in type_polynomials(gamma).items():
+        c1 = ((ONE - Q) ** (n - len(mu))) * q_power(a - nstat(mu)) * r
+        form1 = form1 + omega(hl_h(mu)).scale(c1)
+        c2 = ((ONE - q_power(-1)) ** (n - len(mu))) * r.invert_q()
+        form2 = form2 + hl_h_tilde(mu).scale(c2)
+    return form1, form2

@@ -14,6 +14,7 @@ from rookhl.verify import (
     CheckReport, check_main, check_modular, check_multiplicativity,
     check_llt, check_principal, conversion_degrees, sweep, sweep_tasks,
 )
+from reference import llt_forms
 
 FIG_PATH = (2, 2, 4, 4, 5)
 
@@ -70,6 +71,31 @@ def test_check_main_reports_counterexample_when_rule_is_broken(monkeypatch):
             if not r.ok][0] == CheckReport(
         "mult", "heights=2,2,4;k=2;type=3,2", "counterexample",
         lhs="2q", rhs="1 + 2q + q^2")
+
+
+def test_check_llt_reports_the_tilde_form_when_only_it_fails(monkeypatch):
+    # With the gate off, hand check_llt the broken rook side's own omega
+    # form as its word function: form=omega then holds, and the tilde form,
+    # which inverts q in the same broken types, is the one reported.
+    monkeypatch.setattr(rook, "_type_polynomials",
+                        partial(rook._type_polynomials, gate=False))
+    omega_form = llt_forms(FIG_PATH)[0].to_basis("monomial")
+    monkeypatch.setattr(verify, "llt_poly", lambda g: omega_form)
+    assert check_llt(FIG_PATH) == CheckReport(
+        "llt", "heights=2,2,4,4,5;form=tilde", "counterexample",
+        lhs="(5): 1\n(4,1): 1 + q + 3q^2 + q^3 - 2q^4\n"
+            "(3,2): q + 6q^2 - q^3 + q^4 - 2q^5\n"
+            "(3,1,1): 3q - q^2 + 6q^3 + q^4 - q^5 - 2q^6\n"
+            "(2,2,1): 2q - q^2 + 3q^3 + 6q^4 - 3q^5 - 2q^6\n"
+            "(2,1,1,1): 4q^2 - 3q^3 + q^4 + 7q^5 - 3q^6 - 2q^7\n"
+            "(1,1,1,1,1): 2q^3 - 2q^4 - 2q^5 + 7q^6 - 4q^7",
+        rhs="(5): -4q^-5 + 7q^-4 - 2q^-3 - 2q^-2 + 2q^-1\n"
+            "(4,1): -2q^-5 - 3q^-4 + 7q^-3 + q^-2 - 3q^-1 + 4\n"
+            "(3,2): -2q^-4 - 3q^-3 + 6q^-2 + 3q^-1 - 1 + 2q\n"
+            "(3,1,1): -2q^-4 - q^-3 + q^-2 + 6q^-1 - 1 + 3q\n"
+            "(2,2,1): -2q^-3 + q^-2 - q^-1 + 6 + q\n"
+            "(2,1,1,1): -2q^-2 + q^-1 + 3 + q + q^2\n"
+            "(1,1,1,1,1): q^2")
 
 
 def test_check_modular_chromatic_counterexample_names_the_type(monkeypatch):
