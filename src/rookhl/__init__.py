@@ -8,7 +8,8 @@ exact equality of such polynomials.
 """
 
 from rookhl.qseries import (
-    QLaurent, ZERO, ONE, Q, from_int, q_power, exact_div, pack, unpack,
+    QLaurent, ZERO, ONE, Q, from_int, q_power, exact_div, pack, pack_signed,
+    unpack,
     q_int, q_factorial, q_binomial, q_falling,
 )
 from rookhl.partitions import (
@@ -26,8 +27,7 @@ from rookhl.rook import (
     r_poly, type_polynomials, hl_coefficient, hl_coefficients,
 )
 from rookhl.symfunc import (
-    Transitions, transitions, SymFunc, coefficient_line, omega,
-    hl_h, hl_h_tilde, multiply,
+    Transitions, transitions, SymFunc, coefficient_line, multiply,
 )
 from rookhl.chromatic import (
     chromatic_x, llt_poly, principal_monomial, principal_from_x,

@@ -152,6 +152,11 @@ class QLaurent:
         """Evaluate at q = 1."""
         return sum(self.coeffs)
 
+    def l1_norm(self) -> int:
+        """The sum of the absolute coefficients: it bounds every one of
+        them, and is subadditive and submultiplicative."""
+        return sum(map(abs, self.coeffs))
+
     # -- presentation --------------------------------------------------------
 
     def __str__(self) -> str:
@@ -209,15 +214,31 @@ def pack(p: QLaurent, bits: int) -> int:
     negative coefficient or one of 2**(bits-1) or more breaks that
     argument, and raises ValueError.
     """
+    if any(c < 0 for c in p.coeffs):
+        raise ValueError(f"cannot pack {p}: negative coefficient")
+    return pack_signed(p, bits)
+
+
+def pack_signed(p: QLaurent, bits: int) -> int:
+    """p at q = 2**bits, for a polynomial whose coefficients all lie
+    strictly between -2**(bits-1) and 2**(bits-1).
+
+    pack with signs: a ring homomorphism too.  Two such polynomials differ
+    by one whose coefficients lie strictly between -2**bits and 2**bits;
+    if it is nonzero, its lowest nonzero coefficient is no multiple of
+    2**bits, so its value is nonzero.  A negative power of q, or a
+    coefficient out of range, raises ValueError.
+    """
     if p.min_exp < 0:
         raise ValueError(f"cannot pack {p}: negative power of q")
     limit = 1 << bits >> 1
     value = 0
     for c in reversed(p.coeffs):
-        if not 0 <= c < limit:
+        if not -limit < c < limit:
             raise ValueError(f"cannot pack {p} in {bits} bits: coefficient "
-                             f"{c} is not in [0, 2**{bits - 1})")
-        value = value << bits | c
+                             f"{c} is not strictly between -2**{bits - 1} "
+                             f"and 2**{bits - 1}")
+        value = (value << bits) + c
     return value << bits * p.min_exp
 
 

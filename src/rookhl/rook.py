@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import cache
 from typing import NamedTuple
 
 from rookhl.dyck import area, check_heights
 from rookhl.partitions import check_partition, multiplicities, nstat
-from rookhl.qseries import QLaurent, ZERO, q_factorial, q_power
+from rookhl.qseries import QLaurent, ONE, ZERO, q_factorial, q_power
 
 
 def placements(gamma: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
@@ -206,19 +207,27 @@ def _type_polynomials(gamma, gate=True):
     return out
 
 
+@cache
+def mult_factorials(mu: tuple[int, ...]) -> QLaurent:
+    """The product of [m]_q! over the multiplicities m of the parts of mu,
+    memoized: every path of a size asks for the same types."""
+    poly = ONE
+    for m in multiplicities(mu).values():
+        poly = poly * q_factorial(m)
+    return poly
+
+
 def hl_coefficient(gamma: tuple[int, ...], mu: tuple[int, ...],
                    r: QLaurent | None = None) -> QLaurent:
     """Coefficient of the Hall-Littlewood P indexed by mu in the expansion
-    attached to gamma: q^(area - n(mu)) * r_poly * product of [mult]_q!.
+    attached to gamma: q^(area - n(mu)) * r_poly * mult_factorials(mu).
 
     Intermediate factors are Laurent; the result is always an honest
     polynomial.  Pass r to reuse an already-computed r_poly.
     """
     if r is None:
         r = r_poly(gamma, mu)
-    poly = q_power(area(gamma) - nstat(mu)) * r
-    for m in multiplicities(mu).values():
-        poly = poly * q_factorial(m)
+    poly = q_power(area(gamma) - nstat(mu)) * r * mult_factorials(mu)
     if not poly.is_polynomial():
         raise ValueError(f"coefficient of {mu} for {gamma} is not a "
                          f"polynomial: {poly}")

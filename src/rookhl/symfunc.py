@@ -6,7 +6,9 @@ are expanded in monomials by walking chains of horizontal strips: each chain
 counts once for the Kostka numbers and is weighted by Macdonald's psi for the
 P functions.  A conversion multiplies by the source basis's matrix and solves
 against the target's by division-free forward substitution; both matrices
-are upper unitriangular.
+are upper unitriangular.  Being division-free, the same substitution runs
+over the matrices evaluated at q = 2^bits (Transitions.packed), which is
+how verify compares its identities as ints.
 
 SymFunc(...) checks every key and coefficient it is given.  The results the
 package builds from keys it has already checked (basis changes, sums,
@@ -19,10 +21,8 @@ from __future__ import annotations
 import itertools
 from functools import cache, cached_property
 
-from rookhl.partitions import (
-    check_partition, conjugate, enumerate_partitions, nstat,
-)
-from rookhl.qseries import QLaurent, ZERO, ONE, from_int, q_power
+from rookhl.partitions import check_partition, conjugate, enumerate_partitions
+from rookhl.qseries import QLaurent, ZERO, ONE, from_int, pack_signed, q_power
 
 BASES = ("monomial", "schur", "hl_p")
 
@@ -129,7 +129,8 @@ class Transitions:
     (the coefficient of m_mu in P_la, Macdonald III (5.11')) and kf (the
     Kostka-Foulkes polynomial K_la,mu(q), the coefficient of P_mu in s_la)
     are built on first use, so monomial-Schur conversions never weigh a
-    strip.
+    strip.  So are the tables that compare over ints: each entry's L1 norm
+    (norms) and each entry at q = 2^bits (packed).
     """
 
     def __init__(self, n: int):
@@ -137,6 +138,8 @@ class Transitions:
         self.parts = enumerate_partitions(n)
         self.index = {la: i for i, la in enumerate(self.parts)}
         self.kostka = self._strip_matrix(None, 0)
+        self._norms: dict[str, list[list[int]]] = {}
+        self._packed: dict[tuple[str, int], list[list[int]]] = {}
 
     def _strip_matrix(self, weight, zero):
         size = len(self.parts)
@@ -168,6 +171,25 @@ class Transitions:
                         f"kf[{i}][{j}] of degree {self.n} is {poly}, "
                         f"not {self.kostka[i][j]} at q = 1")
         return kf
+
+    def norms(self, name: str) -> list[list[int]]:
+        """The L1 norm (QLaurent.l1_norm) of every entry of the matrix name
+        ("pm" or "kf"), built once per degree."""
+        m = self._norms.get(name)
+        if m is None:
+            m = self._norms[name] = [[p.l1_norm() for p in row]
+                                     for row in getattr(self, name)]
+        return m
+
+    def packed(self, name: str, bits: int) -> list[list[int]]:
+        """Every entry of the matrix name ("pm" or "kf") at q = 2^bits, by
+        qseries.pack_signed, built once per degree and width."""
+        m = self._packed.get((name, bits))
+        if m is None:
+            m = self._packed[name, bits] = [
+                [pack_signed(p, bits) for p in row]
+                for row in getattr(self, name)]
+        return m
 
 
 _TRANSITIONS: dict[int, Transitions] = {}
@@ -246,19 +268,12 @@ class SymFunc:
             out[la] = out.get(la, ZERO) + c
         return SymFunc._trusted(self.degree, self.basis, out)
 
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + other.scale(from_int(-1))
-
     def scale(self, poly) -> "SymFunc":
         if isinstance(poly, int):
             poly = from_int(poly)
         return SymFunc._trusted(
             self.degree, self.basis,
             {la: c * poly for la, c in self.coeffs.items()})
-
-    def map_coeffs(self, fn) -> "SymFunc":
-        return SymFunc(self.degree, self.basis,
-                       {la: fn(c) for la, c in self.coeffs.items()})
 
     def to_basis(self, target: str) -> "SymFunc":
         if target not in BASES:
@@ -294,32 +309,6 @@ class SymFunc:
             "coeffs": [{"part": list(la), "poly": self.coeffs[la].to_json()}
                        for la in sorted(self.coeffs, reverse=True)],
         }
-
-
-def omega(f: SymFunc) -> SymFunc:
-    """The involution transposing every Schur index (q is untouched)."""
-    s = f.to_basis("schur")
-    return SymFunc(s.degree, "schur",
-                   {conjugate(la): c for la, c in s.coeffs.items()})
-
-
-def hl_h(mu) -> SymFunc:
-    """The q-Whittaker-side transform of P: sum of Kostka-Foulkes
-    polynomials against Schur functions for the given content mu."""
-    mu = check_partition(tuple(mu))
-    n = sum(mu)
-    t = transitions(n)
-    j = t.index[mu]
-    return SymFunc(n, "schur",
-                   {la: t.kf[i][j] for i, la in enumerate(t.parts)
-                    if t.kf[i][j]})
-
-
-def hl_h_tilde(mu) -> SymFunc:
-    """hl_h with q inverted and renormalized to polynomial coefficients."""
-    mu = check_partition(tuple(mu))
-    shift = nstat(mu)
-    return hl_h(mu).map_coeffs(lambda c: c.invert_q().shift(shift))
 
 
 def _padded_orbits(la, nvars):

@@ -12,6 +12,20 @@ anti-diagonal (dyck.reflect) have the same X and LLT, so a sweep runs one
 task per reversal orbit: the coloring side is computed once, and each
 member of the orbit is reported against its own rook side.  The rook
 sides are never shared: that they agree on the orbit is what is checked.
+
+main, llt and principal compare Python ints: every polynomial evaluated at
+q = 2^bits (qseries.pack, pack_signed).  Evaluation is a ring homomorphism
+and the basis changes are division-free substitutions (symfunc._solve), so
+both sides are computed from packed inputs and tables (Transitions.packed)
+without a Laurent polynomial.  bits comes from a bound on every
+coefficient either side can have: the coloring side's L1 norms pushed
+through the solve, and each member's own rook side.  Each coefficient is
+then below 2^(bits-1), so equal ints prove equal polynomials, and unequal
+ints a counterexample (_width).  A polynomial the width does not hold, or
+with a negative power of q, raises ValueError.  Only a member whose ints
+differ is rebuilt as Laurent polynomials, to write its report.  main and
+llt pack at least at the width that bounds every path of the size, so the
+sweep packs their tables before it fans out, once per degree.
 """
 
 from __future__ import annotations
@@ -33,11 +47,14 @@ from rookhl.partitions import (
     multiplicities, nstat,
 )
 from rookhl.qseries import (
-    QLaurent, ZERO, ONE, Q, pack, q_binomial, q_falling, q_int, q_power,
-    unpack,
+    QLaurent, ZERO, ONE, Q, pack, pack_signed, q_binomial, q_falling, q_int,
+    q_power, unpack,
 )
-from rookhl.rook import hl_coefficients, type_polynomials
-from rookhl.symfunc import SymFunc, hl_h, hl_h_tilde, multiply, omega, transitions
+from rookhl.rook import (
+    hl_coefficient, hl_coefficients, mult_factorials, type_polynomials,
+)
+from rookhl import symfunc
+from rookhl.symfunc import SymFunc, _solve, multiply, transitions
 
 
 class CheckReport(NamedTuple):
@@ -62,20 +79,135 @@ def _report(identity, instance, lhs, rhs) -> CheckReport:
                        lhs=str(lhs), rhs=str(rhs))
 
 
-def _main_side(gamma) -> SymFunc:
-    return chromatic_x(gamma).to_basis("hl_p")
+def _bits(bound: int) -> int:
+    """The packing width for polynomials whose coefficients are at most
+    bound in absolute value: one more than bound's bit length."""
+    return bound.bit_length() + 1
 
 
-def _main_report(gamma, lhs) -> CheckReport:
-    rhs = SymFunc(len(gamma), "hl_p", hl_coefficients(gamma))
-    return _report("main", f"heights={format_heights(gamma)}", lhs, rhs)
+def _width(bound: int) -> int:
+    """The width main, llt and principal pack at, from a bound on every
+    coefficient they compare.
+
+    Each coefficient is then below 2^(bits-1), so the difference of two
+    compared polynomials has every coefficient strictly between -2^bits
+    and 2^bits.  Its lowest nonzero one is no multiple of 2^bits, so a
+    nonzero difference is nonzero at q = 2^bits: the two values are equal
+    exactly when the polynomials are.  A width from _bits that does not
+    hold bound raises ValueError instead of returning a verdict.
+    """
+    bits = _bits(bound)
+    if bound >> max(bits - 1, 0):
+        raise ValueError(f"{bits} bits cannot hold coefficients up to "
+                         f"{bound}")
+    return bits
+
+
+def _solve_bound(vec, norms) -> list[int]:
+    """Bounds on the L1 norms of the entries of symfunc._solve(v, m), where
+    vec bounds those of v and norms holds those of m: the same forward
+    substitution, adding a bound on each product where it subtracts the
+    product."""
+    x = list(vec)
+    for i in range(len(x)):
+        if x[i]:
+            row = norms[i]
+            for j in range(i + 1, len(x)):
+                if row[j]:
+                    x[j] += x[i] * row[j]
+    return x
+
+
+def _words(la) -> int:
+    """The words of content la: a bound at q = 1 on the coefficient of m_la
+    in X and in LLT of any path, which count some of those words."""
+    return math.factorial(sum(la)) // math.prod(map(math.factorial, la))
+
+
+def _set_partitions(mu) -> int:
+    """The set partitions of {1..n} into blocks of sizes mu: a bound on
+    r_mu(1) for any path, as the chains of a placement are one."""
+    return _words(mu) // math.prod(map(math.factorial,
+                                       multiplicities(mu).values()))
+
+
+@cache
+def _packed_mult_factorials(mu, bits) -> int:
+    return pack(mult_factorials(mu), bits)
+
+
+@cache
+def _main_bound(n: int) -> int:
+    """A bound on every coefficient main compares on any path of size n,
+    from _words and _set_partitions.  An orbit packs at the width of this
+    bound or of its own, whichever is wider, so that every orbit of a size
+    uses the pm the warm-up packed.  It also bounds every coefficient of
+    pm and of each product of [m]_q!, so those pack at that width too."""
+    t = symfunc.transitions(n)
+    words = [_words(la) for la in t.parts]
+    return max(_solve_bound(words, t.norms("pm")) + words)
+
+
+def _main_reports(members, x: SymFunc) -> list[list[CheckReport]]:
+    """check_main's report for each path of members, all of which have the
+    chromatic function x, as ints at q = 2^bits.
+
+    X's monomial vector is solved against pm once.  Each member's
+    coefficient of P_mu is q^(area - n(mu)) r_mu times the product of
+    [m]_q! over the multiplicities of mu, and is packed from its own
+    type polynomials.  The width bounds every coefficient of both sides:
+    X's coefficients' L1 norms pushed through the solve with those of pm,
+    and r_mu's L1 norm times the product of m!, that factor at q = 1.
+    A factor past the width, or with a negative power of q (an r_mu that
+    makes the coefficient no polynomial), raises ValueError.  The SymFunc
+    route is rebuilt only to write the report of a member whose ints
+    differ.
+    """
+    n = len(members[0])
+    t = symfunc.transitions(n)
+    vec = [x.coeffs.get(la, ZERO) for la in t.parts]
+    bounds = _solve_bound([c.l1_norm() for c in vec], t.norms("pm"))
+    rooks = []
+    for gamma in members:
+        rpolys = type_polynomials(gamma)
+        bounds += [r.l1_norm() * mult_factorials(mu).at_one()
+                   for mu, r in rpolys.items()]
+        rooks.append((gamma, rpolys))
+    bits = _width(max(bounds + [_main_bound(n)]))
+    lhs = _solve([pack_signed(c, bits) for c in vec], t.packed("pm", bits))
+    out = []
+    for gamma, rpolys in rooks:
+        a = area(gamma)
+        rhs = [0] * len(lhs)
+        for mu, r in rpolys.items():
+            rhs[t.index[mu]] = (pack(r.shift(a - nstat(mu)), bits)
+                                * _packed_mult_factorials(mu, bits))
+        instance = f"heights={format_heights(gamma)}"
+        if lhs == rhs:
+            out.append([CheckReport("main", instance, "verified")])
+        else:
+            coeffs = {mu: hl_coefficient(gamma, mu, r)
+                      for mu, r in rpolys.items()}
+            out.append([_report("main", instance, x.to_basis("hl_p"),
+                                SymFunc(n, "hl_p", coeffs))])
+    return out
 
 
 def check_main(gamma) -> CheckReport:
     """Coloring route against rook route for one path: the full monomial
     expansion pushed into the P basis must equal the placement-derived
-    coefficients."""
-    return _main_report(gamma, _main_side(gamma))
+    coefficients.
+
+    Both sides are compared as ints at q = 2^bits (_main_reports): X's
+    packed monomial vector solved against pm packed at that width, and the
+    packed r_mu q^(area - n(mu)) times the product of [m]_q!.  Evaluation
+    is a ring homomorphism and the solve is division-free, so the ints are
+    the two sides' values.  bits bounds every coefficient of both (_width):
+    X's L1 norms pushed through the solve with pm's, and r_mu's L1 norm
+    times the product of m!.  Equal ints then prove equal polynomials, and
+    unequal ints a counterexample, written from the Laurent polynomials.
+    """
+    return _main_reports((gamma,), chromatic_x(gamma))[0][0]
 
 
 def check_modular(n: int, level: str) -> list[CheckReport]:
@@ -181,33 +313,145 @@ def check_multiplicativity(gamma, k: int,
     return reports
 
 
-def _llt_side(gamma) -> SymFunc:
-    return llt_poly(gamma).to_basis("schur")
+@cache
+def _packed_llt_weight(mu, bits) -> int:
+    """(1 - q)^(n - l(mu)) q^(D - n(mu)) at q = 2^bits, with D = n(n-1)/2
+    the largest n(mu): the weight of r_mu in q^D times check_llt's S."""
+    n = sum(mu)
+    return pack_signed((ONE - Q) ** (n - len(mu))
+                       * q_power(n * (n - 1) // 2 - nstat(mu)), bits)
 
 
-def _llt_report(gamma, lhs) -> CheckReport:
+@cache
+def _conjugates(n: int) -> list[int]:
+    """The position of conjugate(la) for each partition la of n."""
+    t = symfunc.transitions(n)
+    return [t.index[conjugate(la)] for la in t.parts]
+
+
+def _weighted_kf_bound(terms, t) -> int:
+    """A bound on every coefficient of the sum over (j, b) in terms of a
+    polynomial of L1 norm at most b times column j of t's kf."""
+    return max(sum(b * row[j] for j, b in terms if row[j])
+               for row in t.norms("kf"))
+
+
+@cache
+def _llt_bound(n: int) -> int:
+    """A bound on every coefficient llt compares on any path of size n,
+    from _words and _set_partitions.  An orbit packs at the width of this
+    bound or of its own, whichever is wider, so that every orbit of a size
+    uses the kf the warm-up packed.  It also bounds every coefficient of kf
+    and of each _packed_llt_weight, so those pack at that width too."""
+    t = symfunc.transitions(n)
+    words = [_words(la) for la in t.parts]
+    terms = [(j, _set_partitions(mu) << n - len(mu))
+             for j, mu in enumerate(t.parts)]
+    return max(*_solve_bound(words, t.kostka), _weighted_kf_bound(terms, t))
+
+
+def _llt_forms(gamma, rpolys) -> tuple[SymFunc, SymFunc]:
+    """check_llt's two right sides, in the Schur basis, from the Laurent
+    polynomials: q^area S at conjugate(la), and S with q inverted at la."""
     n, a = len(gamma), area(gamma)
-    rpolys = type_polynomials(gamma)
-    form1 = SymFunc.zero(n, "schur")
-    form2 = SymFunc.zero(n, "schur")
+    t = symfunc.transitions(n)
+    sums = [ZERO] * len(t.parts)
     for mu, r in rpolys.items():
-        c1 = ((ONE - Q) ** (n - len(mu))) * q_power(a - nstat(mu)) * r
-        form1 = form1 + omega(hl_h(mu)).scale(c1)
-        c2 = ((ONE - q_power(-1)) ** (n - len(mu))) * r.invert_q()
-        form2 = form2 + hl_h_tilde(mu).scale(c2)
-    instance = f"heights={format_heights(gamma)}"
-    for form, rhs in (("omega", form1), ("tilde", form2)):
-        if lhs != rhs:
-            return CheckReport("llt", instance + f";form={form}",
-                               "counterexample", lhs=str(lhs), rhs=str(rhs))
-    return CheckReport("llt", instance, "verified")
+        j = t.index[mu]
+        c = (ONE - Q) ** (n - len(mu)) * r.shift(-nstat(mu))
+        for i, row in enumerate(t.kf):
+            if row[j]:
+                sums[i] = sums[i] + c * row[j]
+    form1 = {conjugate(la): s.shift(a) for la, s in zip(t.parts, sums)}
+    form2 = {la: s.invert_q() for la, s in zip(t.parts, sums)}
+    return (SymFunc._trusted(n, "schur", form1),
+            SymFunc._trusted(n, "schur", form2))
+
+
+def _llt_reports(members, f: SymFunc) -> list[list[CheckReport]]:
+    """check_llt's report for each path of members, all of which have the
+    word function f in monomials, as ints at q = 2^bits.
+
+    Both forms come from one vector, S[la] = sum over mu of
+    (1 - q)^(n - l(mu)) q^(-n(mu)) r_mu K_la,mu(q).  Form omega holds when
+    LLT's Schur coefficient at conjugate(la) is q^area S[la], and form
+    tilde when its coefficient at la, with q inverted, is S[la].
+
+    LLT's Schur vector is solved against the integer kostka once, from f
+    and from f with q inverted and times q^E, E its top degree: kostka has
+    no q, so inverting q commutes with the solve.  Each member packs
+    T = q^D S, with D = n(n-1)/2 the largest n(mu), as the sum over its
+    types of r_mu times _packed_llt_weight times column mu of kf.  Every
+    compared int is then a polynomial's value: q^D times LLT's coefficient
+    at conjugate(la) against q^area T[la], and q^(D+E) times LLT's at la
+    with q inverted against q^E T[la].
+
+    The width bounds every coefficient of both sides: the L1 norms of f
+    pushed through the solve with kostka, and for each member the sum over
+    mu of 2^(n - l(mu)) times r_mu's L1 norm times the norms of kf's
+    column mu.  A factor past the width, or with a negative power of q,
+    raises ValueError.  The SymFunc route is rebuilt only to write the
+    report of a member whose ints differ.
+    """
+    n = len(members[0])
+    t = symfunc.transitions(n)
+    vec = [f.coeffs.get(la, ZERO) for la in t.parts]
+    top = max(c.max_exp for c in vec)
+    bounds = _solve_bound([c.l1_norm() for c in vec], t.kostka)
+    rooks = []
+    for gamma in members:
+        rpolys = type_polynomials(gamma)
+        bounds.append(_weighted_kf_bound(
+            [(t.index[mu], r.l1_norm() << n - len(mu))
+             for mu, r in rpolys.items()], t))
+        rooks.append((gamma, rpolys))
+    bits = _width(max(bounds + [_llt_bound(n)]))
+    offset = bits * n * (n - 1) // 2
+    lhs = _solve([pack_signed(c, bits) for c in vec], t.kostka)
+    omega_lhs = [lhs[i] << offset for i in _conjugates(n)]
+    tilde_lhs = [x << offset for x in _solve(
+        [pack_signed(c.invert_q().shift(top), bits) for c in vec],
+        t.kostka)]
+    kf = t.packed("kf", bits)
+    out = []
+    for gamma, rpolys in rooks:
+        a = area(gamma)
+        weights = [(t.index[mu], pack(r, bits) * _packed_llt_weight(mu, bits))
+                   for mu, r in rpolys.items()]
+        packed = [sum(w * row[j] for j, w in weights if row[j]) for row in kf]
+        instance = f"heights={format_heights(gamma)}"
+        if (omega_lhs == [v << bits * a for v in packed]
+                and tilde_lhs == [v << bits * top for v in packed]):
+            out.append([CheckReport("llt", instance, "verified")])
+            continue
+        schur = f.to_basis("schur")
+        report = CheckReport("llt", instance, "verified")
+        for form, rhs in zip(("omega", "tilde"), _llt_forms(gamma, rpolys)):
+            if schur != rhs:
+                report = CheckReport("llt", instance + f";form={form}",
+                                     "counterexample", lhs=str(schur),
+                                     rhs=str(rhs))
+                break
+        out.append([report])
+    return out
 
 
 def check_llt(gamma) -> CheckReport:
     """Both closed forms of the word generating function from placement
     data: one through the transposed q-Whittaker transforms, one through
-    their inverted-q normalizations."""
-    return _llt_report(gamma, _llt_side(gamma))
+    their inverted-q normalizations.
+
+    Both forms are compared as ints at q = 2^bits (_llt_reports): LLT's
+    packed vector, and its q-reversal, solved against the integer Kostka
+    matrix, and one vector q^D S summed from packed r_mu against packed
+    Kostka-Foulkes columns.  Evaluation is a ring homomorphism and the
+    solve is division-free, so the ints are the sides' values.  bits bounds
+    every coefficient of both (_width): LLT's L1 norms pushed through the
+    solve with Kostka's, and 2^(n - l(mu)) times r_mu's L1 norm times kf's
+    norms.  Equal ints then prove equal polynomials, and unequal ints a
+    counterexample, written from the Laurent polynomials.
+    """
+    return _llt_reports((gamma,), llt_poly(gamma))[0][0]
 
 
 @cache
@@ -263,7 +507,7 @@ def _principal_reports(members, alpha_max: int,
                        for p, r in by_parts.items()) for k in ks]
         at_one += [math.prod(k - ai for ai in aseq) for k in ks if k > top]
         rooks.append((gamma, aseq, by_parts, top))
-    bits = max(at_one, default=0).bit_length() + 1
+    bits = _width(max(at_one, default=0))
     direct = principal_from_x(x, alpha_max, bits)
     out = []
     for gamma, aseq, by_parts, top in rooks:
@@ -305,11 +549,9 @@ def _task_reports(task) -> list[list[CheckReport]]:
     orbit's coloring side is computed once, from its first member."""
     kind = task[0]
     if kind == "main":
-        lhs = _main_side(task[1][0])
-        return [[_main_report(g, lhs)] for g in task[1]]
+        return _main_reports(task[1], chromatic_x(task[1][0]))
     if kind == "llt":
-        lhs = _llt_side(task[1][0])
-        return [[_llt_report(g, lhs)] for g in task[1]]
+        return _llt_reports(task[1], llt_poly(task[1][0]))
     if kind == "principal":
         return _principal_reports(task[1], task[2],
                                   chromatic_x(task[1][0]).coeffs)
@@ -376,9 +618,9 @@ def sweep_tasks(n_max: int, identities) -> list[tuple]:
 
 
 def conversion_degrees(n_max: int, identities) -> range:
-    """The degrees in which a sweep of these identities changes basis, each
-    time through the P basis: every size for main and llt, n + k <= 5 for
-    the function level of mult, none for modular and principal."""
+    """The degrees whose P-basis data a sweep of these identities reads:
+    every size for main and llt, n + k <= 5 for the function level of mult,
+    none for modular and principal."""
     ids = set(identities)
     if ids & {"main", "llt"}:
         return range(n_max + 1)
@@ -418,15 +660,17 @@ def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
     min(jobs, tasks) worker processes start, and none for a single
     task."""
     tasks = sweep_tasks(n_max, identities)
-    # Build the P-basis matrix of every degree the checks convert in, and
-    # Kostka-Foulkes where llt reads it (through hl_h), before any worker
-    # starts, so that forked workers inherit them instead of each building
-    # them again.
+    # Build the P-basis matrix of every degree the checks read, and the
+    # tables main and llt compare against at the width of their size,
+    # before any worker starts, so that forked workers inherit them instead
+    # of each building them again.
     for n in conversion_degrees(n_max, identities):
         t = transitions(n)
         t.pm
+        if "main" in identities:
+            t.packed("pm", _width(_main_bound(n)))
         if "llt" in identities:
-            t.kf
+            t.packed("kf", _width(_llt_bound(n)))
     workers = min(jobs, len(tasks))
     if workers <= 1:
         chunks = [_task_reports(t) for t in tasks]

@@ -2,8 +2,11 @@
 cells listed as sets, dominance order, e_k and 1 in the monomial basis,
 the exact value of a Laurent polynomial and of a symmetric function at
 rational points, a Hall-Littlewood P evaluated straight from its
-symmetrization formula, single coefficients of a Laurent polynomial, and
-the readers of the package's JSON forms.
+symmetrization formula, the inverse of qseries.pack_signed, single
+coefficients of a Laurent polynomial, the
+readers of the package's JSON forms, and the Schur-basis transforms that
+check_llt's right side is built from one type at a time (omega, hl_h,
+hl_h_tilde, llt_forms), the oracle of its packed Kostka-Foulkes columns.
 
 The package never lists edges or cells (the coloring DP reads each vertex's
 window, the rook DP each row's open columns), so these are independent of
@@ -14,10 +17,10 @@ import itertools
 from fractions import Fraction
 
 from rookhl.dyck import area
-from rookhl.partitions import check_partition, multiplicities, nstat
-from rookhl.qseries import ONE, Q, QLaurent, q_factorial, q_power
+from rookhl.partitions import check_partition, conjugate, multiplicities, nstat
+from rookhl.qseries import ONE, Q, QLaurent, from_int, q_factorial, q_power
 from rookhl.rook import type_polynomials
-from rookhl.symfunc import SymFunc, _padded_orbits, hl_h, hl_h_tilde, omega
+from rookhl.symfunc import SymFunc, _padded_orbits, transitions
 
 
 def edges(gamma: tuple[int, ...]) -> set[tuple[int, int]]:
@@ -133,6 +136,19 @@ def hl_direct_oracle(mu, xs, q0) -> Fraction:
     return total / denom
 
 
+def unpack_signed(value: int, bits: int) -> QLaurent:
+    """The polynomial with coefficients strictly between -2**(bits-1) and
+    2**(bits-1) whose value at q = 2**bits is value: it inverts
+    qseries.pack_signed, reading one balanced digit at a time."""
+    half = 1 << bits >> 1
+    coeffs = []
+    while value:
+        c = (value + half) % (1 << bits) - half
+        coeffs.append(c)
+        value = (value - c) >> bits
+    return QLaurent(0, coeffs)
+
+
 def coeff(p: QLaurent, exp: int) -> int:
     """Coefficient of q**exp in p."""
     i = exp - p.min_exp
@@ -151,6 +167,43 @@ def symfunc_from_json(obj: dict) -> SymFunc:
     return SymFunc(int(obj["degree"]), obj["basis"],
                    {tuple(e["part"]): qlaurent_from_json(e["poly"])
                     for e in obj["coeffs"]})
+
+
+def subtract(f: SymFunc, g: SymFunc) -> SymFunc:
+    """f - g, for matching degree and basis."""
+    return f + g.scale(from_int(-1))
+
+
+def map_coeffs(f: SymFunc, fn) -> SymFunc:
+    """f with fn applied to every coefficient."""
+    return SymFunc(f.degree, f.basis,
+                   {la: fn(c) for la, c in f.coeffs.items()})
+
+
+def omega(f: SymFunc) -> SymFunc:
+    """The involution transposing every Schur index (q is untouched)."""
+    s = f.to_basis("schur")
+    return SymFunc(s.degree, "schur",
+                   {conjugate(la): c for la, c in s.coeffs.items()})
+
+
+def hl_h(mu) -> SymFunc:
+    """The q-Whittaker-side transform of P: sum of Kostka-Foulkes
+    polynomials against Schur functions for the given content mu."""
+    mu = check_partition(tuple(mu))
+    n = sum(mu)
+    t = transitions(n)
+    j = t.index[mu]
+    return SymFunc(n, "schur",
+                   {la: t.kf[i][j] for i, la in enumerate(t.parts)
+                    if t.kf[i][j]})
+
+
+def hl_h_tilde(mu) -> SymFunc:
+    """hl_h with q inverted and renormalized to polynomial coefficients."""
+    mu = check_partition(tuple(mu))
+    shift = nstat(mu)
+    return map_coeffs(hl_h(mu), lambda c: c.invert_q().shift(shift))
 
 
 def llt_forms(gamma) -> tuple[SymFunc, SymFunc]:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rookhl.qseries import (
-    QLaurent, ZERO, ONE, Q, from_int, q_power, exact_div, pack, unpack,
-    q_int, q_factorial, q_binomial, q_falling,
+    QLaurent, ZERO, ONE, Q, from_int, q_power, exact_div, pack, pack_signed,
+    unpack, q_int, q_factorial, q_binomial, q_falling,
 )
-from reference import coeff, q_eval, qlaurent_from_json
+from reference import coeff, q_eval, qlaurent_from_json, unpack_signed
 
 
 laurents = st.builds(
@@ -151,6 +151,44 @@ def test_pack_round_trips_and_is_a_homomorphism(shift, coeffs, bits):
         assert pack(p, bits) ** 2 == pack(square, bits)
         assert unpack(pack(p, bits) ** 2, bits) == square
     assert pack(ZERO, 1) == 0 and unpack(0, 1) == ZERO
+
+
+signed = st.lists(st.integers(min_value=-2 ** 20, max_value=2 ** 20),
+                  max_size=6)
+
+
+@given(st.integers(min_value=0, max_value=4), signed, signed,
+       st.integers(min_value=22, max_value=70))
+def test_pack_signed_round_trips_and_is_a_homomorphism(shift, coeffs, other,
+                                                        bits):
+    p, r = QLaurent(shift, coeffs), QLaurent(0, other)
+    assert pack_signed(p, bits) == sum(c << bits * (shift + i)
+                                       for i, c in enumerate(coeffs))
+    assert unpack_signed(pack_signed(p, bits), bits) == p
+    # Sums and products pack to the sums and products of the packed
+    # values, which unpack while their coefficients stay in range.
+    limit = 1 << bits - 1
+    for value, poly in ((pack_signed(p, bits) + pack_signed(r, bits), p + r),
+                        (pack_signed(p, bits) * pack_signed(r, bits), p * r)):
+        if all(-limit < c < limit for c in poly.coeffs):
+            assert value == pack_signed(poly, bits)
+            assert unpack_signed(value, bits) == poly
+    if coeffs and min(coeffs) >= 0:
+        assert pack_signed(p, bits) == pack(p, bits)
+
+
+def test_pack_signed_raises_where_the_value_would_not_determine_it():
+    assert pack_signed(QLaurent(0, (-3, 3, 0, -1)), 3) == \
+        -3 + (3 << 3) - (1 << 9)
+    assert unpack_signed(-3 + (3 << 3) - (1 << 9), 3) == \
+        QLaurent(0, (-3, 3, 0, -1))
+    for p, bits in ((QLaurent(-1, (1,)), 8),          # negative power of q
+                    (QLaurent(0, (1, -4)), 3),        # -4 = -2^(3-1)
+                    (QLaurent(0, (4,)), 3),           # 4 = 2^(3-1)
+                    (-ONE, 1),
+                    (ONE, 0)):
+        with pytest.raises(ValueError, match="cannot pack"):
+            pack_signed(p, bits)
 
 
 def test_pack_raises_where_the_value_would_not_determine_the_polynomial():

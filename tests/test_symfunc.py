@@ -10,12 +10,10 @@ from rookhl.partitions import conjugate, enumerate_partitions, nstat
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, from_int, q_power
 from rookhl import symfunc
 from rookhl.rook import hl_coefficients
-from rookhl.symfunc import (
-    Transitions, transitions, SymFunc, omega, hl_h, hl_h_tilde,
-    multiply,
-)
+from rookhl.symfunc import Transitions, transitions, SymFunc, multiply
 from reference import (
-    elementary, evaluate, hl_direct_oracle, one, q_eval, symfunc_from_json,
+    elementary, evaluate, hl_direct_oracle, hl_h, hl_h_tilde, omega, one,
+    q_eval, subtract, symfunc_from_json, unpack_signed,
 )
 from tableaux import (
     ssyt, reading_word, charge_word, charge, kostka, kostka_foulkes,
@@ -283,7 +281,7 @@ def test_checked_constructor_rejects_what_the_trusted_one_skips():
     g = SymFunc(2, "monomial", {(2,): ONE, (1, 1): Q})
     f = chromatic_x((2, 2, 4, 4, 5))
     for built in (f, f.to_basis("hl_p"), f.to_basis("schur"), g + g,
-                  g - g, g.scale(Q), g.scale(ZERO)):
+                  subtract(g, g), g.scale(Q), g.scale(ZERO)):
         assert built == SymFunc(built.degree, built.basis, built.coeffs)
         assert all(built.coeffs.values())
 
@@ -323,7 +321,7 @@ def test_add_scale():
     f = SymFunc(2, "monomial", {(2,): ONE})
     g = SymFunc(2, "monomial", {(2,): ONE, (1, 1): Q})
     assert (f + g).coeffs == {(2,): from_int(2), (1, 1): Q}
-    assert (g - g) == SymFunc.zero(2)
+    assert subtract(g, g) == SymFunc.zero(2)
     assert g.scale(2).coefficient((1, 1)) == 2 * Q
     assert g.scale(ZERO) == SymFunc.zero(2)
 
@@ -359,6 +357,32 @@ def test_hl_h_and_tilde():
     assert hl_h_tilde((1, 1)) == SymFunc(2, "schur", {(2,): ONE, (1, 1): Q})
     assert hl_h_tilde((1, 1, 1)) == SymFunc(3, "schur", {
         (3,): ONE, (2, 1): QLaurent(1, (1, 1)), (1, 1, 1): q_power(3)})
+
+
+def test_packed_and_norm_tables_are_read_off_the_matrices():
+    # check_llt reads hl_h(mu) as column mu of kf, omega(hl_h(mu)) as that
+    # column at conjugate rows, and hl_h_tilde(mu) as it with q inverted
+    # times q^n(mu); main and llt read pm and kf at q = 2^bits and bound
+    # them by the L1 norms of their entries.
+    for n in range(7):
+        t = transitions(n)
+        for bits in (24, 40):
+            for name in ("pm", "kf"):
+                packed, norms = t.packed(name, bits), t.norms(name)
+                assert t.packed(name, bits) is packed
+                for i, row in enumerate(getattr(t, name)):
+                    for j, p in enumerate(row):
+                        assert unpack_signed(packed[i][j], bits) == p
+                        assert norms[i][j] == sum(map(abs, p.coeffs))
+        for j, mu in enumerate(t.parts):
+            column = {la: unpack_signed(t.packed("kf", 24)[i][j], 24)
+                      for i, la in enumerate(t.parts)}
+            assert hl_h(mu) == SymFunc(n, "schur", column)
+            assert omega(hl_h(mu)) == SymFunc(
+                n, "schur", {conjugate(la): c for la, c in column.items()})
+            assert hl_h_tilde(mu) == SymFunc(
+                n, "schur", {la: c.invert_q().shift(nstat(mu))
+                             for la, c in column.items()})
 
 
 # -- presentation and JSON ----------------------------------------------------------

@@ -4,12 +4,15 @@ from functools import partial
 
 import pytest
 
-from rookhl.dyck import enumerate_dyck, modular_triples, reflect
+from rookhl.dyck import (
+    enumerate_dyck, format_heights, modular_triples, reflect,
+)
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, q_power
 from rookhl import chromatic, rook, symfunc, verify
 from rookhl.cli import main
 from rookhl.chromatic import chromatic_x, llt_poly, principal_direct
 from rookhl.rook import hl_coefficients, type_polynomials
+from rookhl.symfunc import SymFunc
 from rookhl.verify import (
     CheckReport, check_main, check_modular, check_multiplicativity,
     check_llt, check_principal, conversion_degrees, sweep, sweep_tasks,
@@ -96,6 +99,81 @@ def test_check_llt_reports_the_tilde_form_when_only_it_fails(monkeypatch):
             "(2,2,1): -2q^-3 + q^-2 - q^-1 + 6 + q\n"
             "(2,1,1,1): -2q^-2 + q^-1 + 3 + q + q^2\n"
             "(1,1,1,1,1): q^2")
+
+
+def symfunc_main(gamma):
+    """check_main's report by Laurent polynomials: X moved into the P basis
+    against the hl_coefficients."""
+    return verify._report(
+        "main", f"heights={format_heights(gamma)}",
+        chromatic_x(gamma).to_basis("hl_p"),
+        SymFunc(len(gamma), "hl_p", hl_coefficients(gamma)))
+
+
+def symfunc_llt(gamma):
+    """check_llt's report by Laurent polynomials: LLT moved into the Schur
+    basis against both forms, summed type by type through omega(hl_h(mu))
+    and hl_h_tilde(mu)."""
+    lhs = llt_poly(gamma).to_basis("schur")
+    instance = f"heights={format_heights(gamma)}"
+    for form, rhs in zip(("omega", "tilde"), llt_forms(gamma)):
+        if lhs != rhs:
+            return CheckReport("llt", instance + f";form={form}",
+                               "counterexample", lhs=str(lhs), rhs=str(rhs))
+    return CheckReport("llt", instance, "verified")
+
+
+@pytest.mark.parametrize("identity, gate, n_max", [
+    ("main", True, 7), ("main", False, 6),
+    ("llt", True, 6), ("llt", False, 6)])
+def test_packed_reports_equal_the_symfunc_route(monkeypatch, identity, gate,
+                                                n_max):
+    # The ints decide every verdict; the Laurent route only writes the
+    # counterexamples.  With the gate off most paths from n = 4 on fail,
+    # so the ints must differ exactly where the polynomials do.
+    monkeypatch.setattr(rook, "_type_polynomials",
+                        partial(rook._type_polynomials, gate=gate))
+    check, oracle = {"main": (check_main, symfunc_main),
+                     "llt": (check_llt, symfunc_llt)}[identity]
+    paths = paths_through(n_max)
+    reports = [check(g) for g in paths]
+    assert reports == [oracle(g) for g in paths]
+    assert all(r.ok for r in reports) == gate
+
+
+def test_paths_that_hold_never_take_the_laurent_route(monkeypatch):
+    # The ints decide alone: no path that holds moves X or LLT into
+    # another basis, or sums a form of LLT as Laurent polynomials.
+    def laurent(*args):
+        raise AssertionError(f"Laurent route taken for {args!r}")
+
+    monkeypatch.setattr(SymFunc, "to_basis", laurent)
+    monkeypatch.setattr(verify, "_llt_forms", laurent)
+    assert all(r.ok for r in sweep(6, {"main", "llt"}))
+
+
+@pytest.mark.parametrize("check", [check_main, check_llt])
+def test_a_width_narrower_than_the_bound_raises(monkeypatch, check):
+    # A width short of what the bounds call for, by any number of bits,
+    # must raise rather than return a verdict.
+    real = verify._bits
+    for short in range(1, 20):
+        monkeypatch.setattr(verify, "_bits",
+                            lambda bound: real(bound) - short)
+        with pytest.raises(ValueError, match="bits cannot hold"):
+            check(FIG_PATH)
+
+
+@pytest.mark.parametrize("check", [check_main, check_llt])
+def test_a_negative_power_of_q_in_a_rook_factor_raises(monkeypatch, check):
+    # The packed counterpart of hl_coefficient's check that a coefficient
+    # of P is a polynomial: such a factor raises instead of being packed.
+    monkeypatch.setattr(
+        verify, "type_polynomials",
+        lambda g: {mu: r.shift(-len(g) ** 2)
+                   for mu, r in type_polynomials(g).items()})
+    with pytest.raises(ValueError, match="negative power of q"):
+        check(FIG_PATH)
 
 
 def test_check_modular_chromatic_counterexample_names_the_type(monkeypatch):
@@ -371,7 +449,8 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
     real = symfunc._psi
     monkeypatch.setattr(symfunc, "_psi",
                         lambda la, nu: weighed.append(nu) or real(la, nu))
-    # The degrees whose P-basis and Kostka-Foulkes matrices are built when
+    # The degrees whose P-basis and Kostka-Foulkes matrices, and the
+    # (degree, matrix, width) of each packed table, that are built when
     # the first task starts, that is, by the warm-up.
     warm = []
     real_task = verify._task_reports
@@ -380,33 +459,52 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
         return {n for n, tr in symfunc._TRANSITIONS.items()
                 if name in vars(tr)}
 
+    def packed():
+        return {(n, name, bits) for n, tr in symfunc._TRANSITIONS.items()
+                for name, bits in tr._packed}
+
     def task(t):
         if not warm:
-            warm.append((built("pm"), built("kf")))
+            warm.append((built("pm"), built("kf"), packed()))
         return real_task(t)
+
+    def widths(name, bound, degrees):
+        return {(n, name, verify._width(bound(n))) for n in degrees}
 
     monkeypatch.setattr(verify, "_task_reports", task)
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(4, {"principal"})
     assert symfunc._TRANSITIONS == {}
     assert weighed == []
-    assert warm == [(set(), set())]
+    assert warm == [(set(), set(), set())]
     warm.clear()
     # Only llt reads Kostka-Foulkes; main and mult convert through pm.
+    # Only main and llt compare over packed tables, each at one width per
+    # degree, which every orbit of that degree uses.
     sweep(6, {"mult"})
     assert set(symfunc._TRANSITIONS) == set(range(6))
-    assert warm == [(set(range(6)), set())]
-    assert built("kf") == set()
+    assert warm == [(set(range(6)), set(), set())]
+    assert built("kf") == set() and packed() == set()
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(2, {"main", "modular"})
     assert set(symfunc._TRANSITIONS) == {0, 1, 2}
-    assert warm == [({0, 1, 2}, set())]
-    assert built("kf") == set()
+    main_tables = widths("pm", verify._main_bound, range(3))
+    assert warm == [({0, 1, 2}, set(), main_tables)]
+    assert built("kf") == set() and packed() == main_tables
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(3, {"llt", "mult"})
-    assert warm == [({0, 1, 2, 3}, {0, 1, 2, 3})]
+    llt_tables = widths("kf", verify._llt_bound, range(4))
+    assert warm == [({0, 1, 2, 3}, {0, 1, 2, 3}, llt_tables)]
+    assert packed() == llt_tables
+    warm.clear()
+    monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
+    sweep(6, {"main", "llt"})
+    tables = (widths("pm", verify._main_bound, range(7))
+              | widths("kf", verify._llt_bound, range(7)))
+    assert warm == [(set(range(7)), set(range(7)), tables)]
+    assert packed() == tables
 
 
 def _start_method_pool(monkeypatch, method):
@@ -419,22 +517,27 @@ def _start_method_pool(monkeypatch, method):
 
 
 def test_parallel_sweep_builds_kf_in_the_parent_only(monkeypatch, tmp_path):
-    # The warm-up builds every P-basis matrix before the pool starts; forked
-    # workers inherit them and weigh no strip themselves.  Fork is named
-    # explicitly: only forked workers see this monkeypatch.
+    # The warm-up builds every P-basis matrix, and every packed table main
+    # and llt compare against, before the pool starts; forked workers
+    # inherit them, and weigh no strip and pack no table themselves.  Fork
+    # is named explicitly: only forked workers see this monkeypatch.
     _start_method_pool(monkeypatch, "fork")
     log = tmp_path / "pids"
-    real = symfunc._psi
 
-    def logged(la, nu):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(la, nu)
+    def logged(name, real):
+        def call(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(symfunc, "_psi", logged)
+    monkeypatch.setattr(symfunc, "_psi", logged("psi", symfunc._psi))
+    monkeypatch.setattr(symfunc, "pack_signed",
+                        logged("packed", symfunc.pack_signed))
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     assert all(r.ok for r in sweep(4, {"main", "llt", "mult"}, jobs=2))
-    assert set(log.read_text().split()) == {str(os.getpid())}
+    assert set(log.read_text().splitlines()) == {
+        f"psi {os.getpid()}", f"packed {os.getpid()}"}
 
 
 @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
