@@ -9,7 +9,7 @@ exact equality of such polynomials.
 
 from rookhl.qseries import (
     QLaurent, ZERO, ONE, Q, from_int, q_power, exact_div, pack, pack_signed,
-    unpack,
+    unpack, unpack_signed,
     q_int, q_factorial, q_binomial, q_falling,
 )
 from rookhl.partitions import (

@@ -255,6 +255,22 @@ def unpack(value: int, bits: int) -> QLaurent:
     return QLaurent(0, coeffs)
 
 
+def unpack_signed(value: int, bits: int) -> QLaurent:
+    """The polynomial with coefficients in [-2**(bits-1), 2**(bits-1))
+    whose value at q = 2**bits is value, read one balanced digit at a
+    time; it inverts pack_signed.  One bit holds only the zero
+    polynomial."""
+    if bits < 1 or bits == 1 and value:
+        raise ValueError(f"cannot unpack {value} in {bits} bits")
+    half = 1 << bits >> 1
+    coeffs = []
+    while value:
+        c = (value + half) % (1 << bits) - half
+        coeffs.append(c)
+        value = (value - c) >> bits
+    return QLaurent(0, coeffs)
+
+
 def exact_div(a: QLaurent, b: QLaurent) -> QLaurent:
     """Exact division a / b in the Laurent ring.
 

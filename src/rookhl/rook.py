@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from rookhl.dyck import area, check_heights
 from rookhl.partitions import check_partition, multiplicities, nstat
-from rookhl.qseries import QLaurent, ONE, ZERO, q_factorial, q_power
+from rookhl.qseries import QLaurent, ONE, ZERO, q_factorial, q_power, unpack
 
 
 def placements(gamma: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
@@ -158,9 +158,10 @@ def _type_polynomials(gamma, gate=True):
 
     Each state maps to its fc histogram packed into one int, `width` bits
     per fc value.  A count never exceeds n!, the number of choice
-    sequences (row d offers at most d choices), so slots never carry.
-    States that agree merge their histograms.  A final state's type is its
-    sorted positive ranks, the lengths of its chains.
+    sequences (row d offers at most d choices), so slots never carry and
+    qseries.unpack reads each type's histogram back.  States that agree
+    merge their histograms.  A final state's type is its sorted positive
+    ranks, the lengths of its chains.
 
     Reading row d's columns as a prefix needs heights that never decrease
     and never fall below the diagonal, so any other heights raise
@@ -196,15 +197,7 @@ def _type_polynomials(gamma, gate=True):
     for ranks, hist in states.items():
         mu = tuple(sorted((r for r in ranks if r > 0), reverse=True))
         by_type[mu] = by_type.get(mu, 0) + hist
-    mask = (1 << width) - 1
-    out = {}
-    for mu, hist in by_type.items():
-        counts = []
-        while hist:
-            counts.append(hist & mask)
-            hist >>= width
-        out[mu] = QLaurent(0, counts)
-    return out
+    return {mu: unpack(hist, width) for mu, hist in by_type.items()}
 
 
 @cache

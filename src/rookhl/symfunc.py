@@ -11,9 +11,9 @@ over the matrices evaluated at q = 2^bits (Transitions.packed), which is
 how verify compares its identities as ints.
 
 SymFunc(...) checks every key and coefficient it is given.  The results the
-package builds from keys it has already checked (basis changes, sums,
-scalings, the coloring DP's outputs) go through SymFunc._trusted, which
-checks nothing.
+package builds from keys it has already checked (basis changes, the
+coloring DP's outputs, the sides of verify's counterexamples) go through
+SymFunc._trusted, which checks nothing.
 """
 
 from __future__ import annotations
@@ -244,13 +244,6 @@ class SymFunc:
         f.coeffs = {la: c for la, c in coeffs.items() if c}
         return f
 
-    @classmethod
-    def zero(cls, degree: int, basis: str = "monomial") -> "SymFunc":
-        return cls(degree, basis, {})
-
-    def coefficient(self, la) -> QLaurent:
-        return self.coeffs.get(tuple(la), ZERO)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -259,21 +252,6 @@ class SymFunc:
             return NotImplemented
         return (self.degree == other.degree and self.basis == other.basis
                 and self.coeffs == other.coeffs)
-
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        if self.degree != other.degree or self.basis != other.basis:
-            raise ValueError("can only add matching degree and basis")
-        out = dict(self.coeffs)
-        for la, c in other.coeffs.items():
-            out[la] = out.get(la, ZERO) + c
-        return SymFunc._trusted(self.degree, self.basis, out)
-
-    def scale(self, poly) -> "SymFunc":
-        if isinstance(poly, int):
-            poly = from_int(poly)
-        return SymFunc._trusted(
-            self.degree, self.basis,
-            {la: c * poly for la, c in self.coeffs.items()})
 
     def to_basis(self, target: str) -> "SymFunc":
         if target not in BASES:

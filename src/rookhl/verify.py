@@ -17,15 +17,15 @@ main, llt and principal compare Python ints: every polynomial evaluated at
 q = 2^bits (qseries.pack, pack_signed).  Evaluation is a ring homomorphism
 and the basis changes are division-free substitutions (symfunc._solve), so
 both sides are computed from packed inputs and tables (Transitions.packed)
-without a Laurent polynomial.  bits comes from a bound on every
-coefficient either side can have: the coloring side's L1 norms pushed
-through the solve, and each member's own rook side.  Each coefficient is
-then below 2^(bits-1), so equal ints prove equal polynomials, and unequal
-ints a counterexample (_width).  A polynomial the width does not hold, or
-with a negative power of q, raises ValueError.  Only a member whose ints
-differ is rebuilt as Laurent polynomials, to write its report.  main and
-llt pack at least at the width that bounds every path of the size, so the
-sweep packs their tables before it fans out, once per degree.
+without a Laurent polynomial.  Each orbit packs at its own width, from a
+bound on every coefficient either side can have (the coloring side's L1
+norms pushed through the solve, and each member's own rook side) and on
+every entry of the table it packs (Transitions.norms).  Each coefficient
+is then below 2^(bits-1), so equal ints prove equal polynomials, and
+unequal ints a counterexample (_width), written from the same ints
+(qseries.unpack_signed, pack_signed's inverse on that range).  A
+polynomial the width does not hold, or with a negative power of q, raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -48,11 +48,9 @@ from rookhl.partitions import (
 )
 from rookhl.qseries import (
     QLaurent, ZERO, ONE, Q, pack, pack_signed, q_binomial, q_falling, q_int,
-    q_power, unpack,
+    q_power, unpack, unpack_signed,
 )
-from rookhl.rook import (
-    hl_coefficient, hl_coefficients, mult_factorials, type_polynomials,
-)
+from rookhl.rook import hl_coefficients, mult_factorials, type_polynomials
 from rookhl import symfunc
 from rookhl.symfunc import SymFunc, _solve, multiply, transitions
 
@@ -87,7 +85,7 @@ def _bits(bound: int) -> int:
 
 def _width(bound: int) -> int:
     """The width main, llt and principal pack at, from a bound on every
-    coefficient they compare.
+    coefficient they compare and every entry of the tables they pack.
 
     Each coefficient is then below 2^(bits-1), so the difference of two
     compared polynomials has every coefficient strictly between -2^bits
@@ -118,62 +116,45 @@ def _solve_bound(vec, norms) -> list[int]:
     return x
 
 
-def _words(la) -> int:
-    """The words of content la: a bound at q = 1 on the coefficient of m_la
-    in X and in LLT of any path, which count some of those words."""
-    return math.factorial(sum(la)) // math.prod(map(math.factorial, la))
-
-
-def _set_partitions(mu) -> int:
-    """The set partitions of {1..n} into blocks of sizes mu: a bound on
-    r_mu(1) for any path, as the chains of a placement are one."""
-    return _words(mu) // math.prod(map(math.factorial,
-                                       multiplicities(mu).values()))
-
-
 @cache
 def _packed_mult_factorials(mu, bits) -> int:
     return pack(mult_factorials(mu), bits)
 
 
-@cache
-def _main_bound(n: int) -> int:
-    """A bound on every coefficient main compares on any path of size n,
-    from _words and _set_partitions.  An orbit packs at the width of this
-    bound or of its own, whichever is wider, so that every orbit of a size
-    uses the pm the warm-up packed.  It also bounds every coefficient of
-    pm and of each product of [m]_q!, so those pack at that width too."""
-    t = symfunc.transitions(n)
-    words = [_words(la) for la in t.parts]
-    return max(_solve_bound(words, t.norms("pm")) + words)
+def _unpacked(t, values, bits) -> dict:
+    """The polynomial at each partition la of t.parts whose value at
+    q = 2^bits is la's entry of values."""
+    return {la: unpack_signed(v, bits) for la, v in zip(t.parts, values)}
 
 
-def _main_reports(members, x: SymFunc) -> list[list[CheckReport]]:
-    """check_main's report for each path of members, all of which have the
-    chromatic function x, as ints at q = 2^bits.
+def _main_reports(members, x) -> list[list[CheckReport]]:
+    """check_main's report for each path of members, all of which have X's
+    monomial coefficients x, as ints at q = 2^bits.
 
     X's monomial vector is solved against pm once.  Each member's
     coefficient of P_mu is q^(area - n(mu)) r_mu times the product of
     [m]_q! over the multiplicities of mu, and is packed from its own
-    type polynomials.  The width bounds every coefficient of both sides:
-    X's coefficients' L1 norms pushed through the solve with those of pm,
-    and r_mu's L1 norm times the product of m!, that factor at q = 1.
-    A factor past the width, or with a negative power of q (an r_mu that
-    makes the coefficient no polynomial), raises ValueError.  The SymFunc
-    route is rebuilt only to write the report of a member whose ints
-    differ.
+    type polynomials.  The width bounds every coefficient of both sides and
+    every entry of pm: X's coefficients' L1 norms pushed through the solve
+    with those of pm, r_mu's L1 norm times the product of m!, that factor
+    at q = 1, and the largest L1 norm in pm.  A factor past the width, or
+    with a negative power of q (an r_mu that makes the coefficient no
+    polynomial), raises ValueError.  A member whose ints differ is
+    reported with both sides unpacked from them.
     """
     n = len(members[0])
     t = symfunc.transitions(n)
-    vec = [x.coeffs.get(la, ZERO) for la in t.parts]
-    bounds = _solve_bound([c.l1_norm() for c in vec], t.norms("pm"))
+    norms = t.norms("pm")
+    vec = [x.get(la, ZERO) for la in t.parts]
+    bounds = _solve_bound([c.l1_norm() for c in vec], norms)
+    bounds.append(max(map(max, norms)))
     rooks = []
     for gamma in members:
         rpolys = type_polynomials(gamma)
         bounds += [r.l1_norm() * mult_factorials(mu).at_one()
                    for mu, r in rpolys.items()]
         rooks.append((gamma, rpolys))
-    bits = _width(max(bounds + [_main_bound(n)]))
+    bits = _width(max(bounds))
     lhs = _solve([pack_signed(c, bits) for c in vec], t.packed("pm", bits))
     out = []
     for gamma, rpolys in rooks:
@@ -186,10 +167,10 @@ def _main_reports(members, x: SymFunc) -> list[list[CheckReport]]:
         if lhs == rhs:
             out.append([CheckReport("main", instance, "verified")])
         else:
-            coeffs = {mu: hl_coefficient(gamma, mu, r)
-                      for mu, r in rpolys.items()}
-            out.append([_report("main", instance, x.to_basis("hl_p"),
-                                SymFunc(n, "hl_p", coeffs))])
+            out.append([CheckReport(
+                "main", instance, "counterexample",
+                *(str(SymFunc._trusted(n, "hl_p", _unpacked(t, side, bits)))
+                  for side in (lhs, rhs)))])
     return out
 
 
@@ -198,16 +179,10 @@ def check_main(gamma) -> CheckReport:
     expansion pushed into the P basis must equal the placement-derived
     coefficients.
 
-    Both sides are compared as ints at q = 2^bits (_main_reports): X's
-    packed monomial vector solved against pm packed at that width, and the
-    packed r_mu q^(area - n(mu)) times the product of [m]_q!.  Evaluation
-    is a ring homomorphism and the solve is division-free, so the ints are
-    the two sides' values.  bits bounds every coefficient of both (_width):
-    X's L1 norms pushed through the solve with pm's, and r_mu's L1 norm
-    times the product of m!.  Equal ints then prove equal polynomials, and
-    unequal ints a counterexample, written from the Laurent polynomials.
+    Both sides are compared as ints at q = 2^bits (_main_reports), at a
+    width that makes equal ints prove equal polynomials (_width).
     """
-    return _main_reports((gamma,), chromatic_x(gamma))[0][0]
+    return _main_reports((gamma,), chromatic_x(gamma).coeffs)[0][0]
 
 
 def check_modular(n: int, level: str) -> list[CheckReport]:
@@ -336,41 +311,9 @@ def _weighted_kf_bound(terms, t) -> int:
                for row in t.norms("kf"))
 
 
-@cache
-def _llt_bound(n: int) -> int:
-    """A bound on every coefficient llt compares on any path of size n,
-    from _words and _set_partitions.  An orbit packs at the width of this
-    bound or of its own, whichever is wider, so that every orbit of a size
-    uses the kf the warm-up packed.  It also bounds every coefficient of kf
-    and of each _packed_llt_weight, so those pack at that width too."""
-    t = symfunc.transitions(n)
-    words = [_words(la) for la in t.parts]
-    terms = [(j, _set_partitions(mu) << n - len(mu))
-             for j, mu in enumerate(t.parts)]
-    return max(*_solve_bound(words, t.kostka), _weighted_kf_bound(terms, t))
-
-
-def _llt_forms(gamma, rpolys) -> tuple[SymFunc, SymFunc]:
-    """check_llt's two right sides, in the Schur basis, from the Laurent
-    polynomials: q^area S at conjugate(la), and S with q inverted at la."""
-    n, a = len(gamma), area(gamma)
-    t = symfunc.transitions(n)
-    sums = [ZERO] * len(t.parts)
-    for mu, r in rpolys.items():
-        j = t.index[mu]
-        c = (ONE - Q) ** (n - len(mu)) * r.shift(-nstat(mu))
-        for i, row in enumerate(t.kf):
-            if row[j]:
-                sums[i] = sums[i] + c * row[j]
-    form1 = {conjugate(la): s.shift(a) for la, s in zip(t.parts, sums)}
-    form2 = {la: s.invert_q() for la, s in zip(t.parts, sums)}
-    return (SymFunc._trusted(n, "schur", form1),
-            SymFunc._trusted(n, "schur", form2))
-
-
-def _llt_reports(members, f: SymFunc) -> list[list[CheckReport]]:
+def _llt_reports(members, f) -> list[list[CheckReport]]:
     """check_llt's report for each path of members, all of which have the
-    word function f in monomials, as ints at q = 2^bits.
+    word function's monomial coefficients f, as ints at q = 2^bits.
 
     Both forms come from one vector, S[la] = sum over mu of
     (1 - q)^(n - l(mu)) q^(-n(mu)) r_mu K_la,mu(q).  Form omega holds when
@@ -386,18 +329,22 @@ def _llt_reports(members, f: SymFunc) -> list[list[CheckReport]]:
     at conjugate(la) against q^area T[la], and q^(D+E) times LLT's at la
     with q inverted against q^E T[la].
 
-    The width bounds every coefficient of both sides: the L1 norms of f
-    pushed through the solve with kostka, and for each member the sum over
-    mu of 2^(n - l(mu)) times r_mu's L1 norm times the norms of kf's
-    column mu.  A factor past the width, or with a negative power of q,
-    raises ValueError.  The SymFunc route is rebuilt only to write the
-    report of a member whose ints differ.
+    The width bounds every coefficient of both sides and every entry of kf:
+    the L1 norms of f pushed through the solve with kostka, for each
+    member the sum over mu of 2^(n - l(mu)) times r_mu's L1 norm times the
+    norms of kf's column mu, and the largest L1 norm in kf.  A factor past
+    the width, or with a negative power of q, raises ValueError.  A member
+    whose ints differ is reported with LLT's Schur coefficients and the
+    first form that fails unpacked from them: form omega at conjugate(la)
+    is T[la] times q^(area - D), and form tilde at la is T[la] times
+    q^(-D) with q inverted.
     """
     n = len(members[0])
     t = symfunc.transitions(n)
-    vec = [f.coeffs.get(la, ZERO) for la in t.parts]
+    vec = [f.get(la, ZERO) for la in t.parts]
     top = max(c.max_exp for c in vec)
     bounds = _solve_bound([c.l1_norm() for c in vec], t.kostka)
+    bounds.append(max(map(max, t.norms("kf"))))
     rooks = []
     for gamma in members:
         rpolys = type_polynomials(gamma)
@@ -405,11 +352,11 @@ def _llt_reports(members, f: SymFunc) -> list[list[CheckReport]]:
             [(t.index[mu], r.l1_norm() << n - len(mu))
              for mu, r in rpolys.items()], t))
         rooks.append((gamma, rpolys))
-    bits = _width(max(bounds + [_llt_bound(n)]))
-    offset = bits * n * (n - 1) // 2
+    bits = _width(max(bounds))
+    d = n * (n - 1) // 2
     lhs = _solve([pack_signed(c, bits) for c in vec], t.kostka)
-    omega_lhs = [lhs[i] << offset for i in _conjugates(n)]
-    tilde_lhs = [x << offset for x in _solve(
+    omega_lhs = [lhs[i] << bits * d for i in _conjugates(n)]
+    tilde_lhs = [x << bits * d for x in _solve(
         [pack_signed(c.invert_q().shift(top), bits) for c in vec],
         t.kostka)]
     kf = t.packed("kf", bits)
@@ -420,19 +367,21 @@ def _llt_reports(members, f: SymFunc) -> list[list[CheckReport]]:
                    for mu, r in rpolys.items()]
         packed = [sum(w * row[j] for j, w in weights if row[j]) for row in kf]
         instance = f"heights={format_heights(gamma)}"
-        if (omega_lhs == [v << bits * a for v in packed]
-                and tilde_lhs == [v << bits * top for v in packed]):
+        omega = omega_lhs == [v << bits * a for v in packed]
+        if omega and tilde_lhs == [v << bits * top for v in packed]:
             out.append([CheckReport("llt", instance, "verified")])
             continue
-        schur = f.to_basis("schur")
-        report = CheckReport("llt", instance, "verified")
-        for form, rhs in zip(("omega", "tilde"), _llt_forms(gamma, rpolys)):
-            if schur != rhs:
-                report = CheckReport("llt", instance + f";form={form}",
-                                     "counterexample", lhs=str(schur),
-                                     rhs=str(rhs))
-                break
-        out.append([report])
+        forms = _unpacked(t, packed, bits)
+        if not omega:
+            form, rhs = "omega", {conjugate(la): c.shift(a - d)
+                                  for la, c in forms.items()}
+        else:
+            form, rhs = "tilde", {la: c.shift(-d).invert_q()
+                                  for la, c in forms.items()}
+        out.append([CheckReport(
+            "llt", instance + f";form={form}", "counterexample",
+            str(SymFunc._trusted(n, "schur", _unpacked(t, lhs, bits))),
+            str(SymFunc._trusted(n, "schur", rhs)))])
     return out
 
 
@@ -441,17 +390,10 @@ def check_llt(gamma) -> CheckReport:
     data: one through the transposed q-Whittaker transforms, one through
     their inverted-q normalizations.
 
-    Both forms are compared as ints at q = 2^bits (_llt_reports): LLT's
-    packed vector, and its q-reversal, solved against the integer Kostka
-    matrix, and one vector q^D S summed from packed r_mu against packed
-    Kostka-Foulkes columns.  Evaluation is a ring homomorphism and the
-    solve is division-free, so the ints are the sides' values.  bits bounds
-    every coefficient of both (_width): LLT's L1 norms pushed through the
-    solve with Kostka's, and 2^(n - l(mu)) times r_mu's L1 norm times kf's
-    norms.  Equal ints then prove equal polynomials, and unequal ints a
-    counterexample, written from the Laurent polynomials.
+    Both forms are compared as ints at q = 2^bits (_llt_reports), at a
+    width that makes equal ints prove equal polynomials (_width).
     """
-    return _llt_reports((gamma,), llt_poly(gamma))[0][0]
+    return _llt_reports((gamma,), llt_poly(gamma).coeffs)[0][0]
 
 
 @cache
@@ -549,9 +491,9 @@ def _task_reports(task) -> list[list[CheckReport]]:
     orbit's coloring side is computed once, from its first member."""
     kind = task[0]
     if kind == "main":
-        return _main_reports(task[1], chromatic_x(task[1][0]))
+        return _main_reports(task[1], chromatic_x(task[1][0]).coeffs)
     if kind == "llt":
-        return _llt_reports(task[1], llt_poly(task[1][0]))
+        return _llt_reports(task[1], llt_poly(task[1][0]).coeffs)
     if kind == "principal":
         return _principal_reports(task[1], task[2],
                                   chromatic_x(task[1][0]).coeffs)
@@ -661,16 +603,17 @@ def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
     task."""
     tasks = sweep_tasks(n_max, identities)
     # Build the P-basis matrix of every degree the checks read, and the
-    # tables main and llt compare against at the width of their size,
-    # before any worker starts, so that forked workers inherit them instead
-    # of each building them again.
+    # entry norms main and llt take their widths from, before any worker
+    # starts, so that forked workers inherit them instead of each building
+    # them again.  A table is packed where an orbit first asks for its
+    # width.
     for n in conversion_degrees(n_max, identities):
         t = transitions(n)
         t.pm
         if "main" in identities:
-            t.packed("pm", _width(_main_bound(n)))
+            t.norms("pm")
         if "llt" in identities:
-            t.packed("kf", _width(_llt_bound(n)))
+            t.norms("kf")
     workers = min(jobs, len(tasks))
     if workers <= 1:
         chunks = [_task_reports(t) for t in tasks]

@@ -2,8 +2,9 @@
 cells listed as sets, dominance order, e_k and 1 in the monomial basis,
 the exact value of a Laurent polynomial and of a symmetric function at
 rational points, a Hall-Littlewood P evaluated straight from its
-symmetrization formula, the inverse of qseries.pack_signed, single
-coefficients of a Laurent polynomial, the
+symmetrization formula, single coefficients of a Laurent polynomial and
+of a symmetric function, the sum, scaling and difference of symmetric
+functions and the zero one, the
 readers of the package's JSON forms, and the Schur-basis transforms that
 check_llt's right side is built from one type at a time (omega, hl_h,
 hl_h_tilde, llt_forms), the oracle of its packed Kostka-Foulkes columns.
@@ -18,7 +19,9 @@ from fractions import Fraction
 
 from rookhl.dyck import area
 from rookhl.partitions import check_partition, conjugate, multiplicities, nstat
-from rookhl.qseries import ONE, Q, QLaurent, from_int, q_factorial, q_power
+from rookhl.qseries import (
+    ONE, Q, ZERO, QLaurent, from_int, q_factorial, q_power,
+)
 from rookhl.rook import type_polynomials
 from rookhl.symfunc import SymFunc, _padded_orbits, transitions
 
@@ -136,19 +139,6 @@ def hl_direct_oracle(mu, xs, q0) -> Fraction:
     return total / denom
 
 
-def unpack_signed(value: int, bits: int) -> QLaurent:
-    """The polynomial with coefficients strictly between -2**(bits-1) and
-    2**(bits-1) whose value at q = 2**bits is value: it inverts
-    qseries.pack_signed, reading one balanced digit at a time."""
-    half = 1 << bits >> 1
-    coeffs = []
-    while value:
-        c = (value + half) % (1 << bits) - half
-        coeffs.append(c)
-        value = (value - c) >> bits
-    return QLaurent(0, coeffs)
-
-
 def coeff(p: QLaurent, exp: int) -> int:
     """Coefficient of q**exp in p."""
     i = exp - p.min_exp
@@ -169,9 +159,37 @@ def symfunc_from_json(obj: dict) -> SymFunc:
                     for e in obj["coeffs"]})
 
 
+def zero(degree: int, basis: str = "monomial") -> SymFunc:
+    """The zero function of a degree."""
+    return SymFunc(degree, basis, {})
+
+
+def coefficient(f: SymFunc, la) -> QLaurent:
+    """f's coefficient at the partition la, zero where f has none."""
+    return f.coeffs.get(tuple(la), ZERO)
+
+
+def add(f: SymFunc, g: SymFunc) -> SymFunc:
+    """f + g, for matching degree and basis."""
+    if f.degree != g.degree or f.basis != g.basis:
+        raise ValueError("can only add matching degree and basis")
+    out = dict(f.coeffs)
+    for la, c in g.coeffs.items():
+        out[la] = out.get(la, ZERO) + c
+    return SymFunc._trusted(f.degree, f.basis, out)
+
+
+def scale(f: SymFunc, poly) -> SymFunc:
+    """f with every coefficient times poly (a QLaurent or an int)."""
+    if isinstance(poly, int):
+        poly = from_int(poly)
+    return SymFunc._trusted(f.degree, f.basis,
+                            {la: c * poly for la, c in f.coeffs.items()})
+
+
 def subtract(f: SymFunc, g: SymFunc) -> SymFunc:
     """f - g, for matching degree and basis."""
-    return f + g.scale(from_int(-1))
+    return add(f, scale(g, -1))
 
 
 def map_coeffs(f: SymFunc, fn) -> SymFunc:
@@ -211,11 +229,11 @@ def llt_forms(gamma) -> tuple[SymFunc, SymFunc]:
     basis, summed type by type from the path's type polynomials: through
     omega(hl_h(mu)), and through hl_h_tilde(mu)."""
     n, a = len(gamma), area(gamma)
-    form1 = SymFunc.zero(n, "schur")
-    form2 = SymFunc.zero(n, "schur")
+    form1 = zero(n, "schur")
+    form2 = zero(n, "schur")
     for mu, r in type_polynomials(gamma).items():
         c1 = ((ONE - Q) ** (n - len(mu))) * q_power(a - nstat(mu)) * r
-        form1 = form1 + omega(hl_h(mu)).scale(c1)
+        form1 = add(form1, scale(omega(hl_h(mu)), c1))
         c2 = ((ONE - q_power(-1)) ** (n - len(mu))) * r.invert_q()
-        form2 = form2 + hl_h_tilde(mu).scale(c2)
+        form2 = add(form2, scale(hl_h_tilde(mu), c2))
     return form1, form2

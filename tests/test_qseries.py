@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from rookhl.qseries import (
     QLaurent, ZERO, ONE, Q, from_int, q_power, exact_div, pack, pack_signed,
-    unpack, q_int, q_factorial, q_binomial, q_falling,
+    unpack, unpack_signed, q_int, q_factorial, q_binomial, q_falling,
 )
-from reference import coeff, q_eval, qlaurent_from_json, unpack_signed
+from reference import coeff, q_eval, qlaurent_from_json
 
 
 laurents = st.builds(
@@ -189,6 +189,12 @@ def test_pack_signed_raises_where_the_value_would_not_determine_it():
                     (ONE, 0)):
         with pytest.raises(ValueError, match="cannot pack"):
             pack_signed(p, bits)
+    # At one bit only 0 unpacks: the balanced digits of any other value
+    # would never run out.
+    assert unpack_signed(0, 1) == ZERO
+    for value, bits in ((1, 1), (-1, 1), (0, 0)):
+        with pytest.raises(ValueError, match="cannot unpack"):
+            unpack_signed(value, bits)
 
 
 def test_pack_raises_where_the_value_would_not_determine_the_polynomial():

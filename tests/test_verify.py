@@ -17,7 +17,7 @@ from rookhl.verify import (
     CheckReport, check_main, check_modular, check_multiplicativity,
     check_llt, check_principal, conversion_degrees, sweep, sweep_tasks,
 )
-from reference import llt_forms
+from reference import llt_forms, scale
 
 FIG_PATH = (2, 2, 4, 4, 5)
 
@@ -143,13 +143,48 @@ def test_packed_reports_equal_the_symfunc_route(monkeypatch, identity, gate,
 
 def test_paths_that_hold_never_take_the_laurent_route(monkeypatch):
     # The ints decide alone: no path that holds moves X or LLT into
-    # another basis, or sums a form of LLT as Laurent polynomials.
+    # another basis.  Nor does a counterexample: with the gate off, every
+    # report is written from the compared ints, and reads as the Laurent
+    # route's.
     def laurent(*args):
         raise AssertionError(f"Laurent route taken for {args!r}")
 
+    paths = paths_through(5)
+    monkeypatch.setattr(rook, "_type_polynomials",
+                        partial(rook._type_polynomials, gate=False))
+    broken = ([symfunc_main(g) for g in paths]
+              + [symfunc_llt(g) for g in paths])
     monkeypatch.setattr(SymFunc, "to_basis", laurent)
-    monkeypatch.setattr(verify, "_llt_forms", laurent)
+    assert sweep(5, {"main", "llt"}) == broken
+    assert sum(not r.ok for r in broken) > len(paths)
+    monkeypatch.undo()
+    monkeypatch.setattr(SymFunc, "to_basis", laurent)
     assert all(r.ok for r in sweep(6, {"main", "llt"}))
+
+
+def test_the_width_holds_every_entry_of_the_table_it_packs(monkeypatch):
+    # X = e_5 = P_(1^5), LLT = m_(1^5), and a rook side of type (5) for
+    # main and of no type for llt: every coefficient either side has is at
+    # most 1, and 2 bits hold it.  pm's and kf's entries reach L1 norms 26
+    # and 6 at n = 5, so the width must cover the table it packs too, for
+    # each check to report rather than raise.  llt's rook side has no type
+    # because a type's own column of kf is always covered, its weight in
+    # the bound being at least 1: only the columns no type reads need the
+    # table's term.
+    t = symfunc.transitions(5)
+    assert max(map(max, t.norms("pm"))) == 26
+    assert max(map(max, t.norms("kf"))) == 6
+    tiny = SymFunc(5, "monomial", {(1, 1, 1, 1, 1): ONE})
+    monkeypatch.setattr(verify, "chromatic_x", lambda g: tiny)
+    monkeypatch.setattr(verify, "llt_poly", lambda g: tiny)
+    monkeypatch.setattr(verify, "type_polynomials", lambda g: {(5,): ONE})
+    assert check_main(FIG_PATH) == CheckReport(
+        "main", "heights=2,2,4,4,5", "counterexample",
+        lhs="(1,1,1,1,1): 1", rhs="(5): q^2")
+    monkeypatch.setattr(verify, "type_polynomials", lambda g: {})
+    assert check_llt(FIG_PATH) == CheckReport(
+        "llt", "heights=2,2,4,4,5;form=omega", "counterexample",
+        lhs="(1,1,1,1,1): 1", rhs="0")
 
 
 @pytest.mark.parametrize("check", [check_main, check_llt])
@@ -350,7 +385,7 @@ def test_check_principal_bounds_every_route(monkeypatch, side):
     big = 3 ** 30
     if side == "direct":
         monkeypatch.setattr(verify, "chromatic_x",
-                            lambda g: chromatic_x(g).scale(big))
+                            lambda g: scale(chromatic_x(g), big))
     else:
         monkeypatch.setattr(
             verify, "type_polynomials",
@@ -450,7 +485,7 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
     monkeypatch.setattr(symfunc, "_psi",
                         lambda la, nu: weighed.append(nu) or real(la, nu))
     # The degrees whose P-basis and Kostka-Foulkes matrices, and the
-    # (degree, matrix, width) of each packed table, that are built when
+    # (degree, matrix) of each table of entry norms, that are built when
     # the first task starts, that is, by the warm-up.
     warm = []
     real_task = verify._task_reports
@@ -459,17 +494,17 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
         return {n for n, tr in symfunc._TRANSITIONS.items()
                 if name in vars(tr)}
 
-    def packed():
-        return {(n, name, bits) for n, tr in symfunc._TRANSITIONS.items()
-                for name, bits in tr._packed}
+    def normed():
+        return {(n, name) for n, tr in symfunc._TRANSITIONS.items()
+                for name in tr._norms}
 
     def task(t):
         if not warm:
-            warm.append((built("pm"), built("kf"), packed()))
+            warm.append((built("pm"), built("kf"), normed()))
         return real_task(t)
 
-    def widths(name, bound, degrees):
-        return {(n, name, verify._width(bound(n))) for n in degrees}
+    def norms(name, degrees):
+        return {(n, name) for n in degrees}
 
     monkeypatch.setattr(verify, "_task_reports", task)
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
@@ -479,32 +514,29 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
     assert warm == [(set(), set(), set())]
     warm.clear()
     # Only llt reads Kostka-Foulkes; main and mult convert through pm.
-    # Only main and llt compare over packed tables, each at one width per
-    # degree, which every orbit of that degree uses.
+    # Only main and llt take their widths from the entry norms, of pm and
+    # of kf.
     sweep(6, {"mult"})
     assert set(symfunc._TRANSITIONS) == set(range(6))
     assert warm == [(set(range(6)), set(), set())]
-    assert built("kf") == set() and packed() == set()
+    assert built("kf") == set() and normed() == set()
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(2, {"main", "modular"})
     assert set(symfunc._TRANSITIONS) == {0, 1, 2}
-    main_tables = widths("pm", verify._main_bound, range(3))
-    assert warm == [({0, 1, 2}, set(), main_tables)]
-    assert built("kf") == set() and packed() == main_tables
+    assert warm == [({0, 1, 2}, set(), norms("pm", range(3)))]
+    assert built("kf") == set() and normed() == norms("pm", range(3))
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(3, {"llt", "mult"})
-    llt_tables = widths("kf", verify._llt_bound, range(4))
-    assert warm == [({0, 1, 2, 3}, {0, 1, 2, 3}, llt_tables)]
-    assert packed() == llt_tables
+    assert warm == [({0, 1, 2, 3}, {0, 1, 2, 3}, norms("kf", range(4)))]
+    assert normed() == norms("kf", range(4))
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(6, {"main", "llt"})
-    tables = (widths("pm", verify._main_bound, range(7))
-              | widths("kf", verify._llt_bound, range(7)))
+    tables = norms("pm", range(7)) | norms("kf", range(7))
     assert warm == [(set(range(7)), set(range(7)), tables)]
-    assert packed() == tables
+    assert normed() == tables
 
 
 def _start_method_pool(monkeypatch, method):
@@ -517,10 +549,10 @@ def _start_method_pool(monkeypatch, method):
 
 
 def test_parallel_sweep_builds_kf_in_the_parent_only(monkeypatch, tmp_path):
-    # The warm-up builds every P-basis matrix, and every packed table main
-    # and llt compare against, before the pool starts; forked workers
-    # inherit them, and weigh no strip and pack no table themselves.  Fork
-    # is named explicitly: only forked workers see this monkeypatch.
+    # The warm-up builds every P-basis and Kostka-Foulkes matrix the checks
+    # read before the pool starts; forked workers inherit them, and weigh
+    # no strip themselves.  Fork is named explicitly: only forked workers
+    # see this monkeypatch.
     _start_method_pool(monkeypatch, "fork")
     log = tmp_path / "pids"
 
@@ -532,12 +564,9 @@ def test_parallel_sweep_builds_kf_in_the_parent_only(monkeypatch, tmp_path):
         return call
 
     monkeypatch.setattr(symfunc, "_psi", logged("psi", symfunc._psi))
-    monkeypatch.setattr(symfunc, "pack_signed",
-                        logged("packed", symfunc.pack_signed))
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     assert all(r.ok for r in sweep(4, {"main", "llt", "mult"}, jobs=2))
-    assert set(log.read_text().splitlines()) == {
-        f"psi {os.getpid()}", f"packed {os.getpid()}"}
+    assert set(log.read_text().splitlines()) == {f"psi {os.getpid()}"}
 
 
 @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
