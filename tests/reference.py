@@ -7,7 +7,10 @@ of a symmetric function, the sum, scaling and difference of symmetric
 functions and the zero one, the
 readers of the package's JSON forms, and the Schur-basis transforms that
 check_llt's right side is built from one type at a time (omega, hl_h,
-hl_h_tilde, llt_forms), the oracle of its packed Kostka-Foulkes columns.
+hl_h_tilde, llt_forms), the oracle of its packed Kostka-Foulkes columns,
+and check_multiplicativity's coefficient level as a scan over every pair
+of a type and a partition (mult_by_pair_scan), the oracle of its strip
+walk.
 
 The package never lists edges or cells (the coloring DP reads each vertex's
 window, the rook DP each row's open columns), so these are independent of
@@ -17,13 +20,17 @@ how it walks a path.
 import itertools
 from fractions import Fraction
 
-from rookhl.dyck import area
-from rookhl.partitions import check_partition, conjugate, multiplicities, nstat
+from rookhl.dyck import area, complete_path, concat, format_heights
+from rookhl.partitions import (
+    check_partition, conjugate, enumerate_partitions, format_partition,
+    is_vertical_strip, multiplicities, nstat,
+)
 from rookhl.qseries import (
     ONE, Q, ZERO, QLaurent, from_int, q_factorial, q_power,
 )
 from rookhl.rook import type_polynomials
 from rookhl.symfunc import SymFunc, _padded_orbits, transitions
+from rookhl.verify import CheckReport, _report, _strip_factor
 
 
 def edges(gamma: tuple[int, ...]) -> set[tuple[int, int]]:
@@ -237,3 +244,24 @@ def llt_forms(gamma) -> tuple[SymFunc, SymFunc]:
         c2 = ((ONE - q_power(-1)) ** (n - len(mu))) * r.invert_q()
         form2 = add(form2, scale(hl_h_tilde(mu), c2))
     return form1, form2
+
+
+def mult_by_pair_scan(gamma, k) -> list[CheckReport]:
+    """check_multiplicativity's coefficient-level reports, one per
+    partition nu of n + k, each summing r_mu times the strip factor over
+    every type mu of gamma that passes the is_vertical_strip filter."""
+    n = len(gamma)
+    small = type_polynomials(gamma)
+    big = type_polynomials(concat(gamma, complete_path(k)))
+    base = f"heights={format_heights(gamma)};k={k}"
+    present = [(mu, small[mu]) for mu in enumerate_partitions(n)
+               if mu in small]
+    reports = []
+    for nu in enumerate_partitions(n + k):
+        rhs = ZERO
+        for mu, r in present:
+            if is_vertical_strip(nu, mu):
+                rhs = rhs + r * _strip_factor(nu, mu, k)
+        reports.append(_report("mult", base + f";type={format_partition(nu)}",
+                               big.get(nu, ZERO), rhs))
+    return reports

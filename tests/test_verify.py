@@ -7,6 +7,7 @@ import pytest
 from rookhl.dyck import (
     enumerate_dyck, format_heights, modular_triples, reflect,
 )
+from rookhl.partitions import conjugate, enumerate_partitions
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, q_power
 from rookhl import chromatic, rook, symfunc, verify
 from rookhl.cli import main
@@ -17,7 +18,7 @@ from rookhl.verify import (
     CheckReport, check_main, check_modular, check_multiplicativity,
     check_llt, check_principal, conversion_degrees, sweep, sweep_tasks,
 )
-from reference import llt_forms, scale
+from reference import is_vertical_strip, llt_forms, mult_by_pair_scan, scale
 
 FIG_PATH = (2, 2, 4, 4, 5)
 
@@ -270,6 +271,33 @@ def test_check_multiplicativity_small_sizes():
                 assert reports[0].identity == "mult.function"
     with pytest.raises(ValueError):
         check_multiplicativity((1,), 0)
+
+
+@pytest.mark.parametrize("gate", [True, False])
+def test_mult_walks_exactly_the_vertical_strips(monkeypatch, gate):
+    # The vertical k-strips of mu are the conjugates of the horizontal
+    # k-strips of mu', each met once.
+    for size in range(8):
+        for mu in enumerate_partitions(size):
+            for k in (1, 2, 3):
+                walked = [conjugate(nu_c) for nu_c in
+                          symfunc._horizontal_strips(conjugate(mu), k)]
+                assert len(set(walked)) == len(walked)
+                assert set(walked) == {
+                    nu for nu in enumerate_partitions(size + k)
+                    if is_vertical_strip(nu, mu)}
+    # Whole reports, counterexamples with the gate off included, equal
+    # those of the scan over every pair of a type and a partition.
+    if not gate:
+        monkeypatch.setattr(rook, "_type_polynomials",
+                            partial(rook._type_polynomials, gate=False))
+    failed = 0
+    for k in (1, 2, 3):
+        for gamma in paths_through(7 - k):
+            reports = check_multiplicativity(gamma, k)
+            assert reports == mult_by_pair_scan(gamma, k)
+            failed += sum(not r.ok for r in reports)
+    assert (failed > 0) == (not gate)
 
 
 def test_check_llt_small_sizes():
