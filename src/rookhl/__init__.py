@@ -8,14 +8,13 @@ exact equality of such polynomials.
 """
 
 from rookhl.qseries import (
-    QLaurent, ZERO, ONE, Q, from_int, q_power, exact_div, pack, pack_signed,
+    QLaurent, ZERO, ONE, Q, from_int, q_power, pack, pack_signed,
     unpack, unpack_signed,
     q_int, q_factorial, q_binomial, q_falling,
 )
 from rookhl.partitions import (
     is_partition, check_partition, enumerate_partitions, conjugate,
-    nstat, multiplicities, is_vertical_strip,
-    parse_partition, format_partition,
+    nstat, multiplicities, parse_partition, format_partition,
 )
 from rookhl.dyck import (
     from_heights, parse_heights, format_heights, enumerate_dyck,
@@ -24,7 +23,7 @@ from rookhl.dyck import (
 )
 from rookhl.rook import (
     placements, placement_type, RankTables, rank_tables, free_cells,
-    r_poly, type_polynomials, hl_coefficient, hl_coefficients,
+    type_polynomials, hl_coefficients,
 )
 from rookhl.symfunc import (
     Transitions, transitions, SymFunc, coefficient_line, multiply,

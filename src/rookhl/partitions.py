@@ -59,18 +59,6 @@ def multiplicities(la: tuple[int, ...]) -> Counter:
     return Counter(la)
 
 
-def is_vertical_strip(nu: tuple[int, ...], mu: tuple[int, ...]) -> bool:
-    """True when nu/mu is a vertical strip: mu fits inside nu and each row
-    grows by at most one box."""
-    n = max(len(nu), len(mu))
-    for i in range(n):
-        a = nu[i] if i < len(nu) else 0
-        b = mu[i] if i < len(mu) else 0
-        if not (b <= a <= b + 1):
-            return False
-    return True
-
-
 def parse_partition(text: str) -> tuple[int, ...]:
     """Parse '3,2,1' into (3, 2, 1); '-' or '' is the empty partition."""
     text = text.strip()

@@ -2,8 +2,8 @@
 
 QLaurent is the universal coefficient type of this package: every statistic
 generating function, transition-matrix entry, and identity check is built
-from it.  There is no floating point and no tolerance anywhere; division is
-exact polynomial division that fails hard on a nonzero remainder.
+from it.  There is no floating point, no tolerance and no polynomial
+division anywhere.
 """
 
 from __future__ import annotations
@@ -271,40 +271,6 @@ def unpack_signed(value: int, bits: int) -> QLaurent:
     return QLaurent(0, coeffs)
 
 
-def exact_div(a: QLaurent, b: QLaurent) -> QLaurent:
-    """Exact division a / b in the Laurent ring.
-
-    Raises ValueError if b is zero or the division leaves a remainder
-    (including non-integer quotient coefficients).  Exactness is a
-    correctness tripwire: every quotient taken in this package is provably
-    remainder-free, so a remainder means a bug upstream.
-    """
-    if not b.coeffs:
-        raise ValueError("division by the zero polynomial")
-    if not a.coeffs:
-        return ZERO
-    # Work with plain coefficient vectors; track the exponent shift.
-    num = list(a.coeffs)
-    den = list(b.coeffs)
-    shift = a.min_exp - b.min_exp
-    if len(num) < len(den):
-        raise ValueError("inexact polynomial division (degree too small)")
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead != 0:
-            raise ValueError("inexact polynomial division (leading term)")
-        t = c // lead
-        out[i] = t
-        if t:
-            for j, d in enumerate(den):
-                num[i + j] -= t * d
-    if any(num):
-        raise ValueError("inexact polynomial division (nonzero remainder)")
-    return QLaurent(shift, out)
-
-
 def q_int(n: int) -> QLaurent:
     """[n]_q = 1 + q + ... + q^(n-1).  [0]_q = 0."""
     if n < 0:
@@ -323,10 +289,16 @@ def q_factorial(n: int) -> QLaurent:
 
 
 def q_binomial(n: int, k: int) -> QLaurent:
-    """Gaussian binomial [n]_q! / ([k]_q! [n-k]_q!), by exact division."""
+    """Gaussian binomial [n]_q! / ([k]_q! [n-k]_q!), built row by row of
+    q-Pascal's triangle, [m, j] = [m-1, j-1] + q^j [m-1, j], keeping the
+    entries j <= k of one row."""
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"q_binomial undefined for n={n}, k={k}")
-    return exact_div(q_factorial(n), q_factorial(k) * q_factorial(n - k))
+    row = [ONE] + [ZERO] * k
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            row[j] = row[j - 1] + row[j].shift(j)
+    return row[k]
 
 
 def q_falling(alpha: int, k: int) -> QLaurent:

@@ -23,8 +23,8 @@ from functools import cache
 from typing import NamedTuple
 
 from rookhl.dyck import area, check_heights
-from rookhl.partitions import check_partition, multiplicities, nstat
-from rookhl.qseries import QLaurent, ONE, ZERO, q_factorial, q_power, unpack
+from rookhl.partitions import multiplicities, nstat
+from rookhl.qseries import QLaurent, ONE, q_factorial, unpack
 
 
 def placements(gamma: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
@@ -124,17 +124,10 @@ def free_cells(gamma, placement, gate=True) -> set[tuple[int, int]]:
     return free
 
 
-def r_poly(gamma: tuple[int, ...], mu: tuple[int, ...]) -> QLaurent:
-    """Sum of q^fc over placements of type mu on the board of gamma."""
-    n = len(gamma)
-    if sum(check_partition(mu)) != n:
-        raise ValueError(f"type {mu} does not partition {n}")
-    return type_polynomials(gamma).get(mu, ZERO)
-
-
 def type_polynomials(gamma: tuple[int, ...]) -> dict[tuple[int, ...], QLaurent]:
-    """r_poly for every type in one pass of the transfer DP.  Types with no
-    placement are absent.
+    """The sum of q^fc over the placements of each type, r_mu, for every
+    type in one pass of the transfer DP.  Types with no placement are
+    absent.
 
     The DP is _type_polynomials, looked up at call time so that it can be
     replaced with its column gate off.
@@ -210,24 +203,20 @@ def mult_factorials(mu: tuple[int, ...]) -> QLaurent:
     return poly
 
 
-def hl_coefficient(gamma: tuple[int, ...], mu: tuple[int, ...],
-                   r: QLaurent | None = None) -> QLaurent:
-    """Coefficient of the Hall-Littlewood P indexed by mu in the expansion
-    attached to gamma: q^(area - n(mu)) * r_poly * mult_factorials(mu).
-
-    Intermediate factors are Laurent; the result is always an honest
-    polynomial.  Pass r to reuse an already-computed r_poly.
-    """
-    if r is None:
-        r = r_poly(gamma, mu)
-    poly = q_power(area(gamma) - nstat(mu)) * r * mult_factorials(mu)
-    if not poly.is_polynomial():
-        raise ValueError(f"coefficient of {mu} for {gamma} is not a "
-                         f"polynomial: {poly}")
-    return poly
-
-
 def hl_coefficients(gamma: tuple[int, ...]) -> dict[tuple[int, ...], QLaurent]:
-    """hl_coefficient for every type present, from one pass of the DP."""
-    return {mu: hl_coefficient(gamma, mu, r)
-            for mu, r in type_polynomials(gamma).items()}
+    """The coefficient of the Hall-Littlewood P_mu in the expansion attached
+    to gamma, q^(area - n(mu)) r_mu mult_factorials(mu), for every type mu
+    present, from one pass of the DP.
+
+    The shift alone may leave negative powers of q; the product is always
+    an honest polynomial, and one that is not raises ValueError.
+    """
+    a = area(gamma)
+    out = {}
+    for mu, r in type_polynomials(gamma).items():
+        poly = r.shift(a - nstat(mu)) * mult_factorials(mu)
+        if not poly.is_polynomial():
+            raise ValueError(f"coefficient of {mu} for {gamma} is not a "
+                             f"polynomial: {poly}")
+        out[mu] = poly
+    return out

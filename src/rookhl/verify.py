@@ -43,8 +43,7 @@ from rookhl.dyck import (
     format_heights, modular_triples, reflect,
 )
 from rookhl.partitions import (
-    conjugate, enumerate_partitions, format_partition, is_vertical_strip,
-    multiplicities, nstat,
+    conjugate, enumerate_partitions, format_partition, multiplicities, nstat,
 )
 from rookhl.qseries import (
     QLaurent, ZERO, ONE, Q, pack, pack_signed, q_binomial, q_falling, q_int,
@@ -258,8 +257,10 @@ def check_multiplicativity(gamma, k: int,
 
     Coefficient level: each type polynomial of the extended path must be
     the vertical-strip-weighted sum of type polynomials of gamma (one
-    report per type).  Function level: the full P-basis expansions must
-    multiply (single report).
+    report per partition of n + k, zero sides included).  Each type mu of
+    gamma is added into the vertical k-strips nu of mu, walked as the
+    conjugates of the horizontal k-strips of mu'.  Function level: the
+    full P-basis expansions must multiply (single report).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -272,20 +273,15 @@ def check_multiplicativity(gamma, k: int,
         lhs = SymFunc(n + k, "hl_p", hl_coefficients(extended))
         rhs = multiply(y1, y2).to_basis("hl_p")
         return [_report("mult.function", base, lhs, rhs)]
-    small = type_polynomials(gamma)
     big = type_polynomials(extended)
-    present = [(mu, small[mu]) for mu in enumerate_partitions(n)
-               if mu in small]
-    reports = []
-    for nu in enumerate_partitions(n + k):
-        lhs = big.get(nu, ZERO)
-        rhs = ZERO
-        for mu, r in present:
-            if is_vertical_strip(nu, mu):
-                rhs = rhs + r * _strip_factor(nu, mu, k)
-        reports.append(_report(
-            "mult", base + f";type={format_partition(nu)}", lhs, rhs))
-    return reports
+    sums = {}
+    for mu, r in type_polynomials(gamma).items():
+        for nu_c in symfunc._horizontal_strips(conjugate(mu), k):
+            nu = conjugate(nu_c)
+            sums[nu] = sums.get(nu, ZERO) + r * _strip_factor(nu, mu, k)
+    return [_report("mult", base + f";type={format_partition(nu)}",
+                    big.get(nu, ZERO), sums.get(nu, ZERO))
+            for nu in enumerate_partitions(n + k)]
 
 
 @cache
@@ -559,18 +555,6 @@ def sweep_tasks(n_max: int, identities) -> list[tuple]:
     return tasks
 
 
-def conversion_degrees(n_max: int, identities) -> range:
-    """The degrees whose P-basis data a sweep of these identities reads:
-    every size for main and llt, n + k <= 5 for the function level of mult,
-    none for modular and principal."""
-    ids = set(identities)
-    if ids & {"main", "llt"}:
-        return range(n_max + 1)
-    if "mult" in ids:
-        return range(min(n_max, 5) + 1)
-    return range(0)
-
-
 # The process pool class of a sweep with jobs > 1, looked up when the sweep
 # runs.  None stands for multiprocessing.Pool, imported there, so that a
 # command which never fans out does not load multiprocessing.  Tests and
@@ -602,18 +586,16 @@ def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
     min(jobs, tasks) worker processes start, and none for a single
     task."""
     tasks = sweep_tasks(n_max, identities)
-    # Build the P-basis matrix of every degree the checks read, and the
-    # entry norms main and llt take their widths from, before any worker
-    # starts, so that forked workers inherit them instead of each building
-    # them again.  A table is packed where an orbit first asks for its
-    # width.
-    for n in conversion_degrees(n_max, identities):
-        t = transitions(n)
-        t.pm
+    # Build the entry norms main and llt take their widths from, and with
+    # them pm and kf, at every degree before any worker starts, so that
+    # forked workers inherit them instead of each building them again.  A
+    # table is packed where an orbit first asks for its width.  mult's
+    # function level reads degrees up to 5, built where first asked for.
+    for n in range(n_max + 1):
         if "main" in identities:
-            t.norms("pm")
+            transitions(n).norms("pm")
         if "llt" in identities:
-            t.norms("kf")
+            transitions(n).norms("kf")
     workers = min(jobs, len(tasks))
     if workers <= 1:
         chunks = [_task_reports(t) for t in tasks]

@@ -9,8 +9,8 @@ readers of the package's JSON forms, and the Schur-basis transforms that
 check_llt's right side is built from one type at a time (omega, hl_h,
 hl_h_tilde, llt_forms), the oracle of its packed Kostka-Foulkes columns,
 and check_multiplicativity's coefficient level as a scan over every pair
-of a type and a partition (mult_by_pair_scan), the oracle of its strip
-walk.
+of a type and a partition filtered by is_vertical_strip
+(mult_by_pair_scan), the oracle of its strip walk.
 
 The package never lists edges or cells (the coloring DP reads each vertex's
 window, the rook DP each row's open columns), so these are independent of
@@ -23,7 +23,7 @@ from fractions import Fraction
 from rookhl.dyck import area, complete_path, concat, format_heights
 from rookhl.partitions import (
     check_partition, conjugate, enumerate_partitions, format_partition,
-    is_vertical_strip, multiplicities, nstat,
+    multiplicities, nstat,
 )
 from rookhl.qseries import (
     ONE, Q, ZERO, QLaurent, from_int, q_factorial, q_power,
@@ -244,6 +244,18 @@ def llt_forms(gamma) -> tuple[SymFunc, SymFunc]:
         c2 = ((ONE - q_power(-1)) ** (n - len(mu))) * r.invert_q()
         form2 = add(form2, scale(hl_h_tilde(mu), c2))
     return form1, form2
+
+
+def is_vertical_strip(nu: tuple[int, ...], mu: tuple[int, ...]) -> bool:
+    """True when nu/mu is a vertical strip: mu fits inside nu and each row
+    grows by at most one box."""
+    n = max(len(nu), len(mu))
+    for i in range(n):
+        a = nu[i] if i < len(nu) else 0
+        b = mu[i] if i < len(mu) else 0
+        if not (b <= a <= b + 1):
+            return False
+    return True
 
 
 def mult_by_pair_scan(gamma, k) -> list[CheckReport]:

@@ -20,7 +20,7 @@ from rookhl.partitions import enumerate_partitions, multiplicities, nstat
 from rookhl.qseries import QLaurent, ZERO, ONE, q_factorial, q_power
 from rookhl import rook
 from rookhl.rook import (
-    hl_coefficient, placements, rank_tables, type_polynomials,
+    hl_coefficients, placements, rank_tables, type_polynomials,
 )
 from rookhl.symfunc import SymFunc, transitions
 from rookhl.verify import (
@@ -171,7 +171,7 @@ def test_criterion_8c_schur_positivity():
 def test_criterion_8d_full_factorial_type():
     for n in range(7):
         for gamma in enumerate_dyck(n):
-            assert hl_coefficient(gamma, (1,) * n) == q_factorial(n)
+            assert hl_coefficients(gamma)[(1,) * n] == q_factorial(n)
 
 
 def test_criterion_8e_charge_kostka_shape():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from functools import partial
@@ -202,6 +203,25 @@ def test_cli_import_leaves_dataclasses_out():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_benchmark_tracer_runs_a_sweep_with_unchanged_stdout(tmp_path):
+    # perfbench/tracer.py wraps package functions by name; a name it looks
+    # up that the package no longer has would break every traced run.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    args = ["verify", "--identity", "all", "--n-max", "3", "--jobs", "2"]
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"),
+         "--out", str(tmp_path / "spans.json"), "--workload", "t",
+         "--run", "0", "--", *args],
+        capture_output=True, text=True, env=env, cwd=root)
+    plain = subprocess.run([sys.executable, "-m", "rookhl", *args],
+                           capture_output=True, text=True, env=env, cwd=root)
+    assert traced.returncode == 0, traced.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert traced.stdout == plain.stdout
 
 
 def test_module_entry_point():

@@ -6,10 +6,9 @@ from hypothesis import given, strategies as st
 
 from rookhl.partitions import (
     enumerate_partitions, conjugate, nstat, multiplicities,
-    is_vertical_strip, parse_partition, format_partition,
-    is_partition, check_partition,
+    parse_partition, format_partition, is_partition, check_partition,
 )
-from reference import dominance_leq
+from reference import dominance_leq, is_vertical_strip
 
 
 @st.composite

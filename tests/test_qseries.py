@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rookhl.qseries import (
-    QLaurent, ZERO, ONE, Q, from_int, q_power, exact_div, pack, pack_signed,
+    QLaurent, ZERO, ONE, Q, from_int, q_power, pack, pack_signed,
     unpack, unpack_signed, q_int, q_factorial, q_binomial, q_falling,
 )
 from reference import coeff, q_eval, qlaurent_from_json
@@ -109,29 +109,6 @@ def test_invert_q_is_ring_hom(a, b):
 def test_invert_q_example():
     p = QLaurent(0, (1, 2, 0, 3))  # 1 + 2q + 3q^3
     assert p.invert_q() == QLaurent(-3, (3, 0, 2, 1))
-
-
-# -- exact division -----------------------------------------------------------
-
-@given(laurents, laurents)
-def test_exact_div_of_product(a, b):
-    if b:
-        assert exact_div(a * b, b) == a
-
-
-def test_exact_div_failures():
-    with pytest.raises(ValueError):
-        exact_div(ONE, ZERO)
-    with pytest.raises(ValueError):
-        exact_div(ONE + Q, Q * 2)          # non-integer quotient
-    with pytest.raises(ValueError):
-        exact_div(QLaurent(0, (1, 0, 1)), ONE + Q)   # remainder
-    with pytest.raises(ValueError):
-        exact_div(ONE, ONE + Q)            # degree too small
-
-
-def test_exact_div_laurent_shift():
-    assert exact_div(q_power(-3), q_power(-5)) == q_power(2)
 
 
 # -- q-combinatorics -----------------------------------------------------------
@@ -247,6 +224,15 @@ def test_q_binomial_against_subset_sums():
             expected = sum(q_power(e) * c for e, c in counts.items())
             assert q_binomial(n, k) == expected
     assert q_binomial(4, 2) == QLaurent(0, (1, 1, 2, 1, 1))
+
+
+def test_q_binomial_times_the_factorials_is_the_factorial():
+    # The Gaussian binomial's defining identity, at every size through 12
+    # and at one far past any sweep.
+    fact = [q_factorial(n) for n in range(41)]
+    for n in list(range(13)) + [40]:
+        for k in range(n + 1):
+            assert q_binomial(n, k) * fact[k] * fact[n - k] == fact[n]
 
 
 def test_q_binomial_domain_errors():

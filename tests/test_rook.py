@@ -8,13 +8,13 @@ import pytest
 from rookhl.dyck import (
     area, enumerate_dyck, complete_path, modular_triples,
 )
-from rookhl.partitions import enumerate_partitions
-from rookhl.qseries import QLaurent, ONE, q_factorial, q_power
+from rookhl.partitions import enumerate_partitions, multiplicities, nstat
+from rookhl.qseries import QLaurent, ONE, ZERO, q_factorial, q_power
 from rookhl import rook, verify
 from rookhl.cli import main
 from rookhl.rook import (
-    placements, placement_type, rank_tables, free_cells, r_poly,
-    type_polynomials, hl_coefficient, hl_coefficients,
+    placements, placement_type, rank_tables, free_cells, type_polynomials,
+    hl_coefficients,
 )
 from placement_oracle import (
     chains, enumerated_type_polynomials, extended_placement, fc,
@@ -138,16 +138,15 @@ def test_free_cells_avoid_rooks_and_stay_on_board():
 
 
 def test_r_poly_examples():
-    assert r_poly(FIG_PATH, (3, 2)) == QLaurent(0, (1, 2, 1))
-    assert r_poly(FIG_PATH, (1, 1, 1, 1, 1)) == q_power(8)
-    assert r_poly((), ()) == ONE
-    assert r_poly((1,), (1,)) == ONE
-    assert r_poly((1, 2), (2,)) == ONE          # single rook on (1, 2)
-    assert r_poly((1, 2), (1, 1)) == q_power(1)  # empty placement, one cell
-    with pytest.raises(ValueError):
-        r_poly((1, 2), (1,))
-    with pytest.raises(ValueError, match="not a partition"):
-        r_poly((1,), (True,))
+    fig = type_polynomials(FIG_PATH)
+    assert fig[(3, 2)] == QLaurent(0, (1, 2, 1))
+    assert fig[(1, 1, 1, 1, 1)] == q_power(8)
+    assert type_polynomials(()) == {(): ONE}
+    assert type_polynomials((1,)) == {(1,): ONE}
+    # A single rook on (1, 2), and the empty placement with one free cell.
+    assert type_polynomials((1, 2)) == {(2,): ONE, (1, 1): q_power(1)}
+    # No rook fits on (2, 2): type (2,) has no placement.
+    assert type_polynomials((2, 2)).get((2,), ZERO) == ZERO
 
 
 def test_type_polynomials_consistent():
@@ -157,21 +156,22 @@ def test_type_polynomials_consistent():
             # summing r(1) over types counts all placements
             assert sum(p.at_one() for p in table.values()) \
                 == len(placements(gamma))
-            for mu in enumerate_partitions(n):
-                assert table.get(mu, QLaurent()) == r_poly(gamma, mu)
+            assert set(table) <= set(enumerate_partitions(n))
 
 
 def test_hl_coefficient_examples():
-    assert hl_coefficient((1, 2), (1, 1)) == QLaurent(0, (1, 1))
-    assert hl_coefficient(FIG_PATH, (3, 2)) == QLaurent(0, (1, 2, 1))
-    assert hl_coefficient((), ()) == ONE
+    assert hl_coefficients((1, 2))[(1, 1)] == QLaurent(0, (1, 1))
+    assert hl_coefficients(FIG_PATH)[(3, 2)] == QLaurent(0, (1, 2, 1))
+    assert hl_coefficients(()) == {(): ONE}
 
 
-def test_hl_coefficient_raises_on_negative_power():
-    # A passed-in r that leaves a negative power of q is a broken input,
-    # caught by a raise that python -O keeps.
+def test_hl_coefficient_raises_on_negative_power(monkeypatch):
+    # A type polynomial that leaves a negative power of q is a broken
+    # input, caught by a raise that python -O keeps.
+    monkeypatch.setattr(rook, "_type_polynomials",
+                        lambda gamma, gate=True: {(1,): QLaurent(-3, (1,))})
     with pytest.raises(ValueError, match="not a polynomial"):
-        hl_coefficient((1,), (1,), QLaurent(-3, (1,)))
+        hl_coefficients((1,))
 
 
 def test_package_source_has_no_assert():
@@ -188,7 +188,7 @@ def test_hl_coefficient_at_single_column_type():
     # Type (1,...,1) always yields the full q-factorial.
     for n in range(6):
         for gamma in enumerate_dyck(n):
-            assert hl_coefficient(gamma, (1,) * n) == q_factorial(n)
+            assert hl_coefficients(gamma)[(1,) * n] == q_factorial(n)
 
 
 def test_hl_coefficients_are_polynomials():
@@ -197,7 +197,10 @@ def test_hl_coefficients_are_polynomials():
             for mu, poly in hl_coefficients(gamma).items():
                 assert poly.is_polynomial()
                 assert all(c >= 0 for c in poly.coeffs)
-                assert poly == hl_coefficient(gamma, mu)
+                assert poly == (q_power(area(gamma) - nstat(mu))
+                                * type_polynomials(gamma)[mu]
+                                * math.prod(q_factorial(m) for m in
+                                            multiplicities(mu).values()))
 
 
 def test_ungated_rule_differs_on_fig_path():
@@ -286,9 +289,7 @@ def test_gate_hook_reaches_every_rook_side_caller(monkeypatch, capsys):
     monkeypatch.setattr(rook, "_type_polynomials", recording)
     small = (2, 3, 3)
     calls = [
-        (lambda: r_poly(FIG_PATH, (3, 2)), {FIG_PATH}),
         (lambda: type_polynomials(FIG_PATH), {FIG_PATH}),
-        (lambda: hl_coefficient(FIG_PATH, (3, 2)), {FIG_PATH}),
         (lambda: hl_coefficients(FIG_PATH), {FIG_PATH}),
         (lambda: verify.check_main(FIG_PATH), {FIG_PATH}),
         (lambda: verify.check_llt(FIG_PATH), {FIG_PATH}),

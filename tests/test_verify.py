@@ -16,7 +16,7 @@ from rookhl.rook import hl_coefficients, type_polynomials
 from rookhl.symfunc import SymFunc
 from rookhl.verify import (
     CheckReport, check_main, check_modular, check_multiplicativity,
-    check_llt, check_principal, conversion_degrees, sweep, sweep_tasks,
+    check_llt, check_principal, sweep, sweep_tasks,
 )
 from reference import is_vertical_strip, llt_forms, mult_by_pair_scan, scale
 
@@ -202,7 +202,7 @@ def test_a_width_narrower_than_the_bound_raises(monkeypatch, check):
 
 @pytest.mark.parametrize("check", [check_main, check_llt])
 def test_a_negative_power_of_q_in_a_rook_factor_raises(monkeypatch, check):
-    # The packed counterpart of hl_coefficient's check that a coefficient
+    # The packed counterpart of hl_coefficients' check that a coefficient
     # of P is a polynomial: such a factor raises instead of being packed.
     monkeypatch.setattr(
         verify, "type_polynomials",
@@ -541,12 +541,12 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
     assert weighed == []
     assert warm == [(set(), set(), set())]
     warm.clear()
-    # Only llt reads Kostka-Foulkes; main and mult convert through pm.
-    # Only main and llt take their widths from the entry norms, of pm and
-    # of kf.
+    # Only main and llt are warmed: they take their widths from the entry
+    # norms, of pm and of kf.  mult's function level builds pm where it
+    # first converts, at degrees up to 5; only llt reads Kostka-Foulkes.
     sweep(6, {"mult"})
     assert set(symfunc._TRANSITIONS) == set(range(6))
-    assert warm == [(set(range(6)), set(), set())]
+    assert warm == [(set(), set(), set())]
     assert built("kf") == set() and normed() == set()
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
@@ -638,14 +638,6 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
         started.clear()
         assert sweep(n_max, ids, jobs=jobs) == sweep(n_max, ids)
         assert started == workers
-
-
-def test_conversion_degrees():
-    assert conversion_degrees(4, {"principal", "modular"}) == range(0)
-    assert conversion_degrees(7, {"mult"}) == range(6)
-    assert conversion_degrees(3, {"mult"}) == range(4)
-    assert conversion_degrees(7, {"llt", "mult"}) == range(8)
-    assert conversion_degrees(2, {"main"}) == range(3)
 
 
 def test_sweep_rejects_unknown_identity():
