@@ -2,18 +2,14 @@
 
 Vertices are the columns 1..n; the neighbors of a vertex below it form a
 contiguous window whose length is the area contribution of that column.
-One transfer DP serves the chromatic function X (Shareshian-Wachs ascents
-over proper colorings) and the unicellular LLT word sum.  It places one
-color class at a time, in increasing color order, so an ascent is counted
-when its larger vertex gets a color: exactly the window neighbors that
-already hold one are smaller-colored.  The state is the set of vertices
-colored so far, and each state carries its exponent histogram packed into
-one integer.
-
-One step, _add_class, gives the next color to every state, and one loop
-runs it: chromatic_x and llt_poly walk the partitions of n as a trie of
-parts, descending for X and ascending for LLT, so partitions with a common
-prefix share its states.
+One memoized recursion serves the chromatic function X (Shareshian-Wachs
+ascents over proper colorings) and the unicellular LLT word sum.  It takes
+color 1 to be a class I of the smallest part's size, an independent set
+for X and any vertex set for LLT, and leaves the rest to the path induced
+on the other vertices, where each vertex keeps the part of its window
+outside I.  The recursion is memoized on that path's area sequence, so the
+paths of a sweep share every induced path they meet, and each coefficient
+histogram is packed into one integer.
 
 The principal specialization, the colorings from 1..k weighted by
 q^(ascents + sum of (color - 1)), is read off X's monomial coefficients:
@@ -22,10 +18,10 @@ EC2 7.8).  principal_monomial is the second factor, a memoized pure
 function of (la, k), and principal_from_x sums the products for every k
 up to a bound, at q = 2^bits, as ints for verify's packed comparison.
 
-The tests compare the trie with a color-by-color driver of the same step,
-the DP and the principal route with a vertex-by-vertex recursion over the
-windows, and all of them with brute-force product enumerations that know
-nothing of windows.
+The tests compare the recursion with the color-by-color class DP of
+tests/class_dp.py, that DP and the principal route with a vertex-by-vertex
+recursion over the windows, and all of them with brute-force product
+enumerations that know nothing of windows.
 """
 
 from __future__ import annotations
@@ -38,123 +34,81 @@ from rookhl.qseries import ONE, ZERO, QLaurent, pack, unpack
 from rookhl.symfunc import SymFunc
 
 
-def _windows(gamma) -> list[int]:
-    """low[v]: bitmask of the window of vertex v (0-based), its neighbors
-    below it.  A window is contiguous only for heights that never decrease
-    and never fall below the diagonal, so other heights raise ValueError."""
+@cache
+def _induced_counts(aseq, proper, bits) -> list:
+    """[(la, histogram)] over every partition la of n with a nonzero
+    coefficient, for the path with area sequence aseq: the labelings
+    (colorings if proper, words if not) that use color c exactly la[c-1]
+    times, by ascents, packed `bits` bits per exponent from bit e*bits on.
+    The list runs by decreasing smallest part, so a reader of the entries
+    whose smallest part is at least p stops at the first below it.
+
+    The coefficients are symmetric in the order of the parts, so color 1
+    may take the smallest part p of la.  Its class I has p vertices, an
+    independent set if proper, and each window edge u < w with u in I and
+    w outside it is an ascent.  The rest is labeled as the path induced on
+    the vertices outside I: relabeled in order, w keeps the part of its
+    window outside I, again a window.  So la's count sums, over every such
+    I, q^ascents times the induced path's count for la minus p, an entry
+    whose smallest part is at least p: every la is built once, from its
+    smallest part.  Memoized on the area sequence, so every path shares
+    the induced paths it meets with every other.  No count exceeds n!,
+    the labelings by any content.
+    """
+    n = len(aseq)
+    if not n:
+        return [((), 1)]
+    low = [((1 << a) - 1) << (v - a) for v, a in enumerate(aseq)]
+    # The whole vertex set is one class, a part n.  Any other part p leaves
+    # n - p to parts of at least p, so p <= n / 2.
+    out = {} if proper and any(aseq) else {(n,): 1}
+    # Depth-first over the classes I, each vertex u added after those in
+    # I, and with proper set only if I holds none of u's window.
+    stack = [(0, 0, 0)]
+    while stack:
+        first, I, p = stack.pop()
+        if p < n // 2:
+            for u in range(first, n):
+                if not (proper and low[u] & I):
+                    stack.append((u + 1, I | 1 << u, p + 1))
+        if not p:
+            continue
+        rest, e = [], 0
+        for w, a in enumerate(aseq):
+            if not I >> w & 1:
+                k = (low[w] & I).bit_count()
+                rest.append(a - k)
+                e += k
+        for la, hist in _induced_counts(tuple(rest), proper, bits):
+            if la[-1] < p:
+                break
+            key = la + (p,)
+            out[key] = out.get(key, 0) + (hist << bits * e)
+    return sorted(out.items(), key=lambda item: -item[0][-1])
+
+
+def _coloring_coeffs(gamma, proper) -> dict:
+    """_induced_counts for gamma, unpacked into a fresh dict, so no caller
+    can change the memo.  One width serves every size up to 20 (20! <
+    2^64); a larger top size keys its own entries.  A window is contiguous
+    only for heights that never decrease and never fall below the
+    diagonal, so other heights raise ValueError."""
     check_heights(gamma)
-    return [((1 << a) - 1) << (v - a)
-            for v, a in enumerate(area_sequence(gamma))]
-
-
-def _add_class(states, low, cap, later, bits, proper):
-    """Give the next color to a class I of the uncolored vertices of every
-    state, leaving at most `later` of them to the colors after it.
-
-    states maps the bitmask S of the vertices colored so far to its
-    exponent histogram, `bits` bits per exponent e from bit e*bits on, and
-    so does the map returned for the vertices colored after it.  Coloring I
-    adds popcount(low[w] & S) for each w in I (its window below w holds
-    those smaller colors).  |I| runs from what the later colors cannot
-    hold up to cap; with proper set, I is independent.
-    """
-    n = len(low)
-    vertices = range(n)
-    full = (1 << n) - 1
-    grown = {}
-    for S, hist in states.items():
-        rest = full ^ S
-        left = rest.bit_count()
-        lo = left - later if left > later else 0
-        hi = cap if cap < left else left
-        if lo > hi:
-            continue
-        if lo == left:
-            # The later colors can hold nothing more: this class is rest.
-            e = 0
-            for v in vertices:
-                if rest >> v & 1:
-                    if proper and low[v] & rest:
-                        break
-                    e += (low[v] & S).bit_count()
-            else:
-                grown[full] = grown.get(full, 0) + (hist << bits * e)
-            continue
-        free = [v for v in vertices if rest >> v & 1]
-        # Depth-first over classes I, adding free[t] in increasing t;
-        # t stops where too few free vertices remain to reach lo.
-        stack = [(0, 0, 0, 0)]
-        while stack:
-            j, I, m, e = stack.pop()
-            if m >= lo:
-                T = S | I
-                grown[T] = grown.get(T, 0) + (hist << bits * e)
-            if m < hi:
-                for t in range(j, left - lo + m + 1 if m < lo else left):
-                    w = low[free[t]]
-                    if proper and w & I:
-                        continue
-                    stack.append((t + 1, I | 1 << free[t], m + 1,
-                                  e + (w & S).bit_count()))
-    return grown
-
-
-def _partition_counts(gamma, proper, ascending) -> dict:
-    """{la: coefficient of x^la} over every partition la of n with a
-    nonzero coefficient: the labelings (colorings if proper, words if not)
-    that use color c exactly la[c-1] times, weighted by q^ascents.
-
-    The partitions are walked as a trie of parts, ascending or descending:
-    a node holds the state map after its prefix of parts, and each child
-    adds one class to it with _add_class, so partitions with a common
-    prefix share its states.  Every state at a node whose prefix sums to s
-    has s vertices colored, so the class of a next part p, with n - s - p
-    vertices left to the parts after it, has exactly p vertices.  The
-    coefficients are symmetric, so the order of the parts does not change
-    them.  A leaf, whose parts sum to n, holds only the full set.  A child
-    with no state has no labeling below it, and is not walked.  A count
-    never exceeds n!, the labelings by any content.
-    """
-    low = _windows(gamma)
-    n = len(low)
-    full = (1 << n) - 1
-    bits = math.factorial(n).bit_length()
-    out = {}
-
-    def walk(states, parts, left):
-        if not left:
-            la = tuple(sorted(parts, reverse=True))
-            out[la] = unpack(states[full], bits)
-            return
-        if ascending:
-            least = parts[-1] if parts else 1
-            # A part above left / 2 leaves too little for a larger one.
-            sizes = [*range(least, left // 2 + 1), left]
-        else:
-            sizes = range(min(parts[-1] if parts else n, left), 0, -1)
-        for p in sizes:
-            grown = _add_class(states, low, p, left - p, bits, proper)
-            if grown:
-                walk(grown, parts + (p,), left - p)
-
-    walk({0: 1}, (), n)
-    return out
+    bits = max(64, math.factorial(len(gamma)).bit_length())
+    return {la: unpack(hist, bits) for la, hist in
+            _induced_counts(area_sequence(gamma), proper, bits)}
 
 
 def chromatic_x(gamma) -> SymFunc:
-    """The full coloring generating function in the monomial basis, from
-    one walk of the partition trie with the parts descending."""
-    return SymFunc._trusted(
-        len(gamma), "monomial",
-        _partition_counts(gamma, proper=True, ascending=False))
+    """The full coloring generating function in the monomial basis."""
+    return SymFunc._trusted(len(gamma), "monomial",
+                            _coloring_coeffs(gamma, proper=True))
 
 
 def llt_poly(gamma) -> SymFunc:
-    """The full word generating function in the monomial basis, from one
-    walk of the partition trie with the parts ascending."""
-    return SymFunc._trusted(
-        len(gamma), "monomial",
-        _partition_counts(gamma, proper=False, ascending=True))
+    """The full word generating function in the monomial basis."""
+    return SymFunc._trusted(len(gamma), "monomial",
+                            _coloring_coeffs(gamma, proper=False))
 
 
 @cache

@@ -70,19 +70,19 @@ def enumerate_dyck(n: int) -> list[tuple[int, ...]]:
     """All valid height tuples of size n in ascending lexicographic order."""
     if n < 0:
         raise ValueError("enumerate_dyck requires n >= 0")
+    # Depth-first over prefixes, each child pushed largest height first so
+    # the smallest pops first; no closure, so no call leaves a cycle.
     out = []
-
-    def rec(i, prefix):
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        i = len(prefix) + 1
         if i > n:
-            out.append(tuple(prefix))
-            return
+            out.append(prefix)
+            continue
         lo = max(i, prefix[-1] if prefix else 0)
-        for m in range(lo, n + 1):
-            prefix.append(m)
-            rec(i + 1, prefix)
-            prefix.pop()
-
-    rec(1, [])
+        for m in range(n, lo - 1, -1):
+            stack.append(prefix + (m,))
     return out
 
 

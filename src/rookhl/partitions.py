@@ -27,18 +27,18 @@ def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
     """All partitions of n in reverse lexicographic (descending tuple) order."""
     if n < 0:
         raise ValueError("enumerate_partitions requires n >= 0")
+    # Depth-first over prefixes, each child pushed smallest part first so
+    # the largest pops first; no closure, so no call leaves a cycle.
     out = []
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
+    stack = [((), n)]
+    while stack:
+        prefix, left = stack.pop()
+        if not left:
+            out.append(prefix)
+            continue
+        cap = prefix[-1] if prefix and prefix[-1] < left else left
+        for part in range(1, cap + 1):
+            stack.append((prefix + (part,), left - part))
     return out
 
 

@@ -34,26 +34,21 @@ def placements(gamma: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
     Enumeration backtracks over columns ascending, trying the empty column
     first and then rows ascending, so the order is deterministic.
     """
+    # Depth-first over columns, from an explicit stack: a column's choices
+    # are pushed last row first and the empty column last, so they pop in
+    # the order above.  `used` is the bitmask of the rows taken.
     n = len(gamma)
-    rows_of = [list(range(gamma[i - 1] + 1, n + 1)) for i in range(1, n + 1)]
     out = []
-    used = set()
-    acc = []
-
-    def rec(i):
+    stack = [(1, (), 0)]
+    while stack:
+        i, acc, used = stack.pop()
         if i > n:
-            out.append(tuple(acc))
-            return
-        rec(i + 1)
-        for j in rows_of[i - 1]:
-            if j not in used:
-                used.add(j)
-                acc.append((i, j))
-                rec(i + 1)
-                acc.pop()
-                used.remove(j)
-
-    rec(1)
+            out.append(acc)
+            continue
+        for j in range(n, gamma[i - 1], -1):
+            if not used >> j & 1:
+                stack.append((i + 1, acc + ((i, j),), used | 1 << j))
+        stack.append((i + 1, acc, used))
     return out
 
 

@@ -407,7 +407,7 @@ def check_principal(gamma, alpha_max: int) -> list[CheckReport]:
     colors k: the colorings, read off X's monomial coefficients times
     m_la(1, q, ..., q^(k-1)); the placement-type sum with falling
     q-factorials; and the hook-style product over columns.  X comes from
-    one walk of the class DP per path, and the types are summed by their
+    one chromatic_x call per path, and the types are summed by their
     number of parts, the only thing the falling factorial reads.
 
     The routes are compared as ints, each evaluated at q = 2^bits

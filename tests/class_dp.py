@@ -1,15 +1,80 @@
-"""The color-by-color driver of the class DP, and the single monomial
-coefficients it gives.
+"""The color-by-color class DP, and the single monomial coefficients it
+gives: the oracle of chromatic_x and llt_poly.
 
-The package runs the DP's step, chromatic._add_class, only from the
-partition trie behind chromatic_x and llt_poly.  This driver runs the same
-step one color at a time and reads the full set after every color, so the
-tests can hold the trie to it coefficient by coefficient, and the step to
-the vertex-by-vertex window recursion for every prefix of the colors.
+The DP places one color class at a time, in increasing color order, so an
+ascent is counted when its larger vertex gets a color: exactly the window
+neighbors that already hold one are smaller-colored.  The state is the set
+of vertices colored so far, and each state carries its exponent histogram
+packed into one integer.  One step, _add_class, gives the next color to
+every state, and class_counts runs it color by color, reading the full set
+after every color.  The tests hold the package's induced-path recursion to
+it coefficient by coefficient, and the step to the vertex-by-vertex window
+recursion for every prefix of the colors.
 """
 
-from rookhl.chromatic import _add_class, _windows
+from rookhl.dyck import area_sequence, check_heights
 from rookhl.qseries import QLaurent, unpack
+
+
+def _windows(gamma) -> list[int]:
+    """low[v]: bitmask of the window of vertex v (0-based), its neighbors
+    below it.  A window is contiguous only for heights that never decrease
+    and never fall below the diagonal, so other heights raise ValueError."""
+    check_heights(gamma)
+    return [((1 << a) - 1) << (v - a)
+            for v, a in enumerate(area_sequence(gamma))]
+
+
+def _add_class(states, low, cap, later, bits, proper):
+    """Give the next color to a class I of the uncolored vertices of every
+    state, leaving at most `later` of them to the colors after it.
+
+    states maps the bitmask S of the vertices colored so far to its
+    exponent histogram, `bits` bits per exponent e from bit e*bits on, and
+    so does the map returned for the vertices colored after it.  Coloring I
+    adds popcount(low[w] & S) for each w in I (its window below w holds
+    those smaller colors).  |I| runs from what the later colors cannot
+    hold up to cap; with proper set, I is independent.
+    """
+    n = len(low)
+    vertices = range(n)
+    full = (1 << n) - 1
+    grown = {}
+    for S, hist in states.items():
+        rest = full ^ S
+        left = rest.bit_count()
+        lo = left - later if left > later else 0
+        hi = cap if cap < left else left
+        if lo > hi:
+            continue
+        if lo == left:
+            # The later colors can hold nothing more: this class is rest.
+            e = 0
+            for v in vertices:
+                if rest >> v & 1:
+                    if proper and low[v] & rest:
+                        break
+                    e += (low[v] & S).bit_count()
+            else:
+                grown[full] = grown.get(full, 0) + (hist << bits * e)
+            continue
+        free = [v for v in vertices if rest >> v & 1]
+        # Depth-first over classes I, adding free[t] in increasing t;
+        # t stops where too few free vertices remain to reach lo.
+        stack = [(0, 0, 0, 0)]
+        while stack:
+            j, I, m, e = stack.pop()
+            if m >= lo:
+                T = S | I
+                grown[T] = grown.get(T, 0) + (hist << bits * e)
+            if m < hi:
+                for t in range(j, left - lo + m + 1 if m < lo else left):
+                    w = low[free[t]]
+                    if proper and w & I:
+                        continue
+                    stack.append((t + 1, I | 1 << free[t], m + 1,
+                                  e + (w & S).bit_count()))
+    return grown
 
 
 def class_counts(gamma, caps, proper):

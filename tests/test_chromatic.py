@@ -12,9 +12,10 @@ from rookhl.qseries import (
     QLaurent, ZERO, ONE, Q, from_int, q_power, q_factorial, unpack,
 )
 from rookhl.rook import type_polynomials
+from rookhl import chromatic
 from rookhl.chromatic import (
-    _partition_counts, chromatic_x, llt_poly, principal_direct,
-    principal_from_x, principal_monomial,
+    chromatic_x, llt_poly, principal_direct, principal_from_x,
+    principal_monomial,
 )
 from rookhl.symfunc import SymFunc
 from class_dp import class_counts, llt_coefficient, x_coefficient
@@ -194,27 +195,48 @@ def test_principal_monomial_against_injective_placements():
 
 
 def test_partition_trie_matches_the_coefficients():
-    # chromatic_x and llt_poly walk the partitions as a trie of parts; each
-    # partition must get what the class DP gives it alone, and a zero
-    # coefficient no key.
+    # chromatic_x and llt_poly build every partition from its smallest part
+    # through the induced paths; each must get what the class DP gives it
+    # alone, and a zero coefficient no key.
     for n in range(8):
         for gamma in enumerate_dyck(n):
             parts = enumerate_partitions(n)
-            want = {
-                True: {la: c for la in parts
-                       if (c := x_coefficient(gamma, la))},
-                False: {la: c for la in parts
-                        if (c := llt_coefficient(gamma, la))},
-            }
-            assert chromatic_x(gamma).coeffs == want[True]
-            assert llt_poly(gamma).coeffs == want[False]
-            if n > 6:
-                continue
-            # Either order of the parts, for colorings and for words.
-            for proper in (True, False):
-                for ascending in (True, False):
-                    assert _partition_counts(gamma, proper, ascending) == \
-                        want[proper]
+            assert chromatic_x(gamma).coeffs == {
+                la: c for la in parts if (c := x_coefficient(gamma, la))}
+            assert llt_poly(gamma).coeffs == {
+                la: c for la in parts if (c := llt_coefficient(gamma, la))}
+
+
+def test_coloring_memo_is_not_changed_by_callers():
+    gamma = (2, 3, 3, 4)
+    want = dict(chromatic_x(gamma).coeffs)
+    got = chromatic_x(gamma).coeffs
+    got[(4,)] = ONE
+    got[(2, 1, 1)] = ZERO
+    del got[(1, 1, 1, 1)]
+    assert chromatic_x(gamma).coeffs == want
+
+
+def test_coloring_memo_keeps_x_and_llt_apart():
+    # On the complete graph X has the one partition 1^n; LLT has every
+    # partition.  Each order of first calls leaves both intact.
+    for first in (chromatic_x, llt_poly):
+        chromatic._induced_counts.cache_clear()
+        for n in range(6):
+            first((n,) * n)
+        gamma = (4, 4, 4, 4)
+        assert chromatic_x(gamma).coeffs == {(1, 1, 1, 1): q_factorial(4)}
+        assert llt_poly(gamma).coeffs == {
+            la: llt_coefficient(gamma, la) for la in enumerate_partitions(4)}
+
+
+def test_coloring_memo_does_not_depend_on_the_order_of_paths():
+    paths = [g for n in range(8) for g in enumerate_dyck(n)]
+    runs = []
+    for order in (paths, paths[::-1]):
+        chromatic._induced_counts.cache_clear()
+        runs.append({g: (chromatic_x(g), llt_poly(g)) for g in order})
+    assert runs[0] == runs[1]
 
 
 def test_class_dp_rejects_heights_it_cannot_read():

@@ -1,3 +1,4 @@
+import gc
 import math
 from itertools import combinations, product
 
@@ -8,6 +9,8 @@ from rookhl.dyck import (
     area, area_sequence, concat, complete_path, reflect,
     ModularTriple, modular_triples,
 )
+from rookhl.partitions import enumerate_partitions
+from rookhl.rook import placements
 from reference import edges, poset_cells
 
 
@@ -69,6 +72,23 @@ def test_enumerate_dyck_order_and_validity():
         assert len(set(ps)) == len(ps)
         for g in ps:
             assert from_heights(g) == g
+
+
+def test_enumerators_leave_no_reference_cycles():
+    # Each enumerator walks an explicit stack, so what one call makes is
+    # freed by reference counting alone.
+    calls = ((enumerate_partitions, 6), (enumerate_dyck, 4),
+             (placements, (2, 3, 3)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for enumerate_all, arg in calls:
+            gc.collect()
+            assert enumerate_all(arg)
+            assert gc.collect() == 0, enumerate_all.__name__
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_area_and_sequence():

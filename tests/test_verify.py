@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 from rookhl.dyck import (
-    enumerate_dyck, format_heights, modular_triples, reflect,
+    area_sequence, enumerate_dyck, format_heights, modular_triples, reflect,
 )
 from rookhl.partitions import conjugate, enumerate_partitions
 from rookhl.qseries import QLaurent, ZERO, ONE, Q, q_power
@@ -321,8 +321,8 @@ def test_check_principal_small_sizes():
 
 
 def test_check_principal_runs_the_class_dp_once_per_path(monkeypatch):
-    # Every number of colors is read off X's coefficients, from one walk of
-    # the class DP, looked up at call time.  A sweep walks it once per
+    # Every number of colors is read off X's coefficients, from one call of
+    # chromatic_x, looked up at call time.  A sweep calls it once per
     # reversal orbit, for the orbit's first member.
     seen = []
     real = verify.chromatic_x
@@ -344,46 +344,47 @@ def test_check_principal_runs_the_class_dp_once_per_path(monkeypatch):
 
 def test_x_and_llt_never_run_the_class_dp_per_partition(monkeypatch,
                                                        capsys):
-    # The partition trie is the class DP's only driver: every step runs
-    # inside one walk of it, and each check walks it once per path and
-    # function.  Both are looked up at call time.
-    walks, outside, open_walks = [], [], []
-    real_walk, real_step = chromatic._partition_counts, chromatic._add_class
+    # Every check makes one top-level call of the induced-path recursion
+    # per path and function, and a sweep one per reversal orbit; the calls
+    # inside it are its own recursion.  It is looked up at call time.
+    calls, depth = [], []
+    real = chromatic._induced_counts
 
-    def walk(gamma, proper, ascending):
-        walks.append((gamma, proper))
-        open_walks.append(gamma)
+    def counted(aseq, proper, bits):
+        if not depth:
+            calls.append((aseq, proper))
+        depth.append(aseq)
         try:
-            return real_walk(gamma, proper, ascending)
+            return real(aseq, proper, bits)
         finally:
-            open_walks.pop()
+            depth.pop()
 
-    def step(states, *args):
-        if not open_walks:
-            outside.append(states)
-        return real_step(states, *args)
+    def top(paths):
+        return [(area_sequence(g), proper) for g, proper in paths]
 
-    monkeypatch.setattr(chromatic, "_partition_counts", walk)
-    monkeypatch.setattr(chromatic, "_add_class", step)
+    monkeypatch.setattr(chromatic, "_induced_counts", counted)
     paths = [g for n in range(5) for g in enumerate_dyck(n)] + [FIG_PATH]
     for gamma in paths:
-        walks.clear()
+        calls.clear()
         assert check_main(gamma).ok
         assert check_llt(gamma).ok
         assert all(r.ok for r in check_principal(gamma, len(gamma) + 2))
-        assert walks == [(gamma, True), (gamma, False), (gamma, True)]
-    walks.clear()
+        assert calls == top([(gamma, True), (gamma, False), (gamma, True)])
+    calls.clear()
     assert all(r.ok for r in check_modular(5, "chromatic"))
-    assert sorted(walks) == sorted(
+    assert sorted(calls) == sorted(top(
         {(g, True) for t in modular_triples(5)
-         for g in (t.middle, t.lower, t.upper)})
-    walks.clear()
+         for g in (t.middle, t.lower, t.upper)}))
+    calls.clear()
     for what, basis in (("X", "s"), ("LLT", "m")):
         assert main(["expand", "--heights", "2,2,4,4,5", "--what", what,
                      "--basis", basis]) == 0
     capsys.readouterr()
-    assert walks == [(FIG_PATH, True), (FIG_PATH, False)]
-    assert outside == []
+    assert calls == top([(FIG_PATH, True), (FIG_PATH, False)])
+    calls.clear()
+    sweep(4, {"main", "llt"})
+    assert sorted(calls) == sorted(
+        top((g, proper) for g in orbit_firsts(4) for proper in (True, False)))
 
 
 def test_check_principal_reports_a_direct_side_counterexample(monkeypatch):
