@@ -9,10 +9,11 @@ number of free cells, and summing q^fc over placements of a fixed type
 gives the polynomial at the center of every identity in this package.
 
 type_polynomials computes those sums without listing a placement: a
-transfer DP places the vertices one at a time and scores each row of free
-cells as soon as its vertex joins a chain.  placements, placement_type and
-free_cells list and score placements one by one, for `rookhl rook --list`;
-the tests sum them per type as the DP's oracle.
+transfer DP places the vertices one at a time, keeping only the ranks of
+the chains' open ends, and scores each row of free cells as soon as its
+vertex joins a chain.  placements, placement_type and free_cells list and
+score placements one by one, for `rookhl rook --list`; the tests sum them
+per type as the DP's oracle.
 """
 
 from __future__ import annotations
@@ -133,23 +134,22 @@ def type_polynomials(gamma: tuple[int, ...]) -> dict[tuple[int, ...], QLaurent]:
 def _type_polynomials(gamma, gate=True):
     """Sum q^fc over the placements of each type, vertex by vertex.
 
-    A state lists the rank of each vertex placed so far: its position in
-    its chain.  Vertex d either starts a chain (rank 1) or follows an open
-    vertex i of its row (gamma[i-1] < d), taking rank(i) + 1 and closing i.
-    Every column of row d is then decided, so row d's free cells are
-    counted at once.  With left = i (or d when d starts a chain) and
-    b = rank(d) - 1, the cell (j, d) of an open column j is free iff
-    j < left and b <= rank(j), or left < j and b < rank(j): the rule of
-    free_cells read row by row.  A closed column scores no later row, so
-    its rank is forgotten as 0; with the gate off it keeps scoring, and
-    its rank is kept negated.
+    A state lists the ranks (chain positions) of the open vertices, those
+    placed that no vertex follows yet.  Vertex d starts a chain (rank 1) or
+    follows an open vertex i of its row (gamma[i-1] < d), taking
+    rank(i) + 1 and closing i.  Row d's columns are 1..on, and on never
+    decreases, so every vertex an earlier row closed is among them: row
+    d's open columns are the first m = on - (d - 1 - len(state)) entries.
+    With left = i (or d for a new chain) and b = rank(d) - 1, the cell
+    (j, d) of an open column j is free iff j < left and b <= rank(j), or
+    left < j and b < rank(j): the rule of free_cells read row by row.  With
+    the gate off a closed column keeps scoring, so it stays in the state
+    with its rank negated, and m = on.
 
     Each state maps to its fc histogram packed into one int, `width` bits
-    per fc value.  A count never exceeds n!, the number of choice
-    sequences (row d offers at most d choices), so slots never carry and
-    qseries.unpack reads each type's histogram back.  States that agree
-    merge their histograms.  A final state's type is its sorted positive
-    ranks, the lengths of its chains.
+    per fc value, and states that agree merge them.  A count never exceeds
+    n!, the number of choice sequences, so slots never carry.  A final
+    state's type is its sorted positive ranks, the lengths of its chains.
 
     Reading row d's columns as a prefix needs heights that never decrease
     and never fall below the diagonal, so any other heights raise
@@ -166,18 +166,18 @@ def _type_polynomials(gamma, gate=True):
             on += 1
         nxt = {}
         for ranks, hist in states.items():
-            row = ranks[:on] if gate else tuple(map(abs, ranks[:on]))
+            m = on - (d - 1 - len(ranks))
+            row = ranks[:m] if gate else tuple(map(abs, ranks[:m]))
             ordered = sorted(row)
             # Starting a chain, b = 0: every scoring column's cell is free.
             key = ranks + (1,)
-            free = on - ordered.count(0)
-            nxt[key] = nxt.get(key, 0) + (hist << width * free)
-            for p in range(on):
+            nxt[key] = nxt.get(key, 0) + (hist << width * m)
+            for p in range(m):
                 b = ranks[p]
                 if b > 0:
                     # Columns ranked above b, and those ranked b left of p.
-                    free = on - bisect_right(ordered, b) + row[:p].count(b)
-                    key = (ranks[:p] + (0 if gate else -b,) + ranks[p + 1:]
+                    free = m - bisect_right(ordered, b) + row[:p].count(b)
+                    key = (ranks[:p] + (() if gate else (-b,)) + ranks[p + 1:]
                            + (b + 1,))
                     nxt[key] = nxt.get(key, 0) + (hist << width * free)
         states = nxt

@@ -126,6 +126,17 @@ def _unpacked(t, values, bits) -> dict:
     return {la: unpack_signed(v, bits) for la, v in zip(t.parts, values)}
 
 
+def _read_at_parts(t, coeffs) -> list:
+    """coeffs read at each partition of t.parts, in order.  The checks
+    compare nothing else, so a key that is not a partition of t.n would go
+    unseen: it raises ValueError instead."""
+    for la in coeffs:
+        if la not in t.index:
+            raise ValueError(f"coloring side of degree {t.n} has a "
+                             f"coefficient at {la}, not a partition of {t.n}")
+    return [coeffs.get(la, ZERO) for la in t.parts]
+
+
 def _main_reports(members, x) -> list[list[CheckReport]]:
     """check_main's report for each path of members, all of which have X's
     monomial coefficients x, as ints at q = 2^bits.
@@ -144,7 +155,7 @@ def _main_reports(members, x) -> list[list[CheckReport]]:
     n = len(members[0])
     t = symfunc.transitions(n)
     norms = t.norms("pm")
-    vec = [x.get(la, ZERO) for la in t.parts]
+    vec = _read_at_parts(t, x)
     bounds = _solve_bound([c.l1_norm() for c in vec], norms)
     bounds.append(max(map(max, norms)))
     rooks = []
@@ -337,7 +348,7 @@ def _llt_reports(members, f) -> list[list[CheckReport]]:
     """
     n = len(members[0])
     t = symfunc.transitions(n)
-    vec = [f.get(la, ZERO) for la in t.parts]
+    vec = _read_at_parts(t, f)
     top = max(c.max_exp for c in vec)
     bounds = _solve_bound([c.l1_norm() for c in vec], t.kostka)
     bounds.append(max(map(max, t.norms("kf"))))

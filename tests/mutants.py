@@ -1,0 +1,133 @@
+"""A register of named mutations of the package, and a runner that requires
+each one to be caught.
+
+Each mutation names a file, an exact text that occurs in it once, the text
+that replaces it, and the tests that must fail once it is replaced.  A
+tier-1 test (test_mutants.py) checks that every text still occurs exactly
+once, so a refactor that moves the code it mutates must update this
+register instead of silently losing a control.
+
+The runner applies each mutation to a temporary copy of src and tests and
+runs only the named tests there; it exits non-zero if any of them passes.
+Each mutant costs one pytest process, so the runner stays out of tier-1:
+
+    python tests/mutants.py            # every mutation
+    python tests/mutants.py NAME ...   # the named ones
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str           # relative to the repository root
+    text: str           # occurs exactly once in file
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, without parameters
+
+
+ROOK_DP = (
+    "tests/test_rook.py::test_type_polynomials_match_enumeration",
+    "tests/test_rook.py::test_type_polynomials_read_open_columns_across_jumps",
+)
+
+MUTANTS = [
+    # The rook DP, rook._type_polynomials.
+    Mutant("rook-dp-on-for-m", "src/rookhl/rook.py",
+           "m = on - (d - 1 - len(ranks))", "m = on",
+           ROOK_DP),
+    Mutant("rook-dp-keep-closed-zero", "src/rookhl/rook.py",
+           "(() if gate else (-b,))", "((0,) if gate else (-b,))",
+           ROOK_DP),
+    Mutant("rook-dp-tie-right-of-p", "src/rookhl/rook.py",
+           "row[:p].count(b)", "row[p + 1:].count(b)",
+           ROOK_DP),
+    Mutant("rook-dp-bisect-left", "src/rookhl/rook.py",
+           "from bisect import bisect_right",
+           "from bisect import bisect_left as bisect_right",
+           ROOK_DP),
+    # The gate removal that criterion 9 makes on purpose, made for every
+    # caller: the main identity must fail, not only the oracle.
+    Mutant("rook-dp-gate-off", "src/rookhl/rook.py",
+           "def _type_polynomials(gamma, gate=True):",
+           "def _type_polynomials(gamma, gate=False):",
+           ("tests/test_rook.py::test_type_polynomials_match_enumeration",
+            "tests/test_acceptance.py::"
+            "test_criterion_2_main_identity_through_n6",
+            "tests/test_verify.py::test_check_main_small_sizes")),
+    Mutant("free-cells-gate-off", "src/rookhl/rook.py",
+           "col_top[i] if gate else n + 1", "n + 1",
+           ("tests/test_rook.py::test_free_cells_match_oracle",
+            "tests/test_rook.py::test_ungated_rule_differs_on_fig_path")),
+    # The coloring side's keys: a recursion without its smallest-part
+    # filter adds keys that are no partitions, such as (1, 2), beside the
+    # right coefficients; the checks must raise on them.
+    Mutant("coloring-no-smallest-part-filter", "src/rookhl/chromatic.py",
+           "if la[-1] < p:", "if la[-1] < 0:",
+           ("tests/test_acceptance.py::"
+            "test_criterion_2_main_identity_through_n6",
+            "tests/test_acceptance.py::test_criterion_5_llt_expansions",
+            "tests/test_verify.py::test_check_main_small_sizes")),
+    Mutant("coloring-keys-unchecked", "src/rookhl/verify.py",
+           "if la not in t.index:", "if la not in t.index and False:",
+           ("tests/test_verify.py::"
+            "test_main_reports_raise_on_a_coloring_key_that_is_no_partition",
+            "tests/test_verify.py::"
+            "test_llt_reports_raise_on_a_coloring_key_that_is_no_partition")),
+]
+
+
+def missed(mutant: Mutant) -> list[str]:
+    """The named tests that pass on a copy with mutant applied."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        target = copy / mutant.file
+        source = target.read_text()
+        if source.count(mutant.text) != 1:
+            raise ValueError(f"{mutant.name}: text does not occur once")
+        target.write_text(source.replace(mutant.text, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE",
+             "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, capture_output=True, text=True)
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return [t for t in mutant.tests
+            if not any(f == t or f.startswith(t + "[") for f in failed)]
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutations: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for m in chosen:
+        passed = missed(m)
+        bad += bool(passed)
+        print(f"{m.name}: " + ("caught" if not passed else
+                              "MISSED, passing: " + ", ".join(passed)),
+              flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} caught")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -261,6 +261,36 @@ def test_type_polynomials_match_enumeration():
                     enumerated_type_polynomials(gamma, gate=False)
 
 
+def columns_met(gamma):
+    """on for each row d of gamma: row d meets columns 1..on."""
+    n, on, out = len(gamma), 0, []
+    for d in range(1, n + 1):
+        while on < d - 1 and gamma[on] < d:
+            on += 1
+        out.append(on)
+    return out
+
+
+@pytest.mark.parametrize("gamma", [
+    (3, 3, 3, 6, 6, 6, 8, 8), (1, 2, 5, 5, 5, 8, 8, 8),
+    (2, 4, 4, 4, 7, 7, 7, 8), (2, 2, 6, 6, 6, 6, 8, 8),
+    (3, 3, 3, 7, 7, 7, 9, 10), (2, 4, 4, 9, 9, 9, 9, 9),
+    (3, 3, 3, 6, 6, 6, 9, 9, 9), (1, 4, 4, 4, 6, 8, 8, 9, 11),
+])
+def test_type_polynomials_read_open_columns_across_jumps(gamma):
+    # The DP keeps only open vertices and reads row d's open columns as
+    # the first on - (closed vertices) entries of a state.  Where on jumps
+    # by more than one in a row, vertices closed before the jump and open
+    # ones after it share that prefix; heights above n leave columns that
+    # no row meets.  Both settings of the gate must still equal the
+    # enumeration.
+    on = columns_met(gamma)
+    assert max(b - a for a, b in zip(on, on[1:])) > 1
+    for gate in (True, False):
+        assert rook._type_polynomials(gamma, gate) == \
+            enumerated_type_polynomials(gamma, gate)
+
+
 def test_type_polynomials_reject_heights_the_dp_cannot_read():
     # Decreasing heights, or heights below the diagonal, break the DP's
     # reading of each row as a prefix of columns: they raise, gate or not.

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -210,6 +211,26 @@ def test_a_negative_power_of_q_in_a_rook_factor_raises(monkeypatch, check):
                    for mu, r in type_polynomials(g).items()})
     with pytest.raises(ValueError, match="negative power of q"):
         check(FIG_PATH)
+
+
+def test_main_reports_raise_on_a_coloring_key_that_is_no_partition(
+        monkeypatch):
+    # main reads X only at the partitions of n, so a stray key such as
+    # (1, 2) beside X's own coefficients would pass every check unseen.
+    x = {**chromatic_x(FIG_PATH).coeffs, (1, 2): ONE}
+    monkeypatch.setattr(verify, "chromatic_x",
+                        lambda g: SimpleNamespace(coeffs=x))
+    with pytest.raises(ValueError, match=r"at \(1, 2\), not a partition of 5"):
+        check_main(FIG_PATH)
+
+
+def test_llt_reports_raise_on_a_coloring_key_that_is_no_partition(
+        monkeypatch):
+    f = {**llt_poly(FIG_PATH).coeffs, (1, 2): ONE}
+    monkeypatch.setattr(verify, "llt_poly",
+                        lambda g: SimpleNamespace(coeffs=f))
+    with pytest.raises(ValueError, match=r"at \(1, 2\), not a partition of 5"):
+        check_llt(FIG_PATH)
 
 
 def test_check_modular_chromatic_counterexample_names_the_type(monkeypatch):
