@@ -13,14 +13,16 @@ task per reversal orbit: the coloring side is computed once, and each
 member of the orbit is reported against its own rook side.  The rook
 sides are never shared: that they agree on the orbit is what is checked.
 
-main, llt and principal compare Python ints: every polynomial evaluated at
-q = 2^bits (qseries.pack, pack_signed).  Evaluation is a ring homomorphism
-and the basis changes are division-free substitutions (symfunc._solve), so
-both sides are computed from packed inputs and tables (Transitions.packed)
-without a Laurent polynomial.  Each orbit packs at its own width, from a
-bound on every coefficient either side can have (the coloring side's L1
-norms pushed through the solve, and each member's own rook side) and on
-every entry of the table it packs (Transitions.norms).  Each coefficient
+main, llt, principal and mult compare Python ints: every polynomial
+evaluated at q = 2^bits (qseries.pack, pack_signed).  Evaluation is a ring
+homomorphism and the basis changes are division-free substitutions
+(symfunc._solve), so both sides are computed from packed inputs and tables
+(Transitions.packed) without a Laurent polynomial.  Each orbit packs at its
+own width, from a bound on every coefficient either side can have (the
+coloring side's L1 norms pushed through the solve, and each member's own
+rook side) and on every entry of the table it packs (Transitions.norms).
+mult packs at one width per path size and block size (_mult_width), from
+the number of placements and the largest strip factor.  Each coefficient
 is then below 2^(bits-1), so equal ints prove equal polynomials, and
 unequal ints a counterexample (_width), written from the same ints
 (qseries.unpack_signed, pack_signed's inverse on that range).  A
@@ -83,8 +85,9 @@ def _bits(bound: int) -> int:
 
 
 def _width(bound: int) -> int:
-    """The width main, llt and principal pack at, from a bound on every
-    coefficient they compare and every entry of the tables they pack.
+    """The width main, llt, principal and mult pack at, from a bound on
+    every coefficient they compare and every entry of the tables they
+    pack.
 
     Each coefficient is then below 2^(bits-1), so the difference of two
     compared polynomials has every coefficient strictly between -2^bits
@@ -262,6 +265,41 @@ def _strip_factor(nu, mu, k) -> QLaurent:
     return factor
 
 
+@cache
+def _partitions(n: int) -> tuple:
+    """enumerate_partitions(n) as a tuple, memoized: every mult check of a
+    size reports on the same partitions, and no caller can change them."""
+    return tuple(enumerate_partitions(n))
+
+
+def _vertical_strips(mu, k) -> list:
+    """The vertical k-strips nu of mu, walked as the conjugates of the
+    horizontal k-strips of mu', each met once."""
+    return [conjugate(nu_c)
+            for nu_c in symfunc._horizontal_strips(conjugate(mu), k)]
+
+
+@cache
+def _mult_width(n: int, k: int) -> int:
+    """The width check_multiplicativity packs at for paths of size n and
+    blocks of size k: _width of the larger of (n + k)! and n! times the
+    largest _strip_factor at q = 1 over the vertical k-strips of the
+    partitions of n.  It depends on (n, k) alone, so the packed strips of
+    every path of a size share it."""
+    top = max(_strip_factor(nu, mu, k).at_one()
+              for mu in _partitions(n) for nu in _vertical_strips(mu, k))
+    return _width(max(math.factorial(n + k), math.factorial(n) * top))
+
+
+@cache
+def _packed_strips(mu, k, bits) -> tuple:
+    """((nu, _strip_factor(nu, mu, k) at q = 2^bits), ...) over the
+    vertical k-strips nu of mu, in _vertical_strips' order.  Memoized: a
+    sweep asks for the same strips across all paths."""
+    return tuple((nu, pack(_strip_factor(nu, mu, k), bits))
+                 for nu in _vertical_strips(mu, k))
+
+
 def check_multiplicativity(gamma, k: int,
                            function_level: bool = False) -> list[CheckReport]:
     """Appending a complete block of size k to a path.
@@ -269,9 +307,24 @@ def check_multiplicativity(gamma, k: int,
     Coefficient level: each type polynomial of the extended path must be
     the vertical-strip-weighted sum of type polynomials of gamma (one
     report per partition of n + k, zero sides included).  Each type mu of
-    gamma is added into the vertical k-strips nu of mu, walked as the
-    conjugates of the horizontal k-strips of mu'.  Function level: the
-    full P-basis expansions must multiply (single report).
+    gamma is added into the vertical k-strips nu of mu (_packed_strips).
+    Function level: the full P-basis expansions must multiply (single
+    report).
+
+    The coefficient level compares ints at q = 2^bits, bits =
+    _mult_width(n, k).  The rook DP counts at most n! placements on a path
+    of size n, one per sequence of choices, so every coefficient of a type
+    polynomial of the extended path is at most (n + k)!.  Type
+    polynomials, strip factors and so each sum have no negative
+    coefficient, so a sum's coefficients are at most its value at q = 1:
+    the sum over mu of r_mu(1) times a strip factor at q = 1, at most n!
+    times the largest of those over the partitions mu of n.  Every
+    coefficient is then below 2^(bits-1) (_width), so equal ints prove
+    equal polynomials.  pack raises ValueError on a negative coefficient
+    or one past the width.  Types of gamma that count more than n!
+    placements raise ValueError too, since a sum could otherwise overflow
+    the width unseen.  The ints are unpacked only to write a
+    counterexample.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -285,14 +338,28 @@ def check_multiplicativity(gamma, k: int,
         rhs = multiply(y1, y2).to_basis("hl_p")
         return [_report("mult.function", base, lhs, rhs)]
     big = type_polynomials(extended)
+    bits = _mult_width(n, k)
     sums = {}
+    count = 0
     for mu, r in type_polynomials(gamma).items():
-        for nu_c in symfunc._horizontal_strips(conjugate(mu), k):
-            nu = conjugate(nu_c)
-            sums[nu] = sums.get(nu, ZERO) + r * _strip_factor(nu, mu, k)
-    return [_report("mult", base + f";type={format_partition(nu)}",
-                    big.get(nu, ZERO), sums.get(nu, ZERO))
-            for nu in enumerate_partitions(n + k)]
+        count += r.at_one()
+        packed = pack(r, bits)
+        for nu, factor in _packed_strips(mu, k, bits):
+            sums[nu] = sums.get(nu, 0) + packed * factor
+    if count > math.factorial(n):
+        raise ValueError(f"{count} placements on a path of size {n}, more "
+                         f"than {n}!")
+    reports = []
+    for nu in _partitions(n + k):
+        instance = base + f";type={format_partition(nu)}"
+        lhs = big.get(nu, ZERO)
+        rhs = sums.get(nu, 0)
+        if pack(lhs, bits) == rhs:
+            reports.append(CheckReport("mult", instance, "verified"))
+        else:
+            reports.append(CheckReport("mult", instance, "counterexample",
+                                       str(lhs), str(unpack(rhs, bits))))
+    return reports
 
 
 @cache

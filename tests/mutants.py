@@ -41,6 +41,12 @@ ROOK_DP = (
     "tests/test_rook.py::test_type_polynomials_read_open_columns_across_jumps",
 )
 
+MULT = (
+    "tests/test_verify.py::test_check_multiplicativity_small_sizes",
+    "tests/test_verify.py::test_mult_walks_exactly_the_vertical_strips",
+    "tests/test_verify.py::test_mult_strip_table_packs_every_vertical_strip",
+)
+
 MUTANTS = [
     # The rook DP, rook._type_polynomials.
     Mutant("rook-dp-on-for-m", "src/rookhl/rook.py",
@@ -84,6 +90,29 @@ MUTANTS = [
             "test_main_reports_raise_on_a_coloring_key_that_is_no_partition",
             "tests/test_verify.py::"
             "test_llt_reports_raise_on_a_coloring_key_that_is_no_partition")),
+    # mult's packed route, verify.check_multiplicativity.
+    Mutant("mult-width-one-bit-short", "src/rookhl/verify.py",
+           "math.factorial(n) * top))\n", "math.factorial(n) * top)) - 1\n",
+           MULT),
+    Mutant("mult-count-premise-unchecked", "src/rookhl/verify.py",
+           "if count > math.factorial(n):",
+           "if count > math.factorial(n) and False:",
+           ("tests/test_verify.py::"
+            "test_mult_raises_when_the_count_premise_fails",)),
+    Mutant("mult-packed-strips-skip-one", "src/rookhl/verify.py",
+           "bits))\n                 for nu in _vertical_strips(mu, k))",
+           "bits))\n                 for nu in _vertical_strips(mu, k)[1:])",
+           MULT),
+    # The strips and the q-binomials the strip factors are built from.
+    Mutant("horizontal-strips-skip-one", "src/rookhl/symfunc.py",
+           "    return tuple(out)\n", "    return tuple(out[1:])\n",
+           MULT),
+    Mutant("q-binomial-pascal-shift", "src/rookhl/qseries.py",
+           "row[j] = row[j - 1] + row[j].shift(j)",
+           "row[j] = row[j - 1] + row[j].shift(j - 1)",
+           ("tests/test_qseries.py::"
+            "test_q_binomial_times_the_factorials_is_the_factorial",
+            "tests/test_verify.py::test_check_multiplicativity_small_sizes")),
 ]
 
 

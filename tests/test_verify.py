@@ -9,7 +9,7 @@ from rookhl.dyck import (
     area_sequence, enumerate_dyck, format_heights, modular_triples, reflect,
 )
 from rookhl.partitions import conjugate, enumerate_partitions
-from rookhl.qseries import QLaurent, ZERO, ONE, Q, q_power
+from rookhl.qseries import QLaurent, ZERO, ONE, Q, q_power, unpack
 from rookhl import chromatic, rook, symfunc, verify
 from rookhl.cli import main
 from rookhl.chromatic import chromatic_x, llt_poly, principal_direct
@@ -319,6 +319,48 @@ def test_mult_walks_exactly_the_vertical_strips(monkeypatch, gate):
             assert reports == mult_by_pair_scan(gamma, k)
             failed += sum(not r.ok for r in reports)
     assert (failed > 0) == (not gate)
+
+
+def test_mult_strip_table_packs_every_vertical_strip():
+    # Each memoized entry lists the conjugates of the horizontal k-strips
+    # of mu', in their order, each with its strip factor at the width of
+    # its size and k.
+    for size in range(8):
+        for k in (1, 2, 3):
+            bits = verify._mult_width(size, k)
+            for mu in enumerate_partitions(size):
+                entries = verify._packed_strips(mu, k, bits)
+                assert [nu for nu, _ in entries] == [
+                    conjugate(nu_c) for nu_c in
+                    symfunc._horizontal_strips(conjugate(mu), k)]
+                for nu, packed in entries:
+                    assert unpack(packed, bits) == \
+                        verify._strip_factor(nu, mu, k)
+    # The cached partition list is a tuple, so no caller can change what
+    # the next check reports on.
+    parts = verify._partitions(6)
+    assert isinstance(parts, tuple)
+    assert parts == tuple(enumerate_partitions(6))
+    assert verify._partitions(6) is parts
+    with pytest.raises(TypeError):
+        parts[0] = (1,) * 6
+
+
+def test_mult_raises_when_the_count_premise_fails(monkeypatch):
+    # The width rests on at most n! placements per path of size n.  Hand
+    # gamma one more: the check raises instead of returning a verdict, even
+    # though every coefficient still fits the width.
+    gamma = (2, 2, 3)
+    real = rook._type_polynomials
+
+    def dp(g, gate=True):
+        if g == gamma:
+            return {(3,): QLaurent(0, (7,))}
+        return real(g, gate)
+
+    monkeypatch.setattr(rook, "_type_polynomials", dp)
+    with pytest.raises(ValueError, match="more than 3!"):
+        check_multiplicativity(gamma, 1)
 
 
 def test_check_llt_small_sizes():
