@@ -5,9 +5,13 @@ chosen basis), rook (placements and type polynomials), list-dyck, verify
 (identity sweeps with counterexample reporting).  Exit codes: 0 success,
 1 a verify run found a counterexample, 2 usage error.
 
-A command imports only what it runs: json where --json or rook --list
-writes it, and multiprocessing only when a verify sweep fans out over
---jobs processes.
+A command imports only what it runs, the package's own modules included:
+rook loads dyck, partitions, qseries and rook; expand adds symfunc, and
+chromatic unless it reads X in the P basis off the rook side; only verify
+loads verify, and with it every module.  json is imported where --json or
+rook --list writes it, and multiprocessing only when a verify sweep fans
+out over --jobs processes.  Each cmd_* imports inside its body, so the
+names resolve when it runs, from the modules as they are then.
 """
 
 from __future__ import annotations
@@ -15,13 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from rookhl.chromatic import chromatic_x, llt_poly
-from rookhl.dyck import enumerate_dyck, format_heights, parse_heights
-from rookhl.partitions import format_partition, parse_partition
-from rookhl.rook import free_cells, hl_coefficients, placements, \
-    placement_type, type_polynomials
-from rookhl.symfunc import SymFunc, coefficient_line
-from rookhl.verify import IDENTITIES, sweep
+from rookhl import IDENTITIES
 
 
 def _checked(parser, flag, fn, text):
@@ -32,13 +30,17 @@ def _checked(parser, flag, fn, text):
 
 
 def cmd_expand(args, parser):
+    from rookhl.dyck import parse_heights
     gamma = _checked(parser, "--heights", parse_heights, args.heights)
-    if args.what == "X":
-        if args.basis == "P":
-            f = SymFunc(len(gamma), "hl_p", hl_coefficients(gamma))
-        else:
-            f = chromatic_x(gamma)
+    if args.what == "X" and args.basis == "P":
+        from rookhl.rook import hl_coefficients
+        from rookhl.symfunc import SymFunc
+        f = SymFunc(len(gamma), "hl_p", hl_coefficients(gamma))
+    elif args.what == "X":
+        from rookhl.chromatic import chromatic_x
+        f = chromatic_x(gamma)
     else:
+        from rookhl.chromatic import llt_poly
         f = llt_poly(gamma)
     target = {"m": "monomial", "s": "schur", "P": "hl_p"}[args.basis]
     f = f.to_basis(target)
@@ -52,6 +54,13 @@ def cmd_expand(args, parser):
 
 
 def cmd_rook(args, parser):
+    from rookhl.dyck import parse_heights
+    from rookhl.partitions import (
+        coefficient_line, format_partition, parse_partition,
+    )
+    from rookhl.rook import (
+        free_cells, placement_type, placements, type_polynomials,
+    )
     gamma = _checked(parser, "--heights", parse_heights, args.heights)
     want = None
     if args.type is not None:
@@ -79,6 +88,7 @@ def cmd_rook(args, parser):
 def cmd_list_dyck(args, parser):
     if args.n < 0:
         parser.error("--n: must be nonnegative")
+    from rookhl.dyck import enumerate_dyck, format_heights
     for gamma in enumerate_dyck(args.n):
         print(format_heights(gamma))
     return 0
@@ -89,6 +99,7 @@ def cmd_verify(args, parser):
         parser.error("--n-max: must be nonnegative")
     if args.jobs < 1:
         parser.error("--jobs: must be positive")
+    from rookhl.verify import sweep
     names = IDENTITIES if args.identity == "all" else (args.identity,)
     reports = sweep(args.n_max, set(names), jobs=args.jobs)
     failures = [r for r in reports if not r.ok]

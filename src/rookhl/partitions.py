@@ -3,6 +3,10 @@
 The empty partition is ().  Enumeration order everywhere in the package is
 reverse lexicographic, i.e. plain descending tuple order, which lists (n)
 first and (1,...,1) last and refines dominance order.
+
+coefficient_line writes the '(3,2): 1 + 2q + q^2' line of one coefficient
+that the commands print; it lives here so that rook prints it without
+loading symfunc.
 """
 
 from __future__ import annotations
@@ -76,3 +80,8 @@ def format_partition(la: tuple[int, ...]) -> str:
     if not la:
         return "-"
     return ",".join(str(p) for p in la)
+
+
+def coefficient_line(la, poly) -> str:
+    """The '(3,2): 1 + 2q + q^2' row printed for one coefficient."""
+    return "(" + ",".join(str(p) for p in la) + f"): {poly}"

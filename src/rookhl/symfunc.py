@@ -21,7 +21,9 @@ from __future__ import annotations
 import itertools
 from functools import cache, cached_property
 
-from rookhl.partitions import check_partition, conjugate, enumerate_partitions
+from rookhl.partitions import (
+    check_partition, coefficient_line, conjugate, enumerate_partitions,
+)
 from rookhl.qseries import QLaurent, ZERO, ONE, from_int, pack_signed, q_power
 
 BASES = ("monomial", "schur", "hl_p")
@@ -204,11 +206,6 @@ def transitions(n: int) -> Transitions:
 
 
 # -- symmetric functions ---------------------------------------------------------
-
-
-def coefficient_line(la, poly) -> str:
-    """The '(3,2): 1 + 2q + q^2' row printed for one coefficient."""
-    return "(" + ",".join(str(p) for p in la) + f"): {poly}"
 
 
 class SymFunc:

@@ -52,7 +52,7 @@ from rookhl.qseries import (
     q_power, unpack, unpack_signed,
 )
 from rookhl.rook import hl_coefficients, mult_factorials, type_polynomials
-from rookhl import symfunc
+from rookhl import IDENTITIES, symfunc
 from rookhl.symfunc import SymFunc, _solve, multiply, transitions
 
 
@@ -552,8 +552,6 @@ def _principal_reports(members, alpha_max: int,
         out.append(reports)
     return out
 
-
-IDENTITIES = ("main", "modular", "mult", "llt", "principal")
 
 # The identities whose sweep runs one task per reversal orbit of paths.
 ORBIT_IDENTITIES = ("main", "llt", "principal")

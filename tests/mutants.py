@@ -47,6 +47,11 @@ MULT = (
     "tests/test_verify.py::test_mult_strip_table_packs_every_vertical_strip",
 )
 
+WIDTH = (
+    "tests/test_verify.py::"
+    "test_the_width_holds_every_entry_of_the_table_it_packs",
+)
+
 MUTANTS = [
     # The rook DP, rook._type_polynomials.
     Mutant("rook-dp-on-for-m", "src/rookhl/rook.py",
@@ -113,6 +118,18 @@ MUTANTS = [
            ("tests/test_qseries.py::"
             "test_q_binomial_times_the_factorials_is_the_factorial",
             "tests/test_verify.py::test_check_multiplicativity_small_sizes")),
+    # The widths of main and llt must cover the table each packs, not only
+    # both sides.
+    Mutant("main-width-drops-pm-term", "src/rookhl/verify.py",
+           "    bounds.append(max(map(max, norms)))\n", "",
+           WIDTH),
+    Mutant("llt-width-drops-kf-term", "src/rookhl/verify.py",
+           "    bounds.append(max(map(max, t.norms(\"kf\"))))\n", "",
+           WIDTH),
+    # A query that never checks an identity must not compile verify.
+    Mutant("cli-imports-verify-eagerly", "src/rookhl/cli.py",
+           "import argparse\n", "import argparse\nimport rookhl.verify\n",
+           ("tests/test_cli.py::test_a_command_loads_only_the_modules_it_runs",)),
 ]
 
 

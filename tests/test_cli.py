@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -10,10 +12,10 @@ import pytest
 import rookhl
 from rookhl import rook
 from rookhl.cli import main
-from rookhl.partitions import parse_partition
+from rookhl.partitions import coefficient_line, parse_partition
 from rookhl.qseries import ZERO, q_power
 from rookhl.rook import hl_coefficients
-from rookhl.symfunc import SymFunc, coefficient_line
+from rookhl.symfunc import SymFunc
 from reference import symfunc_from_json
 
 
@@ -205,23 +207,101 @@ def test_cli_import_leaves_dataclasses_out():
     assert proc.stdout == "[]\n"
 
 
-def test_benchmark_tracer_runs_a_sweep_with_unchanged_stdout(tmp_path):
-    # perfbench/tracer.py wraps package functions by name; a name it looks
-    # up that the package no longer has would break every traced run.
+def _loaded(statement):
+    """The rookhl modules a fresh interpreter holds after statement, with
+    stdout kept out of the answer; -S keeps site's imports out."""
+    code = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    {statement}\n"
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.startswith('rookhl'))))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code,
+         str(Path(rookhl.__file__).resolve().parents[1])],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_rookhl_loads_none_of_its_modules():
+    assert _loaded("import rookhl") == {"rookhl"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["rook", "--heights", "2,2,4,4,5"], {"verify", "symfunc", "chromatic"}),
+    (["rook", "--heights", "2,2,4,4,5", "--list"],
+     {"verify", "symfunc", "chromatic"}),
+    (["list-dyck", "--n", "3"], {"verify", "symfunc", "chromatic"}),
+    (["expand", "--heights", "2,2,4,4,5", "--what", "X", "--basis", "P"],
+     {"verify", "chromatic"}),
+    (["expand", "--heights", "2,2,4,4,5", "--what", "X", "--basis", "m"],
+     {"verify"}),
+    (["expand", "--heights", "2,2,4,4,5", "--what", "LLT", "--basis", "s"],
+     {"verify"}),
+])
+def test_a_command_loads_only_the_modules_it_runs(argv, absent):
+    # Without bytecode every module a command imports is compiled from
+    # source on each run, which costs more than a query's own work.
+    loaded = _loaded(f"import rookhl.cli; rookhl.cli.main({argv!r})")
+    assert "rookhl.cli" in loaded
+    assert not loaded & {f"rookhl.{m}" for m in absent}
+
+
+def test_lazy_exports_are_the_modules_own_objects():
+    from rookhl import symfunc, verify
+    from rookhl.cli import build_parser
+    assert symfunc.coefficient_line is coefficient_line
+    for name in rookhl.__all__:
+        if name == "IDENTITIES":
+            assert verify.IDENTITIES is rookhl.IDENTITIES
+            continue
+        module = importlib.import_module(f"rookhl.{rookhl._MODULE[name]}")
+        assert getattr(rookhl, name) is getattr(module, name), name
+    assert set(rookhl.__all__) <= set(dir(rookhl))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rookhl.no_such_name
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    identity = next(a for a in sub.choices["verify"]._actions
+                    if a.dest == "identity")
+    assert identity.choices == verify.IDENTITIES + ("all",)
+
+
+def _traced_spans(tmp_path, args):
+    """Run args under perfbench/tracer.py and plainly, require the same exit
+    code 0 and stdout from both, and return the names of the spans."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    args = ["verify", "--identity", "all", "--n-max", "3", "--jobs", "2"]
+    spans = tmp_path / "spans.json"
     traced = subprocess.run(
         [sys.executable, str(root / "perfbench" / "tracer.py"),
-         "--out", str(tmp_path / "spans.json"), "--workload", "t",
-         "--run", "0", "--", *args],
+         "--out", str(spans), "--workload", "t", "--run", "0", "--", *args],
         capture_output=True, text=True, env=env, cwd=root)
     plain = subprocess.run([sys.executable, "-m", "rookhl", *args],
                            capture_output=True, text=True, env=env, cwd=root)
     assert traced.returncode == 0, traced.stderr
     assert plain.returncode == 0, plain.stderr
     assert traced.stdout == plain.stdout
+    return {span[2] for span in json.loads(spans.read_text())["spans"]}
+
+
+def test_benchmark_tracer_runs_a_sweep_with_unchanged_stdout(tmp_path):
+    # perfbench/tracer.py wraps package functions by name; a name it looks
+    # up that the package no longer has would break every traced run.
+    _traced_spans(tmp_path, ["verify", "--identity", "all", "--n-max", "3",
+                             "--jobs", "2"])
+
+
+@pytest.mark.parametrize("args", [
+    ["rook", "--heights", "2,2,4,4,5"],
+    ["expand", "--heights", "2,2,4,4,5", "--what", "X", "--basis", "P"],
+])
+def test_benchmark_tracer_keeps_the_layers_of_a_query(tmp_path, args):
+    # The commands import their modules when they run, after the tracer
+    # has wrapped them, so a traced query must still record the rook DP.
+    names = _traced_spans(tmp_path, args)
+    assert names & {"rook.type_polynomials", "rook.hl_coefficients"}
 
 
 def test_module_entry_point():
