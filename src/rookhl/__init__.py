@@ -38,8 +38,7 @@ _EXPORTS = {
     ),
     "symfunc": ("Transitions", "transitions", "SymFunc", "multiply"),
     "chromatic": (
-        "chromatic_x", "llt_poly", "principal_monomial", "principal_from_x",
-        "principal_direct",
+        "chromatic_x", "llt_poly", "principal_monomial", "principal_direct",
     ),
     "verify": (
         "CheckReport", "check_main", "check_modular",

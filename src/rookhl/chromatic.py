@@ -15,13 +15,12 @@ The principal specialization, the colorings from 1..k weighted by
 q^(ascents + sum of (color - 1)), is read off X's monomial coefficients:
 ps_k(X) = sum over la of [m_la]X * m_la(1, q, ..., q^(k-1)) (Stanley,
 EC2 7.8).  principal_monomial is the second factor, a memoized pure
-function of (la, k), and principal_from_x sums the products for every k
-up to a bound, at q = 2^bits, as ints for verify's packed comparison.
+function of (la, k), and principal_direct sums the products.
 
 The tests compare the recursion with the color-by-color class DP of
-tests/class_dp.py, that DP and the principal route with a vertex-by-vertex
-recursion over the windows, and all of them with brute-force product
-enumerations that know nothing of windows.
+tests/class_dp.py, that DP and the principal specialization with a
+vertex-by-vertex recursion over the windows, and all of them with
+brute-force product enumerations that know nothing of windows.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import math
 from functools import cache
 
 from rookhl.dyck import area_sequence, check_heights
-from rookhl.qseries import ONE, ZERO, QLaurent, pack, unpack
+from rookhl.qseries import ONE, ZERO, QLaurent, unpack
 from rookhl.symfunc import SymFunc
 
 
@@ -133,34 +132,10 @@ def principal_monomial(la, k) -> QLaurent:
     return total
 
 
-@cache
-def _packed_monomial(la, k, bits) -> int:
-    return pack(principal_monomial(la, k), bits)
-
-
-def principal_from_x(coeffs, alpha_max: int, bits: int) -> list[int]:
-    """ps_k(X) at q = 2^bits for k = 0..alpha_max, where coeffs holds X's
-    monomial coefficients: the sum over la of [m_la]X times
-    principal_monomial(la, k), both packed by qseries.pack.
-
-    A partition with more than alpha_max parts adds nothing at any k, and
-    is left out.  pack raises ValueError on a coefficient it cannot hold,
-    so bits must exceed every coefficient's bit length by one; ps_k at
-    q = 1 bounds every coefficient of X and of m_la that it reads, since
-    all of them are nonnegative.
-    """
-    if alpha_max < 0:
-        raise ValueError("colors must be nonnegative")
-    terms = [(la, pack(c, bits)) for la, c in coeffs.items()
-             if len(la) <= alpha_max]
-    return [sum(x * _packed_monomial(la, k, bits) for la, x in terms)
-            for k in range(alpha_max + 1)]
-
-
 def principal_direct(gamma, colors: int) -> QLaurent:
     """Sum of q^(ascents + sum of (color - 1)) over proper colorings with
-    colors drawn from 1..colors, from X's monomial coefficients.  No
-    coefficient exceeds colors^n, the number of labelings."""
-    bits = (colors ** len(gamma)).bit_length() + 1
-    value = principal_from_x(chromatic_x(gamma).coeffs, colors, bits)[colors]
-    return unpack(value, bits)
+    colors drawn from 1..colors, from X's monomial coefficients."""
+    if colors < 0:
+        raise ValueError("colors must be nonnegative")
+    return sum((c * principal_monomial(la, colors)
+                for la, c in chromatic_x(gamma).coeffs.items()), ZERO)

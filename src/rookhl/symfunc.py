@@ -66,23 +66,23 @@ def _horizontal_strips(la, k) -> tuple:
     """Every shape nu that adds k boxes to la, no two in one column: row i
     of nu lies between la_i and la_(i-1), with one new row allowed.  Every
     column of every degree asks for the same strips, so they are
-    memoized."""
+    memoized.
+
+    Depth-first over the rows, each entry (i, boxes left, rows 0..i-1 of
+    nu), smaller additions first.  Once no box is left the rows from i on
+    are la's, so nu is complete.
+    """
     out = []
-    rows: list[int] = []
-
-    def grow(i, left):
-        if i > len(la):
-            if left == 0:
-                out.append(tuple(r for r in rows if r))
-            return
-        base = la[i] if i < len(la) else 0
-        room = left if i == 0 else min(left, la[i - 1] - base)
-        for add in range(room + 1):
-            rows.append(base + add)
-            grow(i + 1, left - add)
-            rows.pop()
-
-    grow(0, k)
+    stack = [(0, k, ())]
+    while stack:
+        i, left, rows = stack.pop()
+        if not left:
+            out.append(rows + la[i:])
+        elif i <= len(la):
+            base = la[i] if i < len(la) else 0
+            room = left if i == 0 else min(left, la[i - 1] - base)
+            for add in range(room, -1, -1):
+                stack.append((i + 1, left - add, rows + (base + add,)))
     return tuple(out)
 
 
@@ -208,6 +208,11 @@ def transitions(n: int) -> Transitions:
 # -- symmetric functions ---------------------------------------------------------
 
 
+def _is_int(c) -> bool:
+    """c is an int and not a bool."""
+    return isinstance(c, int) and not isinstance(c, bool)
+
+
 class SymFunc:
     """A homogeneous symmetric function: degree, basis name, and a sparse
     map from partitions to Laurent coefficients (zeros dropped)."""
@@ -222,8 +227,11 @@ class SymFunc:
             la = check_partition(tuple(la))
             if sum(la) != degree:
                 raise ValueError(f"{la} does not partition {degree}")
-            if isinstance(c, int):
+            if _is_int(c):
                 c = from_int(c)
+            elif not (isinstance(c, QLaurent) and all(map(_is_int, c.coeffs))):
+                raise ValueError(f"coefficient at {la} is {c!r}, neither an "
+                                 f"int nor a QLaurent with int coefficients")
             if c:
                 clean[la] = c
         self.degree = degree

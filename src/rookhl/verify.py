@@ -17,17 +17,19 @@ main, llt, principal and mult compare Python ints: every polynomial
 evaluated at q = 2^bits (qseries.pack, pack_signed).  Evaluation is a ring
 homomorphism and the basis changes are division-free substitutions
 (symfunc._solve), so both sides are computed from packed inputs and tables
-(Transitions.packed) without a Laurent polynomial.  Each orbit packs at its
-own width, from a bound on every coefficient either side can have (the
-coloring side's L1 norms pushed through the solve, and each member's own
-rook side) and on every entry of the table it packs (Transitions.norms).
-mult packs at one width per path size and block size (_mult_width), from
-the number of placements and the largest strip factor.  Each coefficient
-is then below 2^(bits-1), so equal ints prove equal polynomials, and
-unequal ints a counterexample (_width), written from the same ints
-(qseries.unpack_signed, pack_signed's inverse on that range).  A
-polynomial the width does not hold, or with a negative power of q, raises
-ValueError.
+(Transitions.packed) without a Laurent polynomial; principal's coloring
+side is summed from packed X coefficients and packed m_la(1, q, ...,
+q^(k-1)), each constant packed once per width (_packed).  Each orbit packs
+at its own width, from a bound on every coefficient either side can have
+(the coloring side's L1 norms pushed through the solve, and each member's
+own rook side) and on every entry of the table it packs
+(Transitions.norms).  mult packs at one width per path size and block
+size (_mult_width), from the number of placements and the largest strip
+factor.  Each coefficient is then below 2^(bits-1), so equal ints prove
+equal polynomials, and unequal ints a counterexample (_width), written
+from the same ints (qseries.unpack_signed, pack_signed's inverse on that
+range).  A polynomial the width does not hold, or with a negative power of
+q, raises ValueError.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ from functools import cache
 from itertools import groupby
 from typing import NamedTuple
 
-from rookhl.chromatic import (
-    chromatic_x, llt_poly, principal_from_x, principal_monomial,
-)
+from rookhl.chromatic import chromatic_x, llt_poly, principal_monomial
 from rookhl.dyck import (
     area, area_sequence, complete_path, concat, enumerate_dyck,
     format_heights, modular_triples, reflect,
@@ -119,8 +119,11 @@ def _solve_bound(vec, norms) -> list[int]:
 
 
 @cache
-def _packed_mult_factorials(mu, bits) -> int:
-    return pack(mult_factorials(mu), bits)
+def _packed(f, bits, *args) -> int:
+    """f(*args) at q = 2^bits by qseries.pack, which raises ValueError on a
+    negative coefficient.  Memoized, so f must be a pure function of args:
+    a sweep packs the same constants on every path of a size."""
+    return pack(f(*args), bits)
 
 
 def _unpacked(t, values, bits) -> dict:
@@ -175,7 +178,7 @@ def _main_reports(members, x) -> list[list[CheckReport]]:
         rhs = [0] * len(lhs)
         for mu, r in rpolys.items():
             rhs[t.index[mu]] = (pack(r.shift(a - nstat(mu)), bits)
-                                * _packed_mult_factorials(mu, bits))
+                                * _packed(mult_factorials, bits, mu))
         instance = f"heights={format_heights(gamma)}"
         if lhs == rhs:
             out.append([CheckReport("main", instance, "verified")])
@@ -470,23 +473,15 @@ def check_llt(gamma) -> CheckReport:
     return _llt_reports((gamma,), llt_poly(gamma).coeffs)[0][0]
 
 
-@cache
-def _packed_falling(k, parts, bits) -> int:
-    return pack(q_falling(k, parts), bits)
-
-
-@cache
-def _packed_q_int(m, bits) -> int:
-    return pack(q_int(m), bits)
-
-
 def check_principal(gamma, alpha_max: int) -> list[CheckReport]:
     """Three routes to the principal specialization, for each number of
-    colors k: the colorings, read off X's monomial coefficients times
-    m_la(1, q, ..., q^(k-1)); the placement-type sum with falling
+    colors k = 0..alpha_max: the colorings, the sum over la of X's
+    monomial coefficient times m_la(1, q, ..., q^(k-1))
+    (chromatic.principal_monomial); the placement-type sum with falling
     q-factorials; and the hook-style product over columns.  X comes from
     one chromatic_x call per path, and the types are summed by their
-    number of parts, the only thing the falling factorial reads.
+    number of parts, the only thing the falling factorial reads.  A
+    negative alpha_max raises ValueError.
 
     The routes are compared as ints, each evaluated at q = 2^bits
     (qseries.pack).  Every term of every route has nonnegative
@@ -508,6 +503,8 @@ def _principal_reports(members, alpha_max: int,
     """check_principal's reports for each path of members, all of which
     have X's monomial coefficients x.  They share the direct route, and
     the packing width bounds every route of every member."""
+    if alpha_max < 0:
+        raise ValueError("colors must be nonnegative")
     ks = range(alpha_max + 1)
     at_one = [sum(c.at_one() * principal_monomial(la, k).at_one()
                   for la, c in x.items()) for k in ks]
@@ -524,7 +521,11 @@ def _principal_reports(members, alpha_max: int,
         at_one += [math.prod(k - ai for ai in aseq) for k in ks if k > top]
         rooks.append((gamma, aseq, by_parts, top))
     bits = _width(max(at_one, default=0))
-    direct = principal_from_x(x, alpha_max, bits)
+    # A partition with more than alpha_max parts adds nothing at any k.
+    terms = [(la, pack(c, bits)) for la, c in x.items()
+             if len(la) <= alpha_max]
+    direct = [sum(c * _packed(principal_monomial, bits, la, k)
+                  for la, c in terms) for k in ks]
     out = []
     for gamma, aseq, by_parts, top in rooks:
         a = area(gamma)
@@ -532,10 +533,10 @@ def _principal_reports(members, alpha_max: int,
                   if p <= alpha_max]
         reports = []
         for colors in ks:
-            via_types = sum(r * _packed_falling(colors, p, bits)
+            via_types = sum(r * _packed(q_falling, bits, colors, p)
                             for p, r in packed if p <= colors) << bits * a
             if colors > top:
-                product = math.prod(_packed_q_int(colors - ai, bits)
+                product = math.prod(_packed(q_int, bits, colors - ai)
                                     for ai in aseq) << bits * a
             else:
                 product = 0

@@ -130,6 +130,12 @@ MUTANTS = [
     Mutant("cli-imports-verify-eagerly", "src/rookhl/cli.py",
            "import argparse\n", "import argparse\nimport rookhl.verify\n",
            ("tests/test_cli.py::test_a_command_loads_only_the_modules_it_runs",)),
+    # perfbench/tracer.py wraps principal_direct by name, the one reason it
+    # stays in the package; a rename must break the traced sweep.
+    Mutant("tracer-name-renamed", "src/rookhl/chromatic.py",
+           "def principal_direct(", "def principal_direct_renamed(",
+           ("tests/test_cli.py::"
+            "test_benchmark_tracer_runs_a_sweep_with_unchanged_stdout",)),
 ]
 
 

@@ -9,13 +9,12 @@ import pytest
 from rookhl.dyck import area, area_sequence, enumerate_dyck, reflect
 from rookhl.partitions import enumerate_partitions, multiplicities
 from rookhl.qseries import (
-    QLaurent, ZERO, ONE, Q, from_int, q_power, q_factorial, unpack,
+    QLaurent, ZERO, ONE, Q, from_int, q_power, q_factorial,
 )
 from rookhl.rook import type_polynomials
 from rookhl import chromatic
 from rookhl.chromatic import (
-    chromatic_x, llt_poly, principal_direct, principal_from_x,
-    principal_monomial,
+    chromatic_x, llt_poly, principal_direct, principal_monomial,
 )
 from rookhl.symfunc import SymFunc
 from class_dp import class_counts, llt_coefficient, x_coefficient
@@ -158,11 +157,8 @@ def test_class_dp_matches_window_recursion_with_zero_parts():
 
 
 def principal_series(gamma, alpha_max):
-    """principal_from_x's values for k = 0..alpha_max, unpacked; no
-    coefficient exceeds alpha_max**n, the labelings."""
-    bits = (alpha_max ** len(gamma)).bit_length() + 1
-    return [unpack(v, bits) for v in
-            principal_from_x(chromatic_x(gamma).coeffs, alpha_max, bits)]
+    """principal_direct's values for k = 0..alpha_max."""
+    return [principal_direct(gamma, k) for k in range(alpha_max + 1)]
 
 
 def test_class_dp_matches_window_recursion_for_principal():
@@ -352,7 +348,7 @@ def test_principal_direct_small():
     assert principal_direct((1,), 0) == ZERO
     assert principal_direct((1,), 3) == QLaurent(0, (1, 1, 1))
     assert principal_direct((2, 2), 1) == ZERO     # an edge needs 2 colors
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="colors must be nonnegative"):
         principal_direct((1,), -1)
 
 
@@ -373,20 +369,6 @@ def test_principal_series_against_product_enumeration():
                 assert poly == brute_principal(gamma, colors)
     assert principal_series((), 0) == [ONE]
     assert principal_series((2, 2), 2) == [ZERO, ZERO, QLaurent(1, (1, 1))]
-    with pytest.raises(ValueError):
-        principal_series((1,), -1)
-
-
-def test_principal_from_x_raises_below_its_bound():
-    # (2,2,4,4,5) has 108 colorings from 1..3, so 8 bits leave every
-    # coefficient below 2^(bits-1).  With 4 bits or fewer a coefficient of
-    # X itself (10 on (2,2,1)) does not fit, and packing raises.
-    x = chromatic_x((2, 2, 4, 4, 5)).coeffs
-    assert [unpack(v, 8) for v in principal_from_x(x, 3, 8)] == \
-        [brute_principal((2, 2, 4, 4, 5), k) for k in range(4)]
-    for bits in (1, 2, 3, 4):
-        with pytest.raises(ValueError, match="cannot pack"):
-            principal_from_x(x, 3, bits)
 
 
 def test_principal_direct_is_specialized_x():

@@ -11,6 +11,7 @@ from rookhl.dyck import (
 )
 from rookhl.partitions import enumerate_partitions
 from rookhl.rook import placements
+from rookhl.symfunc import _horizontal_strips
 from reference import edges, poset_cells
 
 
@@ -77,14 +78,15 @@ def test_enumerate_dyck_order_and_validity():
 def test_enumerators_leave_no_reference_cycles():
     # Each enumerator walks an explicit stack, so what one call makes is
     # freed by reference counting alone.
-    calls = ((enumerate_partitions, 6), (enumerate_dyck, 4),
-             (placements, (2, 3, 3)))
+    calls = ((enumerate_partitions, (6,)), (enumerate_dyck, (4,)),
+             (placements, ((2, 3, 3),)),
+             (_horizontal_strips.__wrapped__, ((3, 2, 1), 3)))
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for enumerate_all, arg in calls:
+        for enumerate_all, args in calls:
             gc.collect()
-            assert enumerate_all(arg)
+            assert enumerate_all(*args)
             assert gc.collect() == 0, enumerate_all.__name__
     finally:
         if enabled:

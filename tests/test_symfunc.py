@@ -281,6 +281,9 @@ def test_checked_constructor_rejects_what_the_trusted_one_skips():
         SymFunc(3, "monomial", {(2,): ONE})          # wrong degree
     with pytest.raises(ValueError):
         SymFunc(2, "elementary", {(2,): ONE})        # unknown basis
+    for value in (1.5, "x", True, QLaurent(0, (1.5,)), QLaurent(0, (True,))):
+        with pytest.raises(ValueError, match="neither an int"):
+            SymFunc(1, "monomial", {(1,): value})
     g = SymFunc(2, "monomial", {(2,): ONE, (1, 1): Q})
     f = chromatic_x((2, 2, 4, 4, 5))
     for built in (f, f.to_basis("hl_p"), f.to_basis("schur"), add(g, g),

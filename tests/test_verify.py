@@ -189,7 +189,10 @@ def test_the_width_holds_every_entry_of_the_table_it_packs(monkeypatch):
         lhs="(1,1,1,1,1): 1", rhs="0")
 
 
-@pytest.mark.parametrize("check", [check_main, check_llt])
+@pytest.mark.parametrize("check", [
+    check_main, check_llt,
+    pytest.param(partial(check_principal, alpha_max=3), id="check_principal"),
+])
 def test_a_width_narrower_than_the_bound_raises(monkeypatch, check):
     # A width short of what the bounds call for, by any number of bits,
     # must raise rather than return a verdict.
@@ -381,6 +384,8 @@ def test_check_principal_small_sizes():
                 assert all(r.ok for r in reports)
     insts = [r.instance for r in check_principal((1, 2), 1)]
     assert insts == ["heights=1,2;colors=0", "heights=1,2;colors=1"]
+    with pytest.raises(ValueError, match="colors must be nonnegative"):
+        check_principal((1,), -1)
 
 
 def test_check_principal_runs_the_class_dp_once_per_path(monkeypatch):
@@ -451,13 +456,13 @@ def test_x_and_llt_never_run_the_class_dp_per_partition(monkeypatch,
 
 
 def test_check_principal_reports_a_direct_side_counterexample(monkeypatch):
-    # Break the coloring side at two colors only, multiplying the packed
-    # m_la(1, q) by q (a shift by the packing width): that instance, and no
-    # other, must be reported, with the rook and product sides intact.
-    real = chromatic._packed_monomial
+    # Break the coloring side at two colors only, multiplying m_la(1, q)
+    # by q: that instance, and no other, must be reported, with the rook
+    # and product sides intact.
+    real = verify.principal_monomial
     monkeypatch.setattr(
-        chromatic, "_packed_monomial",
-        lambda la, k, bits: real(la, k, bits) << (bits if k == 2 else 0))
+        verify, "principal_monomial",
+        lambda la, k: real(la, k).shift(1 if k == 2 else 0))
     reports = check_principal(FIG_PATH, 3)
     assert [r.instance for r in reports if r.ok] == [
         "heights=2,2,4,4,5;colors=0", "heights=2,2,4,4,5;colors=1",
