@@ -9,11 +9,12 @@ number of free cells, and summing q^fc over placements of a fixed type
 gives the polynomial at the center of every identity in this package.
 
 type_polynomials computes those sums without listing a placement: a
-transfer DP places the vertices one at a time, keeping only the ranks of
-the chains' open ends, and scores each row of free cells as soon as its
-vertex joins a chain.  placements, placement_type and free_cells list and
-score placements one by one, for `rookhl rook --list`; the tests sum them
-per type as the DP's oracle.
+transfer DP (_type_polynomials, packed at the caller's width) places the
+vertices one at a time, keeping only the ranks of the chains' open ends,
+and scores each row of free cells as soon as its vertex joins a chain.
+placements, placement_type and free_cells list and score placements one
+by one, for `rookhl rook --list`; the tests sum them per type as the DP's
+oracle.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ def placements(gamma: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
     Enumeration backtracks over columns ascending, trying the empty column
     first and then rows ascending, so the order is deterministic.
     """
-    # Depth-first over columns, from an explicit stack: a column's choices
-    # are pushed last row first and the empty column last, so they pop in
-    # the order above.  `used` is the bitmask of the rows taken.
+    # Depth-first from a stack, each column's choices pushed in reverse
+    # order; `used` is the bitmask of the rows taken.
     n = len(gamma)
     out = []
     stack = [(1, (), 0)]
@@ -54,20 +54,11 @@ def placements(gamma: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
 
 
 def placement_type(n: int, placement) -> tuple[int, ...]:
-    """Chain lengths, sorted descending: a partition of n."""
-    succ = [0] * (n + 1)
-    for i, j in placement:
-        succ[i] = j
-    # length[d] counts the vertices from d to the end of its chain.  It is
-    # filled from the top down, as succ[d] > d, and cleared once counted
-    # into its predecessor's, so only chain starts keep a length.
-    length = [1] * (n + 1)
-    for d in range(n, 0, -1):
-        j = succ[d]
-        if j:
-            length[d] = length[j] + 1
-            length[j] = 0
-    return tuple(sorted(filter(None, length[1:]), reverse=True))
+    """Chain lengths, sorted descending: a partition of n.  A chain ends in
+    the one vertex with no rook above it, ranked by the chain's length."""
+    col_rank, col_top, _, _ = rank_tables(n, placement)
+    return tuple(sorted((col_rank[d] for d in range(1, n + 1)
+                         if col_top[d] > n), reverse=True))
 
 
 class RankTables(NamedTuple):
@@ -122,70 +113,77 @@ def free_cells(gamma, placement, gate=True) -> set[tuple[int, int]]:
 
 def type_polynomials(gamma: tuple[int, ...]) -> dict[tuple[int, ...], QLaurent]:
     """The sum of q^fc over the placements of each type, r_mu, for every
-    type in one pass of the transfer DP.  Types with no placement are
-    absent.
+    type with a placement, from one pass of _type_polynomials at its own
+    width.  The DP is looked up at call time, so that tests can put
+    another kernel in its place."""
+    width = math.factorial(len(gamma)).bit_length()
+    return {mu: unpack(hist, width)
+            for mu, hist in _type_polynomials(gamma, width).items()}
 
-    The DP is _type_polynomials, looked up at call time so that it can be
-    replaced with its column gate off.
-    """
-    return _type_polynomials(gamma)
 
+def _type_polynomials(gamma, width: int) -> dict[tuple[int, ...], int]:
+    """{mu: r_mu at q = 2^width}, vertex by vertex.
 
-def _type_polynomials(gamma, gate=True):
-    """Sum q^fc over the placements of each type, vertex by vertex.
+    A state holds the ranks (chain positions) of the open vertices, those
+    no vertex follows yet.  Vertex d starts a chain (rank 1) or follows an
+    open vertex i of its row (gamma[i-1] < d), taking rank(i) + 1 and
+    closing i.  Row d meets columns 1..on, and on never decreases, so a
+    state is one tuple: the open met columns' ranks as a sorted multiset,
+    then the unmet vertices' in order, sorted in on the row that meets
+    them.  By free_cells's rule, a new chain frees the cell of every open
+    met column, and following one of the c columns ranked b those ranked
+    above b and the tied ones to its left, 0 to c - 1 of them: the c
+    choices leave one multiset, and one transition adds them, times [c]_q.
 
-    A state lists the ranks (chain positions) of the open vertices, those
-    placed that no vertex follows yet.  Vertex d starts a chain (rank 1) or
-    follows an open vertex i of its row (gamma[i-1] < d), taking
-    rank(i) + 1 and closing i.  Row d's columns are 1..on, and on never
-    decreases, so every vertex an earlier row closed is among them: row
-    d's open columns are the first m = on - (d - 1 - len(state)) entries.
-    With left = i (or d for a new chain) and b = rank(d) - 1, the cell
-    (j, d) of an open column j is free iff j < left and b <= rank(j), or
-    left < j and b < rank(j): the rule of free_cells read row by row.  With
-    the gate off a closed column keeps scoring, so it stays in the state
-    with its rank negated, and m = on.
-
-    Each state maps to its fc histogram packed into one int, `width` bits
-    per fc value, and states that agree merge them.  A count never exceeds
-    n!, the number of choice sequences, so slots never carry.  A final
-    state's type is its sorted positive ranks, the lengths of its chains.
-
-    Reading row d's columns as a prefix needs heights that never decrease
-    and never fall below the diagonal, so any other heights raise
-    ValueError (dyck.check_heights, which the coloring DP shares).
-    Heights above n are accepted: they only close columns.
+    Each state's fc histogram is one int, `width` bits per fc value.  No
+    count exceeds n!, the number of choice sequences, so slots never carry
+    and a width below n!.bit_length() raises ValueError.  Heights that
+    decrease or fall below the diagonal make row d's columns no prefix and
+    raise ValueError (dyck.check_heights); heights above n only close
+    columns.
     """
     check_heights(gamma)
     n = len(gamma)
-    width = math.factorial(n).bit_length()
+    if width < math.factorial(n).bit_length():
+        raise ValueError(f"{width} bits cannot hold {n}! placements")
+    spread = [((1 << width * c) - 1) // ((1 << width) - 1)    # [c]_q
+              for c in range(n + 1)]
     states = {(): 1}
     on = 0      # row d meets columns 1..on, as gamma is weakly increasing
     for d in range(1, n + 1):
+        met = on
         while on < d - 1 and gamma[on] < d:
             on += 1
+        tail = d - 1 - on
+        if on > met:
+            # Tail vertices joined the met columns: sort the multiset again.
+            merged = {}
+            for ranks, hist in states.items():
+                m = len(ranks) - tail
+                key = tuple(sorted(ranks[:m])) + ranks[m:]
+                merged[key] = merged.get(key, 0) + hist
+            states = merged
         nxt = {}
         for ranks, hist in states.items():
-            m = on - (d - 1 - len(ranks))
-            row = ranks[:m] if gate else tuple(map(abs, ranks[:m]))
-            ordered = sorted(row)
-            # Starting a chain, b = 0: every scoring column's cell is free.
+            m = len(ranks) - tail
+            # Starting a chain, b = 0: every open met column's cell is free.
             key = ranks + (1,)
             nxt[key] = nxt.get(key, 0) + (hist << width * m)
-            for p in range(m):
-                b = ranks[p]
-                if b > 0:
-                    # Columns ranked above b, and those ranked b left of p.
-                    free = m - bisect_right(ordered, b) + row[:p].count(b)
-                    key = (ranks[:p] + (() if gate else (-b,)) + ranks[p + 1:]
-                           + (b + 1,))
-                    nxt[key] = nxt.get(key, 0) + (hist << width * free)
+            i = 0
+            while i < m:
+                # ranks[i:j] is the run of the c = j - i columns ranked b.
+                b = ranks[i]
+                j = bisect_right(ranks, b, i + 1, m)
+                key = ranks[:i] + ranks[i + 1:] + (b + 1,)
+                nxt[key] = (nxt.get(key, 0)
+                            + (hist << width * (m - j)) * spread[j - i])
+                i = j
         states = nxt
     by_type: dict[tuple[int, ...], int] = {}
     for ranks, hist in states.items():
-        mu = tuple(sorted((r for r in ranks if r > 0), reverse=True))
+        mu = tuple(sorted(ranks, reverse=True))
         by_type[mu] = by_type.get(mu, 0) + hist
-    return {mu: unpack(hist, width) for mu, hist in by_type.items()}
+    return by_type
 
 
 @cache

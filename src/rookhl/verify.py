@@ -23,13 +23,14 @@ q^(k-1)), each constant packed once per width (_packed).  Each orbit packs
 at its own width, from a bound on every coefficient either side can have
 (the coloring side's L1 norms pushed through the solve, and each member's
 own rook side) and on every entry of the table it packs
-(Transitions.norms).  mult packs at one width per path size and block
-size (_mult_width), from the number of placements and the largest strip
-factor.  Each coefficient is then below 2^(bits-1), so equal ints prove
-equal polynomials, and unequal ints a counterexample (_width), written
-from the same ints (qseries.unpack_signed, pack_signed's inverse on that
-range).  A polynomial the width does not hold, or with a negative power of
-q, raises ValueError.
+(Transitions.norms).  mult packs at one width per path size and block size
+(_mult_width), from the number of placements and the largest strip factor,
+and takes both sides' type polynomials packed at that width straight from
+the rook DP (rook._type_polynomials).  Each coefficient is then below
+2^(bits-1), so equal ints prove equal polynomials, and unequal ints a
+counterexample (_width), written from the same ints (qseries.unpack_signed,
+pack_signed's inverse on that range).  A polynomial the width does not
+hold, or with a negative power of q, raises ValueError.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from rookhl.qseries import (
     q_power, unpack, unpack_signed,
 )
 from rookhl.rook import hl_coefficients, mult_factorials, type_polynomials
-from rookhl import IDENTITIES, symfunc
+from rookhl import IDENTITIES, rook, symfunc
 from rookhl.symfunc import SymFunc, _solve, multiply, transitions
 
 
@@ -315,19 +316,15 @@ def check_multiplicativity(gamma, k: int,
     report).
 
     The coefficient level compares ints at q = 2^bits, bits =
-    _mult_width(n, k).  The rook DP counts at most n! placements on a path
-    of size n, one per sequence of choices, so every coefficient of a type
-    polynomial of the extended path is at most (n + k)!.  Type
-    polynomials, strip factors and so each sum have no negative
-    coefficient, so a sum's coefficients are at most its value at q = 1:
-    the sum over mu of r_mu(1) times a strip factor at q = 1, at most n!
-    times the largest of those over the partitions mu of n.  Every
-    coefficient is then below 2^(bits-1) (_width), so equal ints prove
-    equal polynomials.  pack raises ValueError on a negative coefficient
-    or one past the width.  Types of gamma that count more than n!
-    placements raise ValueError too, since a sum could otherwise overflow
-    the width unseen.  The ints are unpacked only to write a
-    counterexample.
+    _mult_width(n, k), with both paths' type polynomials packed at that
+    width by the rook DP.  A path of size n has at most n! placements, one
+    per sequence of choices, and type polynomials and strip factors have
+    no negative coefficient, so each coefficient compared is at most
+    (n + k)!, or n! times a strip factor at q = 1: below 2^(bits-1)
+    (_width), so equal ints prove equal polynomials.  Types of gamma that
+    count more than n! placements, summed exactly slot by slot, raise
+    ValueError, since a sum could otherwise overflow the width unseen.
+    The ints are unpacked only to write a counterexample.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -340,28 +337,29 @@ def check_multiplicativity(gamma, k: int,
         lhs = SymFunc(n + k, "hl_p", hl_coefficients(extended))
         rhs = multiply(y1, y2).to_basis("hl_p")
         return [_report("mult.function", base, lhs, rhs)]
-    big = type_polynomials(extended)
     bits = _mult_width(n, k)
+    big = rook._type_polynomials(extended, bits)
     sums = {}
-    count = 0
-    for mu, r in type_polynomials(gamma).items():
-        count += r.at_one()
-        packed = pack(r, bits)
+    count, mask = 0, (1 << bits) - 1
+    for mu, packed in rook._type_polynomials(gamma, bits).items():
         for nu, factor in _packed_strips(mu, k, bits):
             sums[nu] = sums.get(nu, 0) + packed * factor
+        while packed:   # r_mu at q = 1, one coefficient at a time
+            count += packed & mask
+            packed >>= bits
     if count > math.factorial(n):
         raise ValueError(f"{count} placements on a path of size {n}, more "
                          f"than {n}!")
     reports = []
     for nu in _partitions(n + k):
         instance = base + f";type={format_partition(nu)}"
-        lhs = big.get(nu, ZERO)
-        rhs = sums.get(nu, 0)
-        if pack(lhs, bits) == rhs:
+        lhs, rhs = big.get(nu, 0), sums.get(nu, 0)
+        if lhs == rhs:
             reports.append(CheckReport("mult", instance, "verified"))
         else:
             reports.append(CheckReport("mult", instance, "counterexample",
-                                       str(lhs), str(unpack(rhs, bits))))
+                                       str(unpack(lhs, bits)),
+                                       str(unpack(rhs, bits))))
     return reports
 
 

@@ -1,11 +1,12 @@
 """A register of named mutations of the package, and a runner that requires
 each one to be caught.
 
-Each mutation names a file, an exact text that occurs in it once, the text
-that replaces it, and the tests that must fail once it is replaced.  A
-tier-1 test (test_mutants.py) checks that every text still occurs exactly
-once, so a refactor that moves the code it mutates must update this
-register instead of silently losing a control.
+Each mutation names a file of the package or a test-side kernel, an exact
+text that occurs in it once, the text that replaces it, and the tests that
+must fail once it is replaced.  A tier-1 test (test_mutants.py) checks
+that every text still occurs exactly once, so a refactor that moves the
+code it mutates must update this register instead of silently losing a
+control.
 
 The runner applies each mutation to a temporary copy of src and tests and
 runs only the named tests there; it exits non-zero if any of them passes.
@@ -38,7 +39,7 @@ class Mutant(NamedTuple):
 
 ROOK_DP = (
     "tests/test_rook.py::test_type_polynomials_match_enumeration",
-    "tests/test_rook.py::test_type_polynomials_read_open_columns_across_jumps",
+    "tests/test_rook.py::test_multiset_kernel_equals_the_ordered_kernel",
 )
 
 MULT = (
@@ -53,29 +54,41 @@ WIDTH = (
 )
 
 MUTANTS = [
-    # The rook DP, rook._type_polynomials.
-    Mutant("rook-dp-on-for-m", "src/rookhl/rook.py",
-           "m = on - (d - 1 - len(ranks))", "m = on",
+    # The rook DP, rook._type_polynomials: the spread [c]_q of a tie run,
+    # the columns ranked above it, the multiset sorted again as columns
+    # join it, and the tail of unmet vertices kept in vertex order.
+    Mutant("rook-dp-spread-one-short", "src/rookhl/rook.py",
+           "spread[j - i]", "spread[j - i - 1]",
            ROOK_DP),
-    Mutant("rook-dp-keep-closed-zero", "src/rookhl/rook.py",
-           "(() if gate else (-b,))", "((0,) if gate else (-b,))",
+    Mutant("rook-dp-above-from-run-start", "src/rookhl/rook.py",
+           "width * (m - j)", "width * (m - i)",
            ROOK_DP),
-    Mutant("rook-dp-tie-right-of-p", "src/rookhl/rook.py",
-           "row[:p].count(b)", "row[p + 1:].count(b)",
+    Mutant("rook-dp-prefix-not-resorted", "src/rookhl/rook.py",
+           "tuple(sorted(ranks[:m]))", "ranks[:m]",
            ROOK_DP),
-    Mutant("rook-dp-bisect-left", "src/rookhl/rook.py",
-           "from bisect import bisect_right",
-           "from bisect import bisect_left as bisect_right",
-           ROOK_DP),
-    # The gate removal that criterion 9 makes on purpose, made for every
-    # caller: the main identity must fail, not only the oracle.
-    Mutant("rook-dp-gate-off", "src/rookhl/rook.py",
-           "def _type_polynomials(gamma, gate=True):",
-           "def _type_polynomials(gamma, gate=False):",
-           ("tests/test_rook.py::test_type_polynomials_match_enumeration",
-            "tests/test_acceptance.py::"
-            "test_criterion_2_main_identity_through_n6",
-            "tests/test_verify.py::test_check_main_small_sizes")),
+    Mutant("rook-dp-tail-sorted", "src/rookhl/rook.py",
+           "tuple(sorted(ranks[:m])) + ranks[m:]",
+           "tuple(sorted(ranks[:m])) + tuple(sorted(ranks[m:]))",
+           ROOK_DP + (
+               "tests/test_rook.py::"
+               "test_multiset_kernel_keeps_the_tail_in_vertex_order",)),
+    # The ordered test kernel is the DP's second oracle and the negative
+    # controls' stand-in.  With its gate off by default, the oracle
+    # comparison must fail; with its gate stuck on, the controls must.
+    Mutant("rook-dp-gate-off", "tests/placement_oracle.py",
+           "def ordered_type_polynomials(gamma, width, gate=True):",
+           "def ordered_type_polynomials(gamma, width, gate=False):",
+           ("tests/test_rook.py::"
+            "test_multiset_kernel_equals_the_ordered_kernel",)),
+    Mutant("rook-control-gate-stuck-on", "tests/placement_oracle.py",
+           "    check_heights(gamma)\n    n = len(gamma)\n    if width <",
+           "    gate = True\n    check_heights(gamma)\n    n = len(gamma)\n"
+           "    if width <",
+           ("tests/test_acceptance.py::"
+            "test_criterion_9_gate_removal_is_detected",
+            "tests/test_cli.py::test_verify_finds_counterexample",
+            "tests/test_verify.py::"
+            "test_check_main_reports_counterexample_when_rule_is_broken")),
     Mutant("free-cells-gate-off", "src/rookhl/rook.py",
            "col_top[i] if gate else n + 1", "n + 1",
            ("tests/test_rook.py::test_free_cells_match_oracle",

@@ -1,11 +1,17 @@
-"""Test oracle for the type polynomials: every placement listed, its chains
-read off, and its free cells scored one by one.
+"""Test oracles for the type polynomials: every placement listed, its chains
+read off, and its free cells scored one by one; and the ordered transfer
+DP, with a column gate that the negative controls turn off.
 
-The package sums q^fc per type with a transfer DP over the vertices; here
-the sums are taken over the enumeration, the way the package took them
-before the DP.
+The package sums q^fc per type with a transfer DP over the vertices that
+keeps its met columns as a multiset; here the sums are taken over the
+enumeration, the way the package took them before any DP, and by the DP
+the package ran before the multiset one.
 """
 
+import math
+from bisect import bisect_right
+
+from rookhl.dyck import check_heights
 from rookhl.qseries import QLaurent
 from rookhl.rook import free_cells, placement_type, placements
 
@@ -64,3 +70,46 @@ def enumerated_type_polynomials(gamma, gate=True):
         out[mu] = QLaurent(lo, [counts.get(k, 0)
                                 for k in range(lo, max(counts) + 1)])
     return out
+
+
+def ordered_type_polynomials(gamma, width, gate=True):
+    """rook._type_polynomials with each state's open vertices in vertex
+    order, one transition per open column, and the column gate optional.
+
+    A state lists the ranks of the open vertices in vertex order; row d's
+    open columns are its first m = on - (d - 1 - len(state)) entries, and
+    following the one at position p scores the columns ranked above its
+    rank b, plus those ranked b left of p.  With the gate off a closed
+    column keeps scoring, so it stays in the state with its rank negated,
+    and m = on.  It is rook._type_polynomials's seam, so the negative
+    controls put it in that kernel's place with gate=False.
+    """
+    check_heights(gamma)
+    n = len(gamma)
+    if width < math.factorial(n).bit_length():
+        raise ValueError(f"{width} bits cannot hold up to {n}! placements")
+    states = {(): 1}
+    on = 0
+    for d in range(1, n + 1):
+        while on < d - 1 and gamma[on] < d:
+            on += 1
+        nxt = {}
+        for ranks, hist in states.items():
+            m = on - (d - 1 - len(ranks))
+            row = ranks[:m] if gate else tuple(map(abs, ranks[:m]))
+            ordered = sorted(row)
+            key = ranks + (1,)
+            nxt[key] = nxt.get(key, 0) + (hist << width * m)
+            for p in range(m):
+                b = ranks[p]
+                if b > 0:
+                    free = m - bisect_right(ordered, b) + row[:p].count(b)
+                    key = (ranks[:p] + (() if gate else (-b,)) + ranks[p + 1:]
+                           + (b + 1,))
+                    nxt[key] = nxt.get(key, 0) + (hist << width * free)
+        states = nxt
+    by_type = {}
+    for ranks, hist in states.items():
+        mu = tuple(sorted((r for r in ranks if r > 0), reverse=True))
+        by_type[mu] = by_type.get(mu, 0) + hist
+    return by_type

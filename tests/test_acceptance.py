@@ -27,7 +27,7 @@ from rookhl.verify import (
     check_llt, check_main, check_multiplicativity, sweep,
 )
 from class_dp import llt_coefficient, x_coefficient
-from placement_oracle import extended_placement
+from placement_oracle import extended_placement, ordered_type_polynomials
 from reference import evaluate, hl_direct_oracle
 from tableaux import kostka
 
@@ -231,7 +231,7 @@ def test_criterion_8h_placement_counts():
 
 def test_criterion_9_gate_removal_is_detected(monkeypatch):
     monkeypatch.setattr(rook, "_type_polynomials",
-                        partial(rook._type_polynomials, gate=False))
+                        partial(ordered_type_polynomials, gate=False))
     # the worked example's polynomial changes...
     broken = type_polynomials(FIG_PATH)[(3, 2)]
     assert broken != QLaurent(0, (1, 2, 1))

@@ -16,6 +16,7 @@ from rookhl.partitions import coefficient_line, parse_partition
 from rookhl.qseries import ZERO, q_power
 from rookhl.rook import hl_coefficients
 from rookhl.symfunc import SymFunc
+from placement_oracle import ordered_type_polynomials
 from reference import symfunc_from_json
 
 
@@ -155,7 +156,7 @@ def test_verify_json(capsys):
 
 def test_verify_finds_counterexample(capsys, monkeypatch):
     monkeypatch.setattr(rook, "_type_polynomials",
-                        partial(rook._type_polynomials, gate=False))
+                        partial(ordered_type_polynomials, gate=False))
     code, out = run(capsys, ["verify", "--identity", "main", "--n-max", "3"])
     assert code == 1
     assert "counterexample" in out

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 from mutants import MUTANTS, ROOT
 
@@ -9,7 +10,10 @@ def test_each_mutation_text_occurs_once_and_names_real_tests():
     # and each named test is defined where the register says.
     assert len({m.name for m in MUTANTS}) == len(MUTANTS)
     for m in MUTANTS:
-        assert m.file.startswith("src/"), m.name
+        # The package, or a test-side kernel such as the ordered rook DP;
+        # never a test module itself.
+        assert m.file.startswith(("src/", "tests/")), m.name
+        assert not Path(m.file).name.startswith("test_"), m.name
         assert (ROOT / m.file).read_text().count(m.text) == 1, m.name
         assert m.text != m.replacement and m.tests, m.name
         for test in m.tests:

@@ -1,5 +1,7 @@
 import ast
+import inspect
 import math
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from rookhl.dyck import (
     area, enumerate_dyck, complete_path, modular_triples,
 )
 from rookhl.partitions import enumerate_partitions, multiplicities, nstat
-from rookhl.qseries import QLaurent, ONE, ZERO, q_factorial, q_power
+from rookhl.qseries import QLaurent, ONE, ZERO, q_factorial, q_power, unpack
 from rookhl import rook, verify
 from rookhl.cli import main
 from rookhl.rook import (
@@ -18,6 +20,7 @@ from rookhl.rook import (
 )
 from placement_oracle import (
     chains, enumerated_type_polynomials, extended_placement, fc,
+    ordered_type_polynomials,
 )
 from reference import poset_cells
 
@@ -167,11 +170,12 @@ def test_hl_coefficient_examples():
 
 def test_hl_coefficient_raises_on_negative_power(monkeypatch):
     # A type polynomial that leaves a negative power of q is a broken
-    # input, caught by a raise that python -O keeps.
+    # input, caught by a raise that python -O keeps.  On (1, 2), r_(1,1)
+    # is q; a kernel that returns 1 leaves q^-1 (1 + q).
     monkeypatch.setattr(rook, "_type_polynomials",
-                        lambda gamma, gate=True: {(1,): QLaurent(-3, (1,))})
+                        lambda gamma, width: {(1, 1): 1})
     with pytest.raises(ValueError, match="not a polynomial"):
-        hl_coefficients((1,))
+        hl_coefficients((1, 2))
 
 
 def test_package_source_has_no_assert():
@@ -249,16 +253,86 @@ def test_type_polynomials_match_oracle_sums():
             assert type_polynomials(gamma) == want
 
 
+def ordered(gamma, gate=True):
+    """The ordered test kernel's type polynomials, unpacked at the width
+    type_polynomials uses."""
+    width = math.factorial(len(gamma)).bit_length()
+    return {mu: unpack(hist, width) for mu, hist in
+            ordered_type_polynomials(gamma, width, gate).items()}
+
+
 def test_type_polynomials_match_enumeration():
     # The transfer DP against placements listed and scored one by one, on
-    # every path through n = 7, and with the column gate off through n = 6.
+    # every path through n = 7; and the ordered kernel, the negative
+    # controls' stand-in, with the column gate off through n = 6.
     for n in range(8):
         for gamma in enumerate_dyck(n):
             assert type_polynomials(gamma) == \
                 enumerated_type_polynomials(gamma)
             if n <= 6:
-                assert rook._type_polynomials(gamma, gate=False) == \
+                assert ordered(gamma, gate=False) == \
                     enumerated_type_polynomials(gamma, gate=False)
+
+
+def random_heights(rng, n, top):
+    """Heights that never decrease and never fall below the diagonal,
+    each at most top, drawn from rng."""
+    gamma = []
+    for i in range(1, n + 1):
+        gamma.append(rng.randint(max(i, gamma[-1] if gamma else 1), top))
+    return tuple(gamma)
+
+
+def test_multiset_kernel_equals_the_ordered_kernel():
+    # The multiset DP against the ordered one it replaced, packed, on every
+    # path through n = 7 and on seeded random heights up to n + 3, at the
+    # smallest width and at wider ones.
+    for n in range(8):
+        width = math.factorial(n).bit_length()
+        for gamma in enumerate_dyck(n):
+            assert rook._type_polynomials(gamma, width) == \
+                ordered_type_polynomials(gamma, width)
+    rng = random.Random(21)
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        gamma = random_heights(rng, n, n + 3)
+        width = math.factorial(n).bit_length() + rng.randint(0, 4)
+        assert rook._type_polynomials(gamma, width) == \
+            ordered_type_polynomials(gamma, width), gamma
+
+
+def test_multiset_kernel_sums_tie_runs_of_three():
+    # Row d of the staircase meets all d - 1 columns below it, and where no
+    # rook was placed below row d they are open at rank 1: from row 4 on a
+    # tie run of c >= 3 columns takes one transition weighted [c]_q.
+    gamma = (1, 2, 3, 4, 5, 6)
+    assert columns_met(gamma)[3:] == [3, 4, 5]
+    assert type_polynomials(gamma) == enumerated_type_polynomials(gamma)
+    assert type_polynomials(gamma)[(1,) * 6] == q_power(15)
+
+
+def test_multiset_kernel_keeps_the_tail_in_vertex_order():
+    # On row 5 of (1, 4, 5, 6, 6, 6) vertex 2 joins the met columns, and
+    # the tail holds vertices 3 and 4, of heights 5 and 6: row 6 meets
+    # vertex 3 but not vertex 4, so sorting their ranks with the multiset
+    # would score the wrong column.
+    gamma = (1, 4, 5, 6, 6, 6)
+    assert columns_met(gamma) == [0, 1, 1, 1, 2, 3]
+    assert type_polynomials(gamma) == enumerated_type_polynomials(gamma)
+
+
+def test_kernel_width_must_hold_n_factorial():
+    # The seam takes the caller's width and has no gate; a width that
+    # cannot hold n! placements per fc value raises.
+    assert list(inspect.signature(rook._type_polynomials).parameters) == \
+        ["gamma", "width"]
+    for gamma in (FIG_PATH, (1, 2, 3, 4, 5, 6, 7)):
+        least = math.factorial(len(gamma)).bit_length()
+        with pytest.raises(ValueError, match="cannot hold"):
+            rook._type_polynomials(gamma, least - 1)
+        assert {mu: unpack(h, least) for mu, h in
+                rook._type_polynomials(gamma, least).items()} == \
+            type_polynomials(gamma)
 
 
 def columns_met(gamma):
@@ -282,39 +356,43 @@ def test_type_polynomials_read_open_columns_across_jumps(gamma):
     # the first on - (closed vertices) entries of a state.  Where on jumps
     # by more than one in a row, vertices closed before the jump and open
     # ones after it share that prefix; heights above n leave columns that
-    # no row meets.  Both settings of the gate must still equal the
-    # enumeration.
+    # no row meets.  The DP must still equal the enumeration, and so must
+    # the ordered test kernel with either setting of the gate.
     on = columns_met(gamma)
     assert max(b - a for a, b in zip(on, on[1:])) > 1
+    assert type_polynomials(gamma) == enumerated_type_polynomials(gamma)
     for gate in (True, False):
-        assert rook._type_polynomials(gamma, gate) == \
+        assert ordered(gamma, gate) == \
             enumerated_type_polynomials(gamma, gate)
 
 
 def test_type_polynomials_reject_heights_the_dp_cannot_read():
     # Decreasing heights, or heights below the diagonal, break the DP's
-    # reading of each row as a prefix of columns: they raise, gate or not.
+    # reading of each row as a prefix of columns: they raise, in the DP and
+    # in the ordered test kernel, gate or not.
     for gamma in ((3, 2, 3), (2, 1, 3), (1, 1, 3)):
         with pytest.raises(ValueError):
             type_polynomials(gamma)
         with pytest.raises(ValueError):
-            rook._type_polynomials(gamma, gate=False)
+            ordered(gamma, gate=False)
     # Heights above n only close columns, and stay accepted.
     for gamma in ((2, 2, 4), (2, 2, 4, 5, 5)):
+        assert type_polynomials(gamma) == enumerated_type_polynomials(gamma)
         for gate in (True, False):
-            assert rook._type_polynomials(gamma, gate) == \
+            assert ordered(gamma, gate) == \
                 enumerated_type_polynomials(gamma, gate)
 
 
 def test_gate_hook_reaches_every_rook_side_caller(monkeypatch, capsys):
-    # The negative controls turn the DP's gate off by replacing
-    # rook._type_polynomials; every caller must look that name up.
+    # The negative controls turn the gate off by putting the ordered test
+    # kernel in rook._type_polynomials's place; every caller must look
+    # that name up.
     seen = []
     real = rook._type_polynomials
 
-    def recording(gamma, gate=True):
+    def recording(gamma, width):
         seen.append(gamma)
-        return real(gamma, gate)
+        return real(gamma, width)
 
     monkeypatch.setattr(rook, "_type_polynomials", recording)
     small = (2, 3, 3)

@@ -9,7 +9,7 @@ from rookhl.dyck import (
     area_sequence, enumerate_dyck, format_heights, modular_triples, reflect,
 )
 from rookhl.partitions import conjugate, enumerate_partitions
-from rookhl.qseries import QLaurent, ZERO, ONE, Q, q_power, unpack
+from rookhl.qseries import ONE, Q, q_power, unpack
 from rookhl import chromatic, rook, symfunc, verify
 from rookhl.cli import main
 from rookhl.chromatic import chromatic_x, llt_poly, principal_direct
@@ -19,6 +19,7 @@ from rookhl.verify import (
     CheckReport, check_main, check_modular, check_multiplicativity,
     check_llt, check_principal, sweep, sweep_tasks,
 )
+from placement_oracle import ordered_type_polynomials
 from reference import is_vertical_strip, llt_forms, mult_by_pair_scan, scale
 
 FIG_PATH = (2, 2, 4, 4, 5)
@@ -45,7 +46,7 @@ def test_check_main_small_sizes():
 
 def test_check_main_reports_counterexample_when_rule_is_broken(monkeypatch):
     monkeypatch.setattr(rook, "_type_polynomials",
-                        partial(rook._type_polynomials, gate=False))
+                        partial(ordered_type_polynomials, gate=False))
     rep = check_main(FIG_PATH)
     assert rep.status == "counterexample"
     assert rep.instance == "heights=2,2,4,4,5"
@@ -83,7 +84,7 @@ def test_check_llt_reports_the_tilde_form_when_only_it_fails(monkeypatch):
     # form as its word function: form=omega then holds, and the tilde form,
     # which inverts q in the same broken types, is the one reported.
     monkeypatch.setattr(rook, "_type_polynomials",
-                        partial(rook._type_polynomials, gate=False))
+                        partial(ordered_type_polynomials, gate=False))
     omega_form = llt_forms(FIG_PATH)[0].to_basis("monomial")
     monkeypatch.setattr(verify, "llt_poly", lambda g: omega_form)
     assert check_llt(FIG_PATH) == CheckReport(
@@ -133,8 +134,9 @@ def test_packed_reports_equal_the_symfunc_route(monkeypatch, identity, gate,
     # The ints decide every verdict; the Laurent route only writes the
     # counterexamples.  With the gate off most paths from n = 4 on fail,
     # so the ints must differ exactly where the polynomials do.
-    monkeypatch.setattr(rook, "_type_polynomials",
-                        partial(rook._type_polynomials, gate=gate))
+    if not gate:
+        monkeypatch.setattr(rook, "_type_polynomials",
+                            partial(ordered_type_polynomials, gate=False))
     check, oracle = {"main": (check_main, symfunc_main),
                      "llt": (check_llt, symfunc_llt)}[identity]
     paths = paths_through(n_max)
@@ -153,7 +155,7 @@ def test_paths_that_hold_never_take_the_laurent_route(monkeypatch):
 
     paths = paths_through(5)
     monkeypatch.setattr(rook, "_type_polynomials",
-                        partial(rook._type_polynomials, gate=False))
+                        partial(ordered_type_polynomials, gate=False))
     broken = ([symfunc_main(g) for g in paths]
               + [symfunc_llt(g) for g in paths])
     monkeypatch.setattr(SymFunc, "to_basis", laurent)
@@ -314,7 +316,7 @@ def test_mult_walks_exactly_the_vertical_strips(monkeypatch, gate):
     # those of the scan over every pair of a type and a partition.
     if not gate:
         monkeypatch.setattr(rook, "_type_polynomials",
-                            partial(rook._type_polynomials, gate=False))
+                            partial(ordered_type_polynomials, gate=False))
     failed = 0
     for k in (1, 2, 3):
         for gamma in paths_through(7 - k):
@@ -356,10 +358,10 @@ def test_mult_raises_when_the_count_premise_fails(monkeypatch):
     gamma = (2, 2, 3)
     real = rook._type_polynomials
 
-    def dp(g, gate=True):
+    def dp(g, width):
         if g == gamma:
-            return {(3,): QLaurent(0, (7,))}
-        return real(g, gate)
+            return {(3,): 7}
+        return real(g, width)
 
     monkeypatch.setattr(rook, "_type_polynomials", dp)
     with pytest.raises(ValueError, match="more than 3!"):
