@@ -93,17 +93,16 @@ def rank_tables(n: int, placement) -> RankTables:
     return RankTables(col_rank, col_top, row_rank, row_left)
 
 
-def free_cells(gamma, placement, gate=True) -> set[tuple[int, int]]:
+def free_cells(gamma, placement) -> set[tuple[int, int]]:
     """Board cells strictly below the extended rook of their column whose
     row rank fits under their column rank (weakly from the left, strictly
-    from the right).  The column gate is optional so that tests can show
-    what its removal breaks."""
+    from the right)."""
     n = len(gamma)
     col_rank, col_top, row_rank, row_left = rank_tables(n, placement)
     free = set()
     for i in range(1, n + 1):
         a = col_rank[i]
-        for j in range(gamma[i - 1] + 1, col_top[i] if gate else n + 1):
+        for j in range(gamma[i - 1] + 1, col_top[i]):
             b = row_rank[j]
             left = row_left[j]
             if (i < left and b <= a) or (left < i and b < a):

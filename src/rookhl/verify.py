@@ -9,8 +9,9 @@ size bound, deterministically, optionally spreading tasks over processes
 main, llt and principal compare a coloring side (X or the LLT polynomial)
 with a rook side (placement types).  A path and its reflection in the
 anti-diagonal (dyck.reflect) have the same X and LLT, so a sweep runs one
-task per reversal orbit: the coloring side is computed once, and each
-member of the orbit is reported against its own rook side.  The rook
+task per reversal orbit.  Each orbit reporter (_main_reports, _llt_reports,
+_principal_reports) reads its coloring side once, from the orbit's first
+member, and reports each member against its own rook side.  The rook
 sides are never shared: that they agree on the orbit is what is checked.
 
 main, llt, principal and mult compare Python ints: every polynomial
@@ -144,9 +145,9 @@ def _read_at_parts(t, coeffs) -> list:
     return [coeffs.get(la, ZERO) for la in t.parts]
 
 
-def _main_reports(members, x) -> list[list[CheckReport]]:
-    """check_main's report for each path of members, all of which have X's
-    monomial coefficients x, as ints at q = 2^bits.
+def _main_reports(members) -> list[list[CheckReport]]:
+    """check_main's report for each path of members, a reversal orbit or
+    one path, as ints at q = 2^bits.  X is read from the first member.
 
     X's monomial vector is solved against pm once.  Each member's
     coefficient of P_mu is q^(area - n(mu)) r_mu times the product of
@@ -162,7 +163,7 @@ def _main_reports(members, x) -> list[list[CheckReport]]:
     n = len(members[0])
     t = symfunc.transitions(n)
     norms = t.norms("pm")
-    vec = _read_at_parts(t, x)
+    vec = _read_at_parts(t, chromatic_x(members[0]).coeffs)
     bounds = _solve_bound([c.l1_norm() for c in vec], norms)
     bounds.append(max(map(max, norms)))
     rooks = []
@@ -199,7 +200,7 @@ def check_main(gamma) -> CheckReport:
     Both sides are compared as ints at q = 2^bits (_main_reports), at a
     width that makes equal ints prove equal polynomials (_width).
     """
-    return _main_reports((gamma,), chromatic_x(gamma).coeffs)[0][0]
+    return _main_reports((gamma,))[0][0]
 
 
 def check_modular(n: int, level: str) -> list[CheckReport]:
@@ -220,13 +221,7 @@ def check_modular(n: int, level: str) -> list[CheckReport]:
             return chromatic_x(g).coeffs
     else:
         raise ValueError(f"unknown level {level!r}")
-    memo = {}
-
-    def coeffs(g):
-        if g not in memo:
-            memo[g] = compute(g)
-        return memo[g]
-
+    coeffs = cache(compute)
     parts = enumerate_partitions(n)
     reports = []
     for t in modular_triples(n):
@@ -379,16 +374,17 @@ def _conjugates(n: int) -> list[int]:
     return [t.index[conjugate(la)] for la in t.parts]
 
 
-def _weighted_kf_bound(terms, t) -> int:
-    """A bound on every coefficient of the sum over (j, b) in terms of a
-    polynomial of L1 norm at most b times column j of t's kf."""
-    return max(sum(b * row[j] for j, b in terms if row[j])
-               for row in t.norms("kf"))
+def _columns_times(rows, terms) -> list[int]:
+    """The sum over (j, c) in terms of c times column j of rows, one entry
+    per row, skipping the zero entries: llt's rook side from kf's packed
+    entries, and a bound on it from their L1 norms."""
+    return [sum(c * row[j] for j, c in terms if row[j]) for row in rows]
 
 
-def _llt_reports(members, f) -> list[list[CheckReport]]:
-    """check_llt's report for each path of members, all of which have the
-    word function's monomial coefficients f, as ints at q = 2^bits.
+def _llt_reports(members) -> list[list[CheckReport]]:
+    """check_llt's report for each path of members, a reversal orbit or
+    one path, as ints at q = 2^bits.  The word function f is read from the
+    first member.
 
     Both forms come from one vector, S[la] = sum over mu of
     (1 - q)^(n - l(mu)) q^(-n(mu)) r_mu K_la,mu(q).  Form omega holds when
@@ -416,16 +412,16 @@ def _llt_reports(members, f) -> list[list[CheckReport]]:
     """
     n = len(members[0])
     t = symfunc.transitions(n)
-    vec = _read_at_parts(t, f)
+    vec = _read_at_parts(t, llt_poly(members[0]).coeffs)
     top = max(c.max_exp for c in vec)
     bounds = _solve_bound([c.l1_norm() for c in vec], t.kostka)
     bounds.append(max(map(max, t.norms("kf"))))
     rooks = []
     for gamma in members:
         rpolys = type_polynomials(gamma)
-        bounds.append(_weighted_kf_bound(
-            [(t.index[mu], r.l1_norm() << n - len(mu))
-             for mu, r in rpolys.items()], t))
+        bounds.append(max(_columns_times(
+            t.norms("kf"), [(t.index[mu], r.l1_norm() << n - len(mu))
+                            for mu, r in rpolys.items()])))
         rooks.append((gamma, rpolys))
     bits = _width(max(bounds))
     d = n * (n - 1) // 2
@@ -440,7 +436,7 @@ def _llt_reports(members, f) -> list[list[CheckReport]]:
         a = area(gamma)
         weights = [(t.index[mu], pack(r, bits) * _packed_llt_weight(mu, bits))
                    for mu, r in rpolys.items()]
-        packed = [sum(w * row[j] for j, w in weights if row[j]) for row in kf]
+        packed = _columns_times(kf, weights)
         instance = f"heights={format_heights(gamma)}"
         omega = omega_lhs == [v << bits * a for v in packed]
         if omega and tilde_lhs == [v << bits * top for v in packed]:
@@ -468,7 +464,7 @@ def check_llt(gamma) -> CheckReport:
     Both forms are compared as ints at q = 2^bits (_llt_reports), at a
     width that makes equal ints prove equal polynomials (_width).
     """
-    return _llt_reports((gamma,), llt_poly(gamma).coeffs)[0][0]
+    return _llt_reports((gamma,))[0][0]
 
 
 def check_principal(gamma, alpha_max: int) -> list[CheckReport]:
@@ -492,17 +488,17 @@ def check_principal(gamma, alpha_max: int) -> list[CheckReport]:
     bound, or with a negative coefficient, raises ValueError.  The ints
     are unpacked only to write a counterexample.
     """
-    return _principal_reports((gamma,), alpha_max,
-                              chromatic_x(gamma).coeffs)[0]
+    return _principal_reports((gamma,), alpha_max)[0]
 
 
-def _principal_reports(members, alpha_max: int,
-                       x) -> list[list[CheckReport]]:
-    """check_principal's reports for each path of members, all of which
-    have X's monomial coefficients x.  They share the direct route, and
-    the packing width bounds every route of every member."""
+def _principal_reports(members, alpha_max: int) -> list[list[CheckReport]]:
+    """check_principal's reports for each path of members, a reversal orbit
+    or one path.  X is read from the first member.  The members share the
+    direct route, and the packing width bounds every route of every
+    member."""
     if alpha_max < 0:
         raise ValueError("colors must be nonnegative")
+    x = chromatic_x(members[0]).coeffs
     ks = range(alpha_max + 1)
     at_one = [sum(c.at_one() * principal_monomial(la, k).at_one()
                   for la, c in x.items()) for k in ks]
@@ -556,24 +552,25 @@ def _principal_reports(members, alpha_max: int,
 ORBIT_IDENTITIES = ("main", "llt", "principal")
 
 
+# The reports of a task from its arguments (sweep_tasks), by its kind: one
+# list per path, each member of the orbit for main, llt and principal.
+# check_modular and check_multiplicativity are looked up when a task runs,
+# so that a wrapper put in their place after import (perfbench/tracer.py
+# times them) is the one called.
+_TASK_KINDS = {
+    "main": _main_reports,
+    "llt": _llt_reports,
+    "principal": _principal_reports,
+    "modular": lambda *args: [check_modular(*args)],
+    "mult": lambda *args: [check_multiplicativity(*args)],
+}
+
+
 def _task_reports(task) -> list[list[CheckReport]]:
-    """The reports of one task, one list per path it covers: each member
-    of the orbit for main, llt and principal, one path otherwise.  An
-    orbit's coloring side is computed once, from its first member."""
-    kind = task[0]
-    if kind == "main":
-        return _main_reports(task[1], chromatic_x(task[1][0]).coeffs)
-    if kind == "llt":
-        return _llt_reports(task[1], llt_poly(task[1][0]).coeffs)
-    if kind == "principal":
-        return _principal_reports(task[1], task[2],
-                                  chromatic_x(task[1][0]).coeffs)
-    if kind == "modular":
-        return [check_modular(task[1], task[2])]
-    if kind == "mult":
-        return [check_multiplicativity(task[1], task[2],
-                                       function_level=task[3])]
-    raise ValueError(f"unknown task {task!r}")
+    """The reports of one task of sweep_tasks, by its kind, task[0]."""
+    if task[0] not in _TASK_KINDS:
+        raise ValueError(f"unknown task {task!r}")
+    return _TASK_KINDS[task[0]](*task[1:])
 
 
 def _orbits(n_max: int) -> list[tuple]:

@@ -89,8 +89,11 @@ MUTANTS = [
             "tests/test_cli.py::test_verify_finds_counterexample",
             "tests/test_verify.py::"
             "test_check_main_reports_counterexample_when_rule_is_broken")),
+    # The package's free cells stop at the rook of their column; scoring
+    # past it is the ungated rule.
     Mutant("free-cells-gate-off", "src/rookhl/rook.py",
-           "col_top[i] if gate else n + 1", "n + 1",
+           "range(gamma[i - 1] + 1, col_top[i])",
+           "range(gamma[i - 1] + 1, n + 1)",
            ("tests/test_rook.py::test_free_cells_match_oracle",
             "tests/test_rook.py::test_ungated_rule_differs_on_fig_path")),
     # The coloring side's keys: a recursion without its smallest-part
@@ -139,6 +142,23 @@ MUTANTS = [
     Mutant("llt-width-drops-kf-term", "src/rookhl/verify.py",
            "    bounds.append(max(map(max, t.norms(\"kf\"))))\n", "",
            WIDTH),
+    # llt's rook side and its bound walk kf's columns through one helper;
+    # a term it drops breaks the packed products.
+    Mutant("kf-columns-drop-a-term", "src/rookhl/verify.py",
+           "for j, c in terms if row[j]", "for j, c in terms[1:] if row[j]",
+           ("tests/test_verify.py::test_check_llt_small_sizes",
+            "tests/test_verify.py::"
+            "test_packed_reports_equal_the_symfunc_route")),
+    # A sweep task must call the check the module holds when it runs: the
+    # tracer wraps check_multiplicativity after import, and a table that
+    # bound it then would lose that layer with stdout unchanged.
+    Mutant("task-table-binds-mult-at-import", "src/rookhl/verify.py",
+           "lambda *args: [check_multiplicativity(*args)]",
+           "lambda *args, f=check_multiplicativity: [f(*args)]",
+           ("tests/test_verify.py::"
+            "test_sweep_tasks_look_up_their_checks_when_they_run",
+            "tests/test_cli.py::"
+            "test_benchmark_tracer_runs_a_sweep_with_unchanged_stdout")),
     # A query that never checks an identity must not compile verify.
     Mutant("cli-imports-verify-eagerly", "src/rookhl/cli.py",
            "import argparse\n", "import argparse\nimport rookhl.verify\n",

@@ -1,6 +1,8 @@
 """Test oracles for the type polynomials: every placement listed, its chains
-read off, and its free cells scored one by one; and the ordered transfer
-DP, with a column gate that the negative controls turn off.
+read off, and its free cells scored one by one; the free-cell rule read
+literally; and the ordered transfer DP.  The literal rule and the ordered
+DP both take a column gate, which the negative controls turn off: the
+package has none.
 
 The package sums q^fc per type with a transfer DP over the vertices that
 keeps its met columns as a multiset; here the sums are taken over the
@@ -14,6 +16,7 @@ from bisect import bisect_right
 from rookhl.dyck import check_heights
 from rookhl.qseries import QLaurent
 from rookhl.rook import free_cells, placement_type, placements
+from reference import poset_cells
 
 
 def chains(n: int, placement) -> list[tuple[int, ...]]:
@@ -55,14 +58,35 @@ def fc(gamma, placement) -> int:
     return len(free_cells(gamma, placement))
 
 
+def oracle_free_cells(gamma, p, gate=True):
+    """The free-cell rule read literally: ranks from the chains, cells from
+    the whole board, each looked up in dicts.  Independent of the one-pass
+    rank tables that free_cells uses.  With the gate off, a cell at or
+    above the rook of its column may be free too."""
+    n = len(gamma)
+    succ = dict(p)
+    pred = {j: i for i, j in p}
+    pos = {d: t for ch in chains(n, p) for t, d in enumerate(ch, start=1)}
+    free = set()
+    for (i, j) in poset_cells(gamma):
+        if gate and succ.get(i, n + 1) <= j:
+            continue
+        a, b, left = pos[i], pos[j] - 1, pred.get(j, j)
+        if (i < left and b <= a) or (left < i and b < a):
+            free.add((i, j))
+    return free
+
+
 def enumerated_type_polynomials(gamma, gate=True):
-    """Sum q^fc over the placements of each type, one placement at a time.
-    Types with no placement are absent."""
+    """Sum q^fc over the placements of each type, one placement at a time,
+    scored by the package's free_cells, or with the gate off by the
+    literal rule.  Types with no placement are absent."""
     n = len(gamma)
     hist: dict[tuple[int, ...], dict[int, int]] = {}
     for p in placements(gamma):
         counts = hist.setdefault(placement_type(n, p), {})
-        k = len(free_cells(gamma, p, gate))
+        k = len(free_cells(gamma, p) if gate
+                else oracle_free_cells(gamma, p, gate=False))
         counts[k] = counts.get(k, 0) + 1
     out = {}
     for mu, counts in hist.items():

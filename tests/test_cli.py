@@ -289,9 +289,16 @@ def _traced_spans(tmp_path, args):
 
 def test_benchmark_tracer_runs_a_sweep_with_unchanged_stdout(tmp_path):
     # perfbench/tracer.py wraps package functions by name; a name it looks
-    # up that the package no longer has would break every traced run.
-    _traced_spans(tmp_path, ["verify", "--identity", "all", "--n-max", "3",
-                             "--jobs", "2"])
+    # up that the package no longer has would break every traced run.  It
+    # wraps module attributes after import, so a caller that bound one
+    # earlier (a dispatch table holding check_multiplicativity, say) would
+    # lose its layer with stdout unchanged: each layer must be recorded.
+    names = _traced_spans(tmp_path, ["verify", "--identity", "all",
+                                     "--n-max", "3", "--jobs", "2"])
+    assert names >= {
+        "verify.check_modular", "verify.check_multiplicativity",
+        "verify.sweep.warmup", "rook.type_polynomials",
+        "chromatic.chromatic_x", "chromatic.llt_poly"}
 
 
 @pytest.mark.parametrize("args", [

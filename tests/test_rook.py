@@ -20,7 +20,7 @@ from rookhl.rook import (
 )
 from placement_oracle import (
     chains, enumerated_type_polynomials, extended_placement, fc,
-    ordered_type_polynomials,
+    oracle_free_cells, ordered_type_polynomials,
 )
 from reference import poset_cells
 
@@ -209,37 +209,23 @@ def test_hl_coefficients_are_polynomials():
 
 def test_ungated_rule_differs_on_fig_path():
     # The strict reading of the free-cell rule needs the column gate; with
-    # the gate off, cell (1, 4) of the first worked example leaks in.
+    # the gate off, cell (1, 4) of the first worked example leaks in.  The
+    # package has no gate, and frees nothing there.
     p = ((1, 3), (2, 4), (3, 5))
-    assert free_cells(FIG_PATH, p, gate=False) == {(1, 4)}
-    assert free_cells(FIG_PATH, p, gate=True) == set()
-
-
-def oracle_free_cells(gamma, p, gate=True):
-    """The free-cell rule read literally: ranks from the chains, cells from
-    the whole board, each looked up in dicts.  Independent of the one-pass
-    rank tables that free_cells uses."""
-    n = len(gamma)
-    succ = dict(p)
-    pred = {j: i for i, j in p}
-    pos = {d: t for ch in chains(n, p) for t, d in enumerate(ch, start=1)}
-    free = set()
-    for (i, j) in poset_cells(gamma):
-        if gate and succ.get(i, n + 1) <= j:
-            continue
-        a, b, left = pos[i], pos[j] - 1, pred.get(j, j)
-        if (i < left and b <= a) or (left < i and b < a):
-            free.add((i, j))
-    return free
+    assert oracle_free_cells(FIG_PATH, p, gate=False) == {(1, 4)}
+    assert oracle_free_cells(FIG_PATH, p, gate=True) == set()
+    assert free_cells(FIG_PATH, p) == set()
 
 
 def test_free_cells_match_oracle():
+    # The package's free cells are the gated rule's; the gate only takes
+    # cells away.
     for n in range(7):
         for gamma in enumerate_dyck(n):
             for p in placements(gamma):
-                for gate in (True, False):
-                    assert free_cells(gamma, p, gate) == \
-                        oracle_free_cells(gamma, p, gate)
+                free = free_cells(gamma, p)
+                assert free == oracle_free_cells(gamma, p)
+                assert free <= oracle_free_cells(gamma, p, gate=False)
 
 
 def test_type_polynomials_match_oracle_sums():
@@ -264,7 +250,8 @@ def ordered(gamma, gate=True):
 def test_type_polynomials_match_enumeration():
     # The transfer DP against placements listed and scored one by one, on
     # every path through n = 7; and the ordered kernel, the negative
-    # controls' stand-in, with the column gate off through n = 6.
+    # controls' stand-in, with the column gate off through n = 6, against
+    # placements scored by the literal rule with the gate off.
     for n in range(8):
         for gamma in enumerate_dyck(n):
             assert type_polynomials(gamma) == \

@@ -544,16 +544,32 @@ def test_each_orbit_member_is_reported_on_its_own_rook_side(monkeypatch,
     bad = sorted((FIG_PATH, reflect(FIG_PATH)))[member]
     big = 3 ** 30
     monkeypatch.setattr(
-        verify, "hl_coefficients",
-        lambda g: {mu: c * big for mu, c in hl_coefficients(g).items()}
-        if g == bad else hl_coefficients(g))
-    monkeypatch.setattr(
         verify, "type_polynomials",
         lambda g: {mu: r * big for mu, r in type_polynomials(g).items()}
         if g == bad else type_polynomials(g))
     failed = {r.instance.split(";")[0]
               for r in sweep(5, {identity}) if not r.ok}
     assert failed == {"heights=" + ",".join(map(str, bad))}
+
+
+def test_sweep_tasks_look_up_their_checks_when_they_run(monkeypatch):
+    # A task runs the check the module holds when the task runs, so that a
+    # wrapper put in its place after import is the one called; a task of
+    # no known kind raises.
+    seen = []
+
+    def recording(name, real):
+        return lambda *args: seen.append(name) or real(*args)
+
+    for name in ("check_modular", "check_multiplicativity"):
+        monkeypatch.setattr(verify, name,
+                            recording(name, getattr(verify, name)))
+    assert all(r.ok for r in sweep(3, {"modular", "mult"}))
+    tasks = sweep_tasks(3, {"modular", "mult"})
+    assert seen == ["check_modular" if t[0] == "modular"
+                    else "check_multiplicativity" for t in tasks]
+    with pytest.raises(ValueError, match="unknown task"):
+        verify._task_reports(("colorings", 3))
 
 
 def test_sweep_main_count_and_determinism():
