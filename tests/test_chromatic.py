@@ -352,9 +352,15 @@ def test_principal_direct_small():
         principal_direct((1,), -1)
 
 
-def test_principal_against_product_enumeration():
-    # principal_direct for every number of colors up to n + 2, read as
-    # principal_series, against every coloring listed.
+def test_principal_direct_against_product_enumeration():
+    for n in range(6):
+        for gamma in enumerate_dyck(n):
+            for colors in range(n + 3):
+                assert principal_direct(gamma, colors) == \
+                    brute_principal(gamma, colors)
+
+
+def test_principal_series_against_product_enumeration():
     for n in range(6):
         for gamma in enumerate_dyck(n):
             series = principal_series(gamma, n + 2)
