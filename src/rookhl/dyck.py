@@ -155,45 +155,37 @@ class ModularTriple(NamedTuple):
     column: int
 
 
+def _triple(lower, middle, upper, kind, column) -> ModularTriple | None:
+    """The triple, or None if lower or upper is no valid path."""
+    try:
+        return ModularTriple(from_heights(lower), middle, from_heights(upper),
+                             kind, column)
+    except ValueError:
+        return None
+
+
 def _try_kind1(g1: tuple[int, ...], i: int) -> ModularTriple | None:
-    n = len(g1)
+    # Column i, of height h, moves down and up a step (_triple checks that
+    # it can); columns h and h + 1 must be equally high.
     h = g1[i - 1]
-    prev = g1[i - 2] if i >= 2 else 0
-    nxt = g1[i] if i < n else n + 1
-    if not (prev < h < nxt):
-        return None
-    if h + 1 > n:
-        return None
-    if g1[h - 1] != g1[h]:
+    if not (h < len(g1) and g1[h - 1] == g1[h]):
         return None
     g0 = list(g1)
     g0[i - 1] -= 1
     g2 = list(g1)
     g2[i - 1] += 1
-    try:
-        lower = from_heights(g0)
-        upper = from_heights(g2)
-    except ValueError:
-        return None
-    return ModularTriple(lower, g1, upper, 1, i)
+    return _triple(g0, g1, g2, 1, i)
 
 
 def _try_kind2(g1: tuple[int, ...], i: int) -> ModularTriple | None:
     a, b = g1[i - 1], g1[i]
-    if a + 1 != b:
-        return None
-    if i in g1:
+    if a + 1 != b or i in g1:
         return None
     g0 = list(g1)
     g0[i] = a
     g2 = list(g1)
     g2[i - 1] = b
-    try:
-        lower = from_heights(g0)
-        upper = from_heights(g2)
-    except ValueError:
-        return None
-    return ModularTriple(lower, g1, upper, 2, i)
+    return _triple(g0, g1, g2, 2, i)
 
 
 def modular_triples(n: int) -> list[ModularTriple]:

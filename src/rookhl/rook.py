@@ -151,7 +151,7 @@ def _type_polynomials(gamma, width: int) -> dict[tuple[int, ...], int]:
     on = 0      # row d meets columns 1..on, as gamma is weakly increasing
     for d in range(1, n + 1):
         met = on
-        while on < d - 1 and gamma[on] < d:
+        while gamma[on] < d:    # stops by column d: gamma[d-1] >= d
             on += 1
         tail = d - 1 - on
         if on > met:
@@ -200,8 +200,9 @@ def hl_coefficients(gamma: tuple[int, ...]) -> dict[tuple[int, ...], QLaurent]:
     to gamma, q^(area - n(mu)) r_mu mult_factorials(mu), for every type mu
     present, from one pass of the DP.
 
-    The shift alone may leave negative powers of q; the product is always
-    an honest polynomial, and one that is not raises ValueError.
+    mult_factorials(mu) has constant term 1, so the product's lowest power
+    is the shifted r_mu's: a shift that leaves a negative power of q makes
+    the coefficient no polynomial, and raises ValueError.
     """
     a = area(gamma)
     out = {}

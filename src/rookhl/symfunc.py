@@ -131,8 +131,9 @@ class Transitions:
     (the coefficient of m_mu in P_la, Macdonald III (5.11')) and kf (the
     Kostka-Foulkes polynomial K_la,mu(q), the coefficient of P_mu in s_la)
     are built on first use, so monomial-Schur conversions never weigh a
-    strip.  So are the tables that compare over ints: each entry's L1 norm
-    (norms) and each entry at q = 2^bits (packed).
+    strip.  So are the tables that compare over ints: the L1 norm of each
+    entry of pm (pm_norms) and each entry at q = 2^bits (packed).  kf's L1
+    norms are the Kostka numbers, which its build checks.
     """
 
     def __init__(self, n: int):
@@ -140,7 +141,6 @@ class Transitions:
         self.parts = enumerate_partitions(n)
         self.index = {la: i for i, la in enumerate(self.parts)}
         self.kostka = self._strip_matrix(None, 0)
-        self._norms: dict[str, list[list[int]]] = {}
         self._packed: dict[tuple[str, int], list[list[int]]] = {}
 
     def _strip_matrix(self, weight, zero):
@@ -163,25 +163,24 @@ class Transitions:
     @cached_property
     def kf(self) -> list[list[QLaurent]]:
         """Each Schur row solved against pm, checked against the counted
-        Kostka numbers at q = 1."""
+        Kostka numbers at q = 1 and for nonnegative coefficients (charge;
+        Lascoux-Schutzenberger), so each entry's L1 norm is its Kostka
+        number."""
         kf = [_solve([from_int(k) for k in row], self.pm)
               for row in self.kostka]
         for i, row in enumerate(kf):
             for j, poly in enumerate(row):
-                if poly.at_one() != self.kostka[i][j]:
+                k = self.kostka[i][j]
+                if poly.at_one() != k or min(poly.coeffs, default=0) < 0:
                     raise ValueError(
                         f"kf[{i}][{j}] of degree {self.n} is {poly}, "
-                        f"not {self.kostka[i][j]} at q = 1")
+                        f"not {k} at q = 1 with no negative coefficient")
         return kf
 
-    def norms(self, name: str) -> list[list[int]]:
-        """The L1 norm (QLaurent.l1_norm) of every entry of the matrix name
-        ("pm" or "kf"), built once per degree."""
-        m = self._norms.get(name)
-        if m is None:
-            m = self._norms[name] = [[p.l1_norm() for p in row]
-                                     for row in getattr(self, name)]
-        return m
+    @cached_property
+    def pm_norms(self) -> list[list[int]]:
+        """The L1 norm (QLaurent.l1_norm) of every entry of pm."""
+        return [[p.l1_norm() for p in row] for row in self.pm]
 
     def packed(self, name: str, bits: int) -> list[list[int]]:
         """Every entry of the matrix name ("pm" or "kf") at q = 2^bits, by

@@ -24,13 +24,14 @@ q^(k-1)), each constant packed once per width (_packed).  Each orbit packs
 at its own width, from a bound on every coefficient either side can have
 (the coloring side's L1 norms pushed through the solve, and each member's
 own rook side) and on every entry of the table it packs
-(Transitions.norms).  mult packs at one width per path size and block size
-(_mult_width), from the number of placements and the largest strip factor,
-and takes both sides' type polynomials packed at that width straight from
-the rook DP (rook._type_polynomials).  Each coefficient is then below
-2^(bits-1), so equal ints prove equal polynomials, and unequal ints a
-counterexample (_width), written from the same ints (qseries.unpack_signed,
-pack_signed's inverse on that range).  A polynomial the width does not
+(Transitions.pm_norms; kf's are the Kostka numbers).  mult packs at one
+width per path size and block size (_mult_width), from the number of
+placements and the largest strip factor, and takes both sides' type
+polynomials packed at that width straight from the rook DP
+(rook._type_polynomials).  Each coefficient is then below 2^(bits-1), so
+equal ints prove equal polynomials, and unequal ints a counterexample
+(_width), written from the same ints (qseries.unpack_signed, pack_signed's
+inverse on that range).  A polynomial the width does not
 hold, or with a negative power of q, raises ValueError.
 """
 
@@ -162,7 +163,7 @@ def _main_reports(members) -> list[list[CheckReport]]:
     """
     n = len(members[0])
     t = symfunc.transitions(n)
-    norms = t.norms("pm")
+    norms = t.pm_norms
     vec = _read_at_parts(t, chromatic_x(members[0]).coeffs)
     bounds = _solve_bound([c.l1_norm() for c in vec], norms)
     bounds.append(max(map(max, norms)))
@@ -377,7 +378,7 @@ def _conjugates(n: int) -> list[int]:
 def _columns_times(rows, terms) -> list[int]:
     """The sum over (j, c) in terms of c times column j of rows, one entry
     per row, skipping the zero entries: llt's rook side from kf's packed
-    entries, and a bound on it from their L1 norms."""
+    entries, and a bound on it from their L1 norms, the Kostka numbers."""
     return [sum(c * row[j] for j, c in terms if row[j]) for row in rows]
 
 
@@ -403,25 +404,26 @@ def _llt_reports(members) -> list[list[CheckReport]]:
     The width bounds every coefficient of both sides and every entry of kf:
     the L1 norms of f pushed through the solve with kostka, for each
     member the sum over mu of 2^(n - l(mu)) times r_mu's L1 norm times the
-    norms of kf's column mu, and the largest L1 norm in kf.  A factor past
-    the width, or with a negative power of q, raises ValueError.  A member
-    whose ints differ is reported with LLT's Schur coefficients and the
-    first form that fails unpacked from them: form omega at conjugate(la)
-    is T[la] times q^(area - D), and form tilde at la is T[la] times
-    q^(-D) with q inverted.
+    norms of kf's column mu, and the largest L1 norm in kf, all read from
+    kostka (Transitions.kf checks that they are the Kostka numbers).  A
+    factor past the width, or with a negative power of q, raises
+    ValueError.  A member whose ints differ is reported with LLT's Schur
+    coefficients and the first form that fails unpacked from them: form
+    omega at conjugate(la) is T[la] times q^(area - D), and form tilde at
+    la is T[la] times q^(-D) with q inverted.
     """
     n = len(members[0])
     t = symfunc.transitions(n)
     vec = _read_at_parts(t, llt_poly(members[0]).coeffs)
     top = max(c.max_exp for c in vec)
     bounds = _solve_bound([c.l1_norm() for c in vec], t.kostka)
-    bounds.append(max(map(max, t.norms("kf"))))
+    bounds.append(max(map(max, t.kostka)))
     rooks = []
     for gamma in members:
         rpolys = type_polynomials(gamma)
         bounds.append(max(_columns_times(
-            t.norms("kf"), [(t.index[mu], r.l1_norm() << n - len(mu))
-                            for mu, r in rpolys.items()])))
+            t.kostka, [(t.index[mu], r.l1_norm() << n - len(mu))
+                       for mu, r in rpolys.items()])))
         rooks.append((gamma, rpolys))
     bits = _width(max(bounds))
     d = n * (n - 1) // 2
@@ -658,16 +660,16 @@ def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
     min(jobs, tasks) worker processes start, and none for a single
     task."""
     tasks = sweep_tasks(n_max, identities)
-    # Build the entry norms main and llt take their widths from, and with
-    # them pm and kf, at every degree before any worker starts, so that
-    # forked workers inherit them instead of each building them again.  A
-    # table is packed where an orbit first asks for its width.  mult's
-    # function level reads degrees up to 5, built where first asked for.
+    # Build pm with its entry norms for main, and kf (its norms are kostka)
+    # for llt, at every degree before any worker starts, so that forked
+    # workers inherit them instead of each building them again.  A table is
+    # packed where an orbit first asks for its width.  mult's function
+    # level reads degrees up to 5, built where first asked for.
     for n in range(n_max + 1):
         if "main" in identities:
-            transitions(n).norms("pm")
+            transitions(n).pm_norms
         if "llt" in identities:
-            transitions(n).norms("kf")
+            transitions(n).kf
     workers = min(jobs, len(tasks))
     if workers <= 1:
         chunks = [_task_reports(t) for t in tasks]

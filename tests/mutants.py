@@ -114,7 +114,8 @@ MUTANTS = [
     # mult's packed route, verify.check_multiplicativity.
     Mutant("mult-width-one-bit-short", "src/rookhl/verify.py",
            "math.factorial(n) * top))\n", "math.factorial(n) * top)) - 1\n",
-           MULT),
+           MULT + ("tests/test_verify.py::"
+                   "test_mult_width_is_set_by_the_factorial_term",)),
     Mutant("mult-count-premise-unchecked", "src/rookhl/verify.py",
            "if count > math.factorial(n):",
            "if count > math.factorial(n) and False:",
@@ -140,8 +141,14 @@ MUTANTS = [
            "    bounds.append(max(map(max, norms)))\n", "",
            WIDTH),
     Mutant("llt-width-drops-kf-term", "src/rookhl/verify.py",
-           "    bounds.append(max(map(max, t.norms(\"kf\"))))\n", "",
+           "    bounds.append(max(map(max, t.kostka)))\n", "",
            WIDTH),
+    # llt bounds kf's entries by the Kostka numbers, which the kf build
+    # makes true by rejecting a negative coefficient.
+    Mutant("kf-negative-coefficient-unchecked", "src/rookhl/symfunc.py",
+           " or min(poly.coeffs, default=0) < 0", "",
+           ("tests/test_symfunc.py::"
+            "test_transitions_raise_on_a_negative_kf_coefficient",)),
     # llt's rook side and its bound walk kf's columns through one helper;
     # a term it drops breaks the packed products.
     Mutant("kf-columns-drop-a-term", "src/rookhl/verify.py",
@@ -149,6 +156,12 @@ MUTANTS = [
            ("tests/test_verify.py::test_check_llt_small_sizes",
             "tests/test_verify.py::"
             "test_packed_reports_equal_the_symfunc_route")),
+    # A kind-1 modular triple needs its row condition; from_heights checks
+    # only that the moved column stays a path.
+    Mutant("modular-kind1-no-row-condition", "src/rookhl/dyck.py",
+           "h < len(g1) and g1[h - 1] == g1[h]", "h < len(g1)",
+           ("tests/test_dyck.py::test_triples_match_literal_oracle",
+            "tests/test_dyck.py::test_triple_counts")),
     # A sweep task must call the check the module holds when it runs: the
     # tracer wraps check_multiplicativity after import, and a table that
     # bound it then would lose that layer with stdout unchanged.

@@ -212,6 +212,26 @@ def test_transitions_raise_on_non_unitriangular_kf(monkeypatch):
         Transitions(2).kf
 
 
+def test_transitions_raise_on_a_negative_kf_coefficient(monkeypatch):
+    # llt bounds kf's entries by the Kostka numbers, which holds only if
+    # every K_la,mu(q) has nonnegative coefficients.  Scaling one strip
+    # weight by q keeps pm unitriangular and every kf entry right at
+    # q = 1, but makes kf[0][1] = 1 - q + q^2: L1 norm 3, Kostka number 1.
+    real = symfunc._psi
+
+    def weight(la, nu):
+        psi = real(la, nu)
+        return psi * Q if (la, nu) == ((2,), (3,)) else psi
+
+    monkeypatch.setattr(symfunc, "_psi", weight)
+    t = Transitions(3)
+    assert [t.pm[i][i] for i in range(3)] == [ONE] * 3
+    with pytest.raises(ValueError, match=r"kf\[0\]\[1\] of degree 3 is "
+                                         r"1 - q \+ q\^2, not 1 at q = 1 "
+                                         r"with no negative coefficient"):
+        t.kf
+
+
 def test_first_kf_read_checks_kostka_at_q_one(monkeypatch):
     # P_la is m_la at q = 1, so kf at q = 1 is the strip-counted Kostka
     # matrix.  A strip weight that does not vanish at q = 1 keeps the unit
@@ -370,12 +390,13 @@ def test_packed_and_norm_tables_are_read_off_the_matrices():
     # check_llt reads hl_h(mu) as column mu of kf, omega(hl_h(mu)) as that
     # column at conjugate rows, and hl_h_tilde(mu) as it with q inverted
     # times q^n(mu); main and llt read pm and kf at q = 2^bits and bound
-    # them by the L1 norms of their entries.
+    # them by the L1 norms of their entries, pm_norms and, for kf, the
+    # Kostka numbers.
     for n in range(7):
         t = transitions(n)
         for bits in (24, 40):
-            for name in ("pm", "kf"):
-                packed, norms = t.packed(name, bits), t.norms(name)
+            for name, norms in (("pm", t.pm_norms), ("kf", t.kostka)):
+                packed = t.packed(name, bits)
                 assert t.packed(name, bits) is packed
                 for i, row in enumerate(getattr(t, name)):
                     for j, p in enumerate(row):

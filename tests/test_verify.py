@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 from functools import partial
@@ -170,14 +171,14 @@ def test_the_width_holds_every_entry_of_the_table_it_packs(monkeypatch):
     # X = e_5 = P_(1^5), LLT = m_(1^5), and a rook side of type (5) for
     # main and of no type for llt: every coefficient either side has is at
     # most 1, and 2 bits hold it.  pm's and kf's entries reach L1 norms 26
-    # and 6 at n = 5, so the width must cover the table it packs too, for
-    # each check to report rather than raise.  llt's rook side has no type
-    # because a type's own column of kf is always covered, its weight in
-    # the bound being at least 1: only the columns no type reads need the
-    # table's term.
+    # and 6 at n = 5 (kf's are the Kostka numbers), so the width must cover
+    # the table it packs too, for each check to report rather than raise.
+    # llt's rook side has no type because a type's own column of kf is
+    # always covered, its weight in the bound being at least 1: only the
+    # columns no type reads need the table's term.
     t = symfunc.transitions(5)
-    assert max(map(max, t.norms("pm"))) == 26
-    assert max(map(max, t.norms("kf"))) == 6
+    assert max(map(max, t.pm_norms)) == 26
+    assert max(map(max, t.kostka)) == 6
     tiny = SymFunc(5, "monomial", {(1, 1, 1, 1, 1): ONE})
     monkeypatch.setattr(verify, "chromatic_x", lambda g: tiny)
     monkeypatch.setattr(verify, "llt_poly", lambda g: tiny)
@@ -349,6 +350,22 @@ def test_mult_strip_table_packs_every_vertical_strip():
     assert verify._partitions(6) is parts
     with pytest.raises(TypeError):
         parts[0] = (1,) * 6
+
+
+def test_mult_width_is_set_by_the_factorial_term():
+    # A strip factor at q = 1 with r new rows is k!/r! times binomials
+    # binom(m_i, d_i), at most binom(k, r) n^(k - r), which is at most
+    # (n + 1)...(n + k).  So n! times it never passes (n + k)!, and that
+    # term alone sets the width: a width one bit short fails at every size.
+    for k in (1, 2, 3):
+        for n in range(11 - k):
+            top = max(verify._strip_factor(nu, mu, k).at_one()
+                      for mu in enumerate_partitions(n)
+                      for nu in enumerate_partitions(n + k)
+                      if is_vertical_strip(nu, mu))
+            assert math.factorial(n) * top <= math.factorial(n + k)
+            assert verify._mult_width(n, k) == \
+                verify._width(math.factorial(n + k))
 
 
 def test_mult_raises_when_the_count_premise_fails(monkeypatch):
@@ -599,9 +616,9 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
     real = symfunc._psi
     monkeypatch.setattr(symfunc, "_psi",
                         lambda la, nu: weighed.append(nu) or real(la, nu))
-    # The degrees whose P-basis and Kostka-Foulkes matrices, and the
-    # (degree, matrix) of each table of entry norms, that are built when
-    # the first task starts, that is, by the warm-up.
+    # The degrees whose P-basis and Kostka-Foulkes matrices, and table of
+    # pm's entry norms, are built when the first task starts, that is, by
+    # the warm-up.
     warm = []
     real_task = verify._task_reports
 
@@ -609,17 +626,10 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
         return {n for n, tr in symfunc._TRANSITIONS.items()
                 if name in vars(tr)}
 
-    def normed():
-        return {(n, name) for n, tr in symfunc._TRANSITIONS.items()
-                for name in tr._norms}
-
     def task(t):
         if not warm:
-            warm.append((built("pm"), built("kf"), normed()))
+            warm.append((built("pm"), built("kf"), built("pm_norms")))
         return real_task(t)
-
-    def norms(name, degrees):
-        return {(n, name) for n in degrees}
 
     monkeypatch.setattr(verify, "_task_reports", task)
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
@@ -628,30 +638,31 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
     assert weighed == []
     assert warm == [(set(), set(), set())]
     warm.clear()
-    # Only main and llt are warmed: they take their widths from the entry
-    # norms, of pm and of kf.  mult's function level builds pm where it
-    # first converts, at degrees up to 5; only llt reads Kostka-Foulkes.
+    # Only main and llt are warmed: main takes its widths from pm's entry
+    # norms, and llt from the Kostka numbers, which kf's build checks are
+    # its entry norms, so llt builds kf and no norm table.  mult's function
+    # level builds pm where it first converts, at degrees up to 5; only llt
+    # reads Kostka-Foulkes.
     sweep(6, {"mult"})
     assert set(symfunc._TRANSITIONS) == set(range(6))
     assert warm == [(set(), set(), set())]
-    assert built("kf") == set() and normed() == set()
+    assert built("kf") == set() and built("pm_norms") == set()
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(2, {"main", "modular"})
     assert set(symfunc._TRANSITIONS) == {0, 1, 2}
-    assert warm == [({0, 1, 2}, set(), norms("pm", range(3)))]
-    assert built("kf") == set() and normed() == norms("pm", range(3))
+    assert warm == [({0, 1, 2}, set(), {0, 1, 2})]
+    assert built("kf") == set() and built("pm_norms") == {0, 1, 2}
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(3, {"llt", "mult"})
-    assert warm == [({0, 1, 2, 3}, {0, 1, 2, 3}, norms("kf", range(4)))]
-    assert normed() == norms("kf", range(4))
+    assert warm == [({0, 1, 2, 3}, {0, 1, 2, 3}, set())]
+    assert built("pm_norms") == set()
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(6, {"main", "llt"})
-    tables = norms("pm", range(7)) | norms("kf", range(7))
-    assert warm == [(set(range(7)), set(range(7)), tables)]
-    assert normed() == tables
+    assert warm == [(set(range(7)), set(range(7)), set(range(7)))]
+    assert built("pm_norms") == set(range(7))
 
 
 def _start_method_pool(monkeypatch, method):
