@@ -7,8 +7,9 @@ counts once for the Kostka numbers and is weighted by Macdonald's psi for the
 P functions.  A conversion multiplies by the source basis's matrix and solves
 against the target's by division-free forward substitution; both matrices
 are upper unitriangular.  Being division-free, the same substitution runs
-over the matrices evaluated at q = 2^bits (Transitions.packed), which is
-how verify compares its identities as ints.
+over ints: against the integer Kostka matrix, and times the
+Kostka-Foulkes matrix evaluated at q = 2^bits (Transitions.packed), which
+is how verify compares its identities as ints.
 
 SymFunc(...) checks every key and coefficient it is given.  The results the
 package builds from keys it has already checked (basis changes, the
@@ -131,9 +132,8 @@ class Transitions:
     (the coefficient of m_mu in P_la, Macdonald III (5.11')) and kf (the
     Kostka-Foulkes polynomial K_la,mu(q), the coefficient of P_mu in s_la)
     are built on first use, so monomial-Schur conversions never weigh a
-    strip.  So are the tables that compare over ints: the L1 norm of each
-    entry of pm (pm_norms) and each entry at q = 2^bits (packed).  kf's L1
-    norms are the Kostka numbers, which its build checks.
+    strip.  So is kf at each q = 2^bits that verify compares at (packed).
+    kf's L1 norms are the Kostka numbers, which its build checks.
     """
 
     def __init__(self, n: int):
@@ -141,7 +141,7 @@ class Transitions:
         self.parts = enumerate_partitions(n)
         self.index = {la: i for i, la in enumerate(self.parts)}
         self.kostka = self._strip_matrix(None, 0)
-        self._packed: dict[tuple[str, int], list[list[int]]] = {}
+        self._packed: dict[int, list[list[int]]] = {}
 
     def _strip_matrix(self, weight, zero):
         size = len(self.parts)
@@ -177,19 +177,13 @@ class Transitions:
                         f"not {k} at q = 1 with no negative coefficient")
         return kf
 
-    @cached_property
-    def pm_norms(self) -> list[list[int]]:
-        """The L1 norm (QLaurent.l1_norm) of every entry of pm."""
-        return [[p.l1_norm() for p in row] for row in self.pm]
-
-    def packed(self, name: str, bits: int) -> list[list[int]]:
-        """Every entry of the matrix name ("pm" or "kf") at q = 2^bits, by
-        qseries.pack_signed, built once per degree and width."""
-        m = self._packed.get((name, bits))
+    def packed(self, bits: int) -> list[list[int]]:
+        """Every entry of kf at q = 2^bits, by qseries.pack_signed, built
+        once per degree and width."""
+        m = self._packed.get(bits)
         if m is None:
-            m = self._packed[name, bits] = [
-                [pack_signed(p, bits) for p in row]
-                for row in getattr(self, name)]
+            m = self._packed[bits] = [[pack_signed(p, bits) for p in row]
+                                      for row in self.kf]
         return m
 
 

@@ -16,16 +16,16 @@ sides are never shared: that they agree on the orbit is what is checked.
 
 main, llt, principal and mult compare Python ints: every polynomial
 evaluated at q = 2^bits (qseries.pack, pack_signed).  Evaluation is a ring
-homomorphism and the basis changes are division-free substitutions
-(symfunc._solve), so both sides are computed from packed inputs and tables
-(Transitions.packed) without a Laurent polynomial; principal's coloring
-side is summed from packed X coefficients and packed m_la(1, q, ...,
-q^(k-1)), each constant packed once per width (_packed).  Each orbit packs
-at its own width, from a bound on every coefficient either side can have
-(the coloring side's L1 norms pushed through the solve, and each member's
-own rook side) and on every entry of the table it packs
-(Transitions.pm_norms; kf's are the Kostka numbers).  mult packs at one
-width per path size and block size (_mult_width), from the number of
+homomorphism and the basis changes are division-free (symfunc._solve
+against the integer kostka, symfunc._times by kf), so both sides are
+computed from packed inputs and packed kf (Transitions.packed) without a
+Laurent polynomial; principal's coloring side is summed from packed X
+coefficients and packed m_la(1, q, ..., q^(k-1)), each constant packed
+once per width (_packed).  Each orbit packs at its own width, from a
+bound on every coefficient either side can have (the coloring side's L1
+norms pushed through the basis change, and each member's own rook side)
+and on every entry of kf (its L1 norms, the Kostka numbers).  mult packs
+at one width per path size and block size (_mult_width), from the number of
 placements and the largest strip factor, and takes both sides' type
 polynomials packed at that width straight from the rook DP
 (rook._type_polynomials).  Each coefficient is then below 2^(bits-1), so
@@ -56,7 +56,7 @@ from rookhl.qseries import (
 )
 from rookhl.rook import hl_coefficients, mult_factorials, type_polynomials
 from rookhl import IDENTITIES, rook, symfunc
-from rookhl.symfunc import SymFunc, _solve, multiply, transitions
+from rookhl.symfunc import SymFunc, _solve, _times, multiply, transitions
 
 
 class CheckReport(NamedTuple):
@@ -150,23 +150,26 @@ def _main_reports(members) -> list[list[CheckReport]]:
     """check_main's report for each path of members, a reversal orbit or
     one path, as ints at q = 2^bits.  X is read from the first member.
 
-    X's monomial vector is solved against pm once.  Each member's
-    coefficient of P_mu is q^(area - n(mu)) r_mu times the product of
-    [m]_q! over the multiplicities of mu, and is packed from its own
-    type polynomials.  The width bounds every coefficient of both sides and
-    every entry of pm: X's coefficients' L1 norms pushed through the solve
-    with those of pm, r_mu's L1 norm times the product of m!, that factor
-    at q = 1, and the largest L1 norm in pm.  A factor past the width, or
-    with a negative power of q (an r_mu that makes the coefficient no
-    polynomial), raises ValueError.  A member whose ints differ is
-    reported with both sides unpacked from them.
+    X's monomial vector is solved against the integer kostka once, and
+    its Schur vector times kf is its P vector, since s_la is the sum over
+    mu of K_la,mu(q) P_mu.  Each member's coefficient of P_mu is
+    q^(area - n(mu)) r_mu times the product of [m]_q! over the
+    multiplicities of mu, and is packed from its own type polynomials.
+    The width bounds every coefficient of both sides and every entry of
+    kf: X's coefficients' L1 norms pushed through the solve with kostka
+    and then times kostka, r_mu's L1 norm times the product of m!, that
+    factor at q = 1, and the largest Kostka number, all read from kostka
+    (Transitions.kf checks that they are kf's L1 norms).  A factor past
+    the width, or with a negative power of q (an r_mu that makes the
+    coefficient no polynomial), raises ValueError.  A member whose ints
+    differ is reported with both sides unpacked from them.
     """
     n = len(members[0])
     t = symfunc.transitions(n)
-    norms = t.pm_norms
     vec = _read_at_parts(t, chromatic_x(members[0]).coeffs)
-    bounds = _solve_bound([c.l1_norm() for c in vec], norms)
-    bounds.append(max(map(max, norms)))
+    bounds = _times(_solve_bound([c.l1_norm() for c in vec], t.kostka),
+                    t.kostka)
+    bounds += map(max, t.kostka)
     rooks = []
     for gamma in members:
         rpolys = type_polynomials(gamma)
@@ -174,7 +177,8 @@ def _main_reports(members) -> list[list[CheckReport]]:
                    for mu, r in rpolys.items()]
         rooks.append((gamma, rpolys))
     bits = _width(max(bounds))
-    lhs = _solve([pack_signed(c, bits) for c in vec], t.packed("pm", bits))
+    lhs = _times(_solve([pack_signed(c, bits) for c in vec], t.kostka),
+                 t.packed(bits))
     out = []
     for gamma, rpolys in rooks:
         a = area(gamma)
@@ -432,7 +436,7 @@ def _llt_reports(members) -> list[list[CheckReport]]:
     tilde_lhs = [x << bits * d for x in _solve(
         [pack_signed(c.invert_q().shift(top), bits) for c in vec],
         t.kostka)]
-    kf = t.packed("kf", bits)
+    kf = t.packed(bits)
     out = []
     for gamma, rpolys in rooks:
         a = area(gamma)
@@ -659,16 +663,15 @@ def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
     flattened reports in path order, independent of jobs.  At most
     min(jobs, tasks) worker processes start, and none for a single
     task."""
+    identities = set(identities)
     tasks = sweep_tasks(n_max, identities)
-    # Build pm with its entry norms for main, and kf (its norms are kostka)
-    # for llt, at every degree before any worker starts, so that forked
-    # workers inherit them instead of each building them again.  A table is
-    # packed where an orbit first asks for its width.  mult's function
-    # level reads degrees up to 5, built where first asked for.
-    for n in range(n_max + 1):
-        if "main" in identities:
-            transitions(n).pm_norms
-        if "llt" in identities:
+    # Build kf (its L1 norms are kostka), which main and llt pack, at every
+    # degree before any worker starts, so that forked workers inherit it
+    # instead of each building it again.  It is packed where an orbit first
+    # asks for its width.  mult's function level reads degrees up to 5,
+    # built where first asked for.
+    if identities & {"main", "llt"}:
+        for n in range(n_max + 1):
             transitions(n).kf
     workers = min(jobs, len(tasks))
     if workers <= 1:

@@ -137,9 +137,17 @@ MUTANTS = [
             "tests/test_verify.py::test_check_multiplicativity_small_sizes")),
     # The widths of main and llt must cover the table each packs, not only
     # both sides.
-    Mutant("main-width-drops-pm-term", "src/rookhl/verify.py",
-           "    bounds.append(max(map(max, norms)))\n", "",
+    Mutant("main-width-drops-kostka-term", "src/rookhl/verify.py",
+           "    bounds += map(max, t.kostka)\n", "",
            WIDTH),
+    # main's bound must carry X's Schur bounds on through kf, by the Kostka
+    # numbers; no report tells, so only a test on the bound does.
+    Mutant("main-width-stops-at-schur", "src/rookhl/verify.py",
+           "bounds = _times(_solve_bound([c.l1_norm() for c in vec], "
+           "t.kostka),\n                    t.kostka)",
+           "bounds = _solve_bound([c.l1_norm() for c in vec], t.kostka)",
+           ("tests/test_verify.py::"
+            "test_main_bounds_x_through_kostka_and_on_through_kf",)),
     Mutant("llt-width-drops-kf-term", "src/rookhl/verify.py",
            "    bounds.append(max(map(max, t.kostka)))\n", "",
            WIDTH),

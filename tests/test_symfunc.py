@@ -389,21 +389,19 @@ def test_hl_h_and_tilde():
 def test_packed_and_norm_tables_are_read_off_the_matrices():
     # check_llt reads hl_h(mu) as column mu of kf, omega(hl_h(mu)) as that
     # column at conjugate rows, and hl_h_tilde(mu) as it with q inverted
-    # times q^n(mu); main and llt read pm and kf at q = 2^bits and bound
-    # them by the L1 norms of their entries, pm_norms and, for kf, the
-    # Kostka numbers.
+    # times q^n(mu); main and llt read kf at q = 2^bits and bound it by
+    # the L1 norms of its entries, the Kostka numbers.
     for n in range(7):
         t = transitions(n)
         for bits in (24, 40):
-            for name, norms in (("pm", t.pm_norms), ("kf", t.kostka)):
-                packed = t.packed(name, bits)
-                assert t.packed(name, bits) is packed
-                for i, row in enumerate(getattr(t, name)):
-                    for j, p in enumerate(row):
-                        assert unpack_signed(packed[i][j], bits) == p
-                        assert norms[i][j] == sum(map(abs, p.coeffs))
+            packed = t.packed(bits)
+            assert t.packed(bits) is packed
+            for i, row in enumerate(t.kf):
+                for j, p in enumerate(row):
+                    assert unpack_signed(packed[i][j], bits) == p
+                    assert t.kostka[i][j] == sum(map(abs, p.coeffs))
         for j, mu in enumerate(t.parts):
-            column = {la: unpack_signed(t.packed("kf", 24)[i][j], 24)
+            column = {la: unpack_signed(t.packed(24)[i][j], 24)
                       for i, la in enumerate(t.parts)}
             assert hl_h(mu) == SymFunc(n, "schur", column)
             assert omega(hl_h(mu)) == SymFunc(

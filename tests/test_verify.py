@@ -170,14 +170,13 @@ def test_paths_that_hold_never_take_the_laurent_route(monkeypatch):
 def test_the_width_holds_every_entry_of_the_table_it_packs(monkeypatch):
     # X = e_5 = P_(1^5), LLT = m_(1^5), and a rook side of type (5) for
     # main and of no type for llt: every coefficient either side has is at
-    # most 1, and 2 bits hold it.  pm's and kf's entries reach L1 norms 26
-    # and 6 at n = 5 (kf's are the Kostka numbers), so the width must cover
-    # the table it packs too, for each check to report rather than raise.
-    # llt's rook side has no type because a type's own column of kf is
-    # always covered, its weight in the bound being at least 1: only the
-    # columns no type reads need the table's term.
+    # most 1, and 2 bits hold it.  kf's entries, which main and llt both
+    # pack, reach L1 norm 6 at n = 5 (kf's are the Kostka numbers), so the
+    # width must cover the table it packs too, for each check to report
+    # rather than raise.  llt's rook side has no type because a type's own
+    # column of kf is always covered, its weight in the bound being at
+    # least 1: only the columns no type reads need the table's term.
     t = symfunc.transitions(5)
-    assert max(map(max, t.pm_norms)) == 26
     assert max(map(max, t.kostka)) == 6
     tiny = SymFunc(5, "monomial", {(1, 1, 1, 1, 1): ONE})
     monkeypatch.setattr(verify, "chromatic_x", lambda g: tiny)
@@ -190,6 +189,27 @@ def test_the_width_holds_every_entry_of_the_table_it_packs(monkeypatch):
     assert check_llt(FIG_PATH) == CheckReport(
         "llt", "heights=2,2,4,4,5;form=omega", "counterexample",
         lhs="(1,1,1,1,1): 1", rhs="0")
+
+
+def test_main_bounds_x_through_kostka_and_on_through_kf(monkeypatch):
+    # X = m_(2,1,1) at n = 4, with a rook side of type (4): X's Schur
+    # coefficients reach 3 in absolute value, and so do the Kostka
+    # numbers, but its coefficient of P_(1^4) is -3 + q + q^2 + q^3, of L1
+    # norm 6.  A width from 3 still holds every coefficient here, so the
+    # report alone cannot see a bound that stops at the Schur vector.
+    widths = []
+    real = verify._width
+    monkeypatch.setattr(verify, "_width",
+                        lambda bound: widths.append(bound) or real(bound))
+    x = SymFunc(4, "monomial", {(2, 1, 1): ONE})
+    monkeypatch.setattr(verify, "chromatic_x", lambda g: x)
+    monkeypatch.setattr(verify, "type_polynomials", lambda g: {(4,): ONE})
+    laurent = str(x.to_basis("hl_p"))
+    assert laurent == "(2,1,1): 1\n(1,1,1,1): -3 + q + q^2 + q^3"
+    assert check_main((1, 2, 3, 4)) == CheckReport(
+        "main", "heights=1,2,3,4", "counterexample", lhs=laurent,
+        rhs="(4): 1")
+    assert len(widths) == 1 and widths[0] >= 6
 
 
 @pytest.mark.parametrize("check", [
@@ -616,9 +636,8 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
     real = symfunc._psi
     monkeypatch.setattr(symfunc, "_psi",
                         lambda la, nu: weighed.append(nu) or real(la, nu))
-    # The degrees whose P-basis and Kostka-Foulkes matrices, and table of
-    # pm's entry norms, are built when the first task starts, that is, by
-    # the warm-up.
+    # The degrees whose P-basis and Kostka-Foulkes matrices are built when
+    # the first task starts, that is, by the warm-up.
     warm = []
     real_task = verify._task_reports
 
@@ -626,9 +645,14 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
         return {n for n, tr in symfunc._TRANSITIONS.items()
                 if name in vars(tr)}
 
+    def tables():
+        # What any degree holds beyond what its constructor counts.
+        return set().union(*map(vars, symfunc._TRANSITIONS.values())) - {
+            "n", "parts", "index", "kostka", "_packed"}
+
     def task(t):
         if not warm:
-            warm.append((built("pm"), built("kf"), built("pm_norms")))
+            warm.append((built("pm"), built("kf")))
         return real_task(t)
 
     monkeypatch.setattr(verify, "_task_reports", task)
@@ -636,33 +660,32 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
     sweep(4, {"principal"})
     assert symfunc._TRANSITIONS == {}
     assert weighed == []
-    assert warm == [(set(), set(), set())]
+    assert warm == [(set(), set())]
     warm.clear()
-    # Only main and llt are warmed: main takes its widths from pm's entry
-    # norms, and llt from the Kostka numbers, which kf's build checks are
-    # its entry norms, so llt builds kf and no norm table.  mult's function
-    # level builds pm where it first converts, at degrees up to 5; only llt
-    # reads Kostka-Foulkes.
+    # Only main and llt are warmed: both pack kf and take their widths from
+    # the Kostka numbers, which kf's build checks are its entry norms, so
+    # they build pm and kf and no norm table.  mult's function level builds
+    # pm where it first converts, at degrees up to 5, and no kf.
     sweep(6, {"mult"})
     assert set(symfunc._TRANSITIONS) == set(range(6))
-    assert warm == [(set(), set(), set())]
-    assert built("kf") == set() and built("pm_norms") == set()
+    assert warm == [(set(), set())]
+    assert tables() == {"pm"}
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(2, {"main", "modular"})
     assert set(symfunc._TRANSITIONS) == {0, 1, 2}
-    assert warm == [({0, 1, 2}, set(), {0, 1, 2})]
-    assert built("kf") == set() and built("pm_norms") == {0, 1, 2}
+    assert warm == [({0, 1, 2}, {0, 1, 2})]
+    assert tables() == {"pm", "kf"}
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(3, {"llt", "mult"})
-    assert warm == [({0, 1, 2, 3}, {0, 1, 2, 3}, set())]
-    assert built("pm_norms") == set()
+    assert warm == [({0, 1, 2, 3}, {0, 1, 2, 3})]
+    assert tables() == {"pm", "kf"}
     warm.clear()
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     sweep(6, {"main", "llt"})
-    assert warm == [(set(range(7)), set(range(7)), set(range(7)))]
-    assert built("pm_norms") == set(range(7))
+    assert warm == [(set(range(7)), set(range(7)))]
+    assert tables() == {"pm", "kf"}
 
 
 def _start_method_pool(monkeypatch, method):
@@ -693,6 +716,26 @@ def test_parallel_sweep_builds_kf_in_the_parent_only(monkeypatch, tmp_path):
     monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
     assert all(r.ok for r in sweep(4, {"main", "llt", "mult"}, jobs=2))
     assert set(log.read_text().splitlines()) == {f"psi {os.getpid()}"}
+
+
+def test_parallel_sweep_warms_from_identities_given_once(monkeypatch,
+                                                        tmp_path):
+    # Identities given as a one-shot iterator are read once, so the
+    # warm-up still sees main after the task list is built, and forked
+    # workers weigh no strip.
+    _start_method_pool(monkeypatch, "fork")
+    log = tmp_path / "pids"
+    real = symfunc._psi
+
+    def psi(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(symfunc, "_psi", psi)
+    monkeypatch.setattr(symfunc, "_TRANSITIONS", {})
+    assert all(r.ok for r in sweep(4, iter(["main"]), jobs=2))
+    assert set(log.read_text().splitlines()) == {str(os.getpid())}
 
 
 @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
