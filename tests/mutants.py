@@ -184,6 +184,13 @@ MUTANTS = [
     Mutant("cli-imports-verify-eagerly", "src/rookhl/cli.py",
            "import argparse\n", "import argparse\nimport rookhl.verify\n",
            ("tests/test_cli.py::test_a_command_loads_only_the_modules_it_runs",)),
+    # Every command imports the package root, so a module it imports is
+    # loaded by every command and by `import rookhl`.
+    Mutant("root-imports-a-module", "src/rookhl/__init__.py",
+           "IDENTITIES = (",
+           "from rookhl.symfunc import SymFunc\nIDENTITIES = (",
+           ("tests/test_cli.py::test_import_rookhl_loads_none_of_its_modules",
+            "tests/test_cli.py::test_a_command_loads_only_the_modules_it_runs")),
     # perfbench/tracer.py wraps principal_direct by name, the one reason it
     # stays in the package; a rename must break the traced sweep.
     Mutant("tracer-name-renamed", "src/rookhl/chromatic.py",

@@ -1,5 +1,4 @@
 import argparse
-import importlib
 import json
 import os
 import subprocess
@@ -249,16 +248,13 @@ def test_a_command_loads_only_the_modules_it_runs(argv, absent):
 
 
 def test_lazy_exports_are_the_modules_own_objects():
+    # The package root re-exports nothing: names are imported from their
+    # modules, and the root holds IDENTITIES, the tuple verify checks and
+    # verify --identity offers.
     from rookhl import symfunc, verify
     from rookhl.cli import build_parser
     assert symfunc.coefficient_line is coefficient_line
-    for name in rookhl.__all__:
-        if name == "IDENTITIES":
-            assert verify.IDENTITIES is rookhl.IDENTITIES
-            continue
-        module = importlib.import_module(f"rookhl.{rookhl._MODULE[name]}")
-        assert getattr(rookhl, name) is getattr(module, name), name
-    assert set(rookhl.__all__) <= set(dir(rookhl))
+    assert verify.IDENTITIES is rookhl.IDENTITIES
     with pytest.raises(AttributeError, match="no_such_name"):
         rookhl.no_such_name
     sub = next(a for a in build_parser()._actions
