@@ -37,6 +37,7 @@ hold, or with a negative power of q, raises ValueError.
 
 from __future__ import annotations
 
+import gc
 import math
 from functools import cache
 from itertools import groupby
@@ -637,6 +638,8 @@ def sweep_tasks(n_max: int, identities) -> list[tuple]:
 # runs.  None stands for multiprocessing.Pool, imported there, so that a
 # command which never fans out does not load multiprocessing.  Tests and
 # profilers may set another class, such as a start method's context.Pool.
+# The sweep builds it over a frozen heap and calls its map(fn, tasks) at the
+# default chunk size, so workers take contiguous batches (see sweep).
 Pool = None
 
 
@@ -660,9 +663,13 @@ def _in_path_order(tasks, chunks) -> list[CheckReport]:
 
 def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
     """Run every selected check for all sizes up to n_max and return the
-    flattened reports in path order, independent of jobs.  At most
-    min(jobs, tasks) worker processes start, and none for a single
-    task."""
+    flattened reports in path order, independent of jobs and of the
+    pool's start method.  At most min(jobs, tasks) worker processes start,
+    and none for a single task.  Workers take contiguous batches at the
+    pool's default chunk size, so neighbouring paths share induced paths in
+    one worker's coloring memo, and inherit a frozen heap, which their
+    collectors do not walk and so do not copy; it is unfrozen once the pool
+    is closed, also when a task raises."""
     identities = set(identities)
     tasks = sweep_tasks(n_max, identities)
     # Build kf (its L1 norms are kostka), which main and llt pack, at every
@@ -680,6 +687,10 @@ def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
         pool_class = Pool
         if pool_class is None:
             from multiprocessing import Pool as pool_class
-        with pool_class(workers) as pool:
-            chunks = pool.map(_task_reports, tasks, chunksize=1)
+        gc.freeze()
+        try:
+            with pool_class(workers) as pool:
+                chunks = pool.map(_task_reports, tasks)
+        finally:
+            gc.unfreeze()
     return _in_path_order(tasks, chunks)

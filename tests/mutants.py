@@ -180,6 +180,12 @@ MUTANTS = [
             "test_sweep_tasks_look_up_their_checks_when_they_run",
             "tests/test_cli.py::"
             "test_benchmark_tracer_runs_a_sweep_with_unchanged_stdout")),
+    # A sweep with jobs > 1 freezes the heap before its pool forks and must
+    # unfreeze it after, or the caller's collector never sees those objects.
+    Mutant("sweep-leaves-heap-frozen", "src/rookhl/verify.py",
+           "            gc.unfreeze()\n", "            pass\n",
+           ("tests/test_verify.py::"
+            "test_sweep_leaves_the_collector_as_it_found_it",)),
     # A query that never checks an identity must not compile verify.
     Mutant("cli-imports-verify-eagerly", "src/rookhl/cli.py",
            "import argparse\n", "import argparse\nimport rookhl.verify\n",

@@ -1,3 +1,4 @@
+import gc
 import math
 import multiprocessing
 import os
@@ -779,6 +780,36 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
         started.clear()
         assert sweep(n_max, ids, jobs=jobs) == sweep(n_max, ids)
         assert started == workers
+
+
+def test_sweep_leaves_the_collector_as_it_found_it(monkeypatch):
+    # The pool is built over a frozen heap, which the sweep unfreezes once
+    # the pool is closed, also when the pool's map raises.
+    before = gc.get_freeze_count(), gc.isenabled()
+    _start_method_pool(monkeypatch, "fork")
+    assert all(r.ok for r in sweep(4, {"main", "mult"}, jobs=2))
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    frozen = []
+
+    class Failing:
+        def __init__(self, processes):
+            frozen.append(gc.get_freeze_count())
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=None):
+            raise RuntimeError("map failed")
+
+    monkeypatch.setattr(verify, "Pool", Failing)
+    with pytest.raises(RuntimeError, match="map failed"):
+        sweep(4, {"main", "mult"}, jobs=2)
+    assert frozen[0] > before[0]
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 def test_sweep_rejects_unknown_identity():
