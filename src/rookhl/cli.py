@@ -12,11 +12,17 @@ loads verify, and with it every module.  json is imported where --json or
 rook --list writes it, and multiprocessing only when a verify sweep fans
 out over --jobs processes.  Each cmd_* imports inside its body, so the
 names resolve when it runs, from the modules as they are then.
+
+Every text command writes through one block writer, _write_lines: lines
+go to sys.stdout in blocks that end at a line boundary, so a verify sweep
+of thousands of reports costs a few writes, not one per line.  --json is
+one print.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from rookhl import IDENTITIES
@@ -27,6 +33,21 @@ def _checked(parser, flag, fn, text):
         return fn(text)
     except ValueError as e:
         parser.error(f"{flag}: {e}")
+
+
+def _write_lines(lines) -> None:
+    """Write each line and a newline to sys.stdout, as it is at the call, in
+    blocks of at least io.DEFAULT_BUFFER_SIZE characters, then the rest.
+    A block is written once it is full, so the whole text is never held."""
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line) + 1
+        if size >= io.DEFAULT_BUFFER_SIZE:
+            sys.stdout.write("\n".join(block) + "\n")
+            block, size = [], 0
+    if block:
+        sys.stdout.write("\n".join(block) + "\n")
 
 
 def cmd_expand(args, parser):
@@ -48,8 +69,7 @@ def cmd_expand(args, parser):
         import json
         print(json.dumps(f.to_json()))
     else:
-        for line in f.lines():
-            print(line)
+        _write_lines(f.lines())
     return 0
 
 
@@ -68,20 +88,23 @@ def cmd_rook(args, parser):
         if sum(want) != len(gamma):
             parser.error(f"--type: {want} does not partition {len(gamma)}")
     n = len(gamma)
-    if args.list:
-        import json
-        for p in placements(gamma):
-            mu = placement_type(n, p)
-            if want is not None and mu != want:
-                continue
-            cells = json.dumps([list(c) for c in p])
-            print(f"{cells} type={format_partition(mu)} "
-                  f"fc={len(free_cells(gamma, p))}")
-    table = type_polynomials(gamma)
-    for mu in sorted(table, reverse=True):
-        if want is not None and mu != want:
-            continue
-        print(coefficient_line(mu, table[mu]))
+
+    def lines():
+        if args.list:
+            import json
+            for p in placements(gamma):
+                mu = placement_type(n, p)
+                if want is not None and mu != want:
+                    continue
+                cells = json.dumps([list(c) for c in p])
+                yield (f"{cells} type={format_partition(mu)} "
+                       f"fc={len(free_cells(gamma, p))}")
+        table = type_polynomials(gamma)
+        for mu in sorted(table, reverse=True):
+            if want is None or mu == want:
+                yield coefficient_line(mu, table[mu])
+
+    _write_lines(lines())
     return 0
 
 
@@ -89,8 +112,7 @@ def cmd_list_dyck(args, parser):
     if args.n < 0:
         parser.error("--n: must be nonnegative")
     from rookhl.dyck import enumerate_dyck, format_heights
-    for gamma in enumerate_dyck(args.n):
-        print(format_heights(gamma))
+    _write_lines(map(format_heights, enumerate_dyck(args.n)))
     return 0
 
 
@@ -107,16 +129,22 @@ def cmd_verify(args, parser):
         import json
         print(json.dumps([r.to_json() for r in reports]))
     else:
-        for r in reports:
-            print(f"{r.status}  {r.identity}  {r.instance}")
-            if not r.ok:
-                print(f"  lhs: {r.lhs}")
-                print(f"  rhs: {r.rhs}")
-        if failures:
-            print(f"{len(reports)} checks: {len(failures)} counterexamples")
-        else:
-            print(f"{len(reports)} checks: all verified")
+        _write_lines(_report_lines(reports, failures))
     return 1 if failures else 0
+
+
+def _report_lines(reports, failures):
+    """verify's text: a line per report, both sides under each
+    counterexample, and the summary line."""
+    for r in reports:
+        yield f"{r.status}  {r.identity}  {r.instance}"
+        if not r.ok:
+            yield f"  lhs: {r.lhs}"
+            yield f"  rhs: {r.rhs}"
+    if failures:
+        yield f"{len(reports)} checks: {len(failures)} counterexamples"
+    else:
+        yield f"{len(reports)} checks: all verified"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (affects wall time only)")
+                   help="worker processes (the output is the same for "
+                        "any value)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -277,6 +277,14 @@ def _partitions(n: int) -> tuple:
     return tuple(enumerate_partitions(n))
 
 
+@cache
+def _typed_partitions(n: int) -> tuple:
+    """((nu, ";type=" + format_partition(nu)), ...) over _partitions(n):
+    each mult report of a size ends with its type's label, formatted once."""
+    return tuple((nu, f";type={format_partition(nu)}")
+                 for nu in _partitions(n))
+
+
 def _vertical_strips(mu, k) -> list:
     """The vertical k-strips nu of mu, walked as the conjugates of the
     horizontal k-strips of mu', each met once."""
@@ -352,8 +360,8 @@ def check_multiplicativity(gamma, k: int,
         raise ValueError(f"{count} placements on a path of size {n}, more "
                          f"than {n}!")
     reports = []
-    for nu in _partitions(n + k):
-        instance = base + f";type={format_partition(nu)}"
+    for nu, label in _typed_partitions(n + k):
+        instance = base + label
         lhs, rhs = big.get(nu, 0), sums.get(nu, 0)
         if lhs == rhs:
             reports.append(CheckReport("mult", instance, "verified"))

@@ -125,6 +125,12 @@ MUTANTS = [
            "bits))\n                 for nu in _vertical_strips(mu, k))",
            "bits))\n                 for nu in _vertical_strips(mu, k)[1:])",
            MULT),
+    # Each mult report is labelled with a type of the extended path, of
+    # size n + k; the labels of gamma's size would report on other types.
+    Mutant("mult-labels-of-gamma-size", "src/rookhl/verify.py",
+           "_typed_partitions(n + k)", "_typed_partitions(n)",
+           ("tests/test_verify.py::"
+            "test_check_main_reports_counterexample_when_rule_is_broken",)),
     # The strips and the q-binomials the strip factors are built from.
     Mutant("horizontal-strips-skip-one", "src/rookhl/symfunc.py",
            "    return tuple(out)\n", "    return tuple(out[1:])\n",
@@ -186,6 +192,13 @@ MUTANTS = [
            "            gc.unfreeze()\n", "            pass\n",
            ("tests/test_verify.py::"
             "test_sweep_leaves_the_collector_as_it_found_it",)),
+    # The text commands write in blocks; the rest after the last full
+    # block must still be written.
+    Mutant("cli-drops-last-block", "src/rookhl/cli.py",
+           "    if block:\n        sys.stdout.write(", "    if False:\n"
+           "        sys.stdout.write(",
+           ("tests/test_cli.py::test_verify_text",
+            "tests/test_cli.py::test_verify_writes_its_text_in_blocks")),
     # A query that never checks an identity must not compile verify.
     Mutant("cli-imports-verify-eagerly", "src/rookhl/cli.py",
            "import argparse\n", "import argparse\nimport rookhl.verify\n",

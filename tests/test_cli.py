@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from rookhl.partitions import coefficient_line, parse_partition
 from rookhl.qseries import ZERO, q_power
 from rookhl.rook import hl_coefficients
 from rookhl.symfunc import SymFunc
+from rookhl.verify import sweep
 from placement_oracle import ordered_type_polynomials
 from reference import symfunc_from_json
 
@@ -161,6 +163,50 @@ def test_verify_finds_counterexample(capsys, monkeypatch):
     assert "counterexample" in out
     assert "lhs:" in out and "rhs:" in out
     assert out.splitlines()[-1].endswith("counterexamples")
+
+
+class _Writes:
+    """A stand-in stdout that records each write."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("gate", [True, False])
+def test_verify_writes_its_text_in_blocks(monkeypatch, gate):
+    # verify's text, counterexample sides included, goes out in blocks of
+    # whole lines, each at least io.DEFAULT_BUFFER_SIZE characters but the
+    # last, and adds up to one line per report and the summary line.
+    if not gate:
+        monkeypatch.setattr(rook, "_type_polynomials",
+                            partial(ordered_type_polynomials, gate=False))
+    reports = sweep(5, {"mult"})
+    failures = sum(not r.ok for r in reports)
+    assert bool(failures) != gate
+    lines = []
+    for r in reports:
+        lines.append(f"{r.status}  {r.identity}  {r.instance}")
+        if not r.ok:
+            lines += [f"  lhs: {r.lhs}", f"  rhs: {r.rhs}"]
+    lines.append(f"{len(reports)} checks: " +
+                 (f"{failures} counterexamples" if failures
+                  else "all verified"))
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    code = main(["verify", "--identity", "mult", "--n-max", "5"])
+    assert code == (0 if gate else 1)
+    text = "".join(out.calls)
+    assert text == "".join(line + "\n" for line in lines)
+    assert all(w.endswith("\n") for w in out.calls)
+    assert all(len(w) >= io.DEFAULT_BUFFER_SIZE for w in out.calls[:-1])
+    assert len(out.calls) * 20 < len(lines)
 
 
 def test_verify_jobs_equal_output(capsys):
