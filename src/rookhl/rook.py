@@ -136,10 +136,11 @@ def _type_polynomials(gamma, width: int) -> dict[tuple[int, ...], int]:
 
     Each state's fc histogram is one int, `width` bits per fc value.  No
     count exceeds n!, the number of choice sequences, so slots never carry
-    and a width below n!.bit_length() raises ValueError.  Heights that
-    decrease or fall below the diagonal make row d's columns no prefix and
-    raise ValueError (dyck.check_heights); heights above n only close
-    columns.
+    and a width below n!.bit_length() raises ValueError; nor does type mu
+    count more than n!/(prod mu_i! prod m_i!), its chains being a set
+    partition of 1..n.  Heights that decrease or fall below the diagonal
+    make row d's columns no prefix and raise ValueError
+    (dyck.check_heights); heights above n only close columns.
     """
     check_heights(gamma)
     n = len(gamma)

@@ -15,24 +15,20 @@ member, and reports each member against its own rook side.  The rook
 sides are never shared: that they agree on the orbit is what is checked.
 
 main, llt, principal and mult compare Python ints: every polynomial
-evaluated at q = 2^bits (qseries.pack, pack_signed).  Evaluation is a ring
+evaluated at q = 2^bits (qseries.pack, pack_signed), the rook side read
+as the rook DP's ints at that width (_rook_types).  Evaluation is a ring
 homomorphism and the basis changes are division-free (symfunc._solve
 against the integer kostka, symfunc._times by kf), so both sides are
 computed from packed inputs and packed kf (Transitions.packed) without a
 Laurent polynomial; principal's coloring side is summed from packed X
 coefficients and packed m_la(1, q, ..., q^(k-1)), each constant packed
-once per width (_packed).  Each orbit packs at its own width, from a
-bound on every coefficient either side can have (the coloring side's L1
-norms pushed through the basis change, and each member's own rook side)
-and on every entry of kf (its L1 norms, the Kostka numbers).  mult packs
-at one width per path size and block size (_mult_width), from the number of
-placements and the largest strip factor, and takes both sides' type
-polynomials packed at that width straight from the rook DP
-(rook._type_polynomials).  Each coefficient is then below 2^(bits-1), so
+once per width (_packed).  Each orbit's width, and mult's per path size
+and block size (_mult_width), bounds every coefficient either side can
+have and every entry of a table packed, so each is below 2^(bits-1):
 equal ints prove equal polynomials, and unequal ints a counterexample
 (_width), written from the same ints (qseries.unpack_signed, pack_signed's
-inverse on that range).  A polynomial the width does not
-hold, or with a negative power of q, raises ValueError.
+inverse on that range).  A polynomial the width does not hold, or with a
+negative power of q, raises ValueError.
 """
 
 from __future__ import annotations
@@ -147,6 +143,32 @@ def _read_at_parts(t, coeffs) -> list:
     return [coeffs.get(la, ZERO) for la in t.parts]
 
 
+@cache
+def _set_partitions(mu) -> int:
+    """The number of set partitions of 1..n into blocks of sizes mu."""
+    return math.factorial(sum(mu)) // math.prod(
+        map(math.factorial, (*mu, *multiplicities(mu).values())))
+
+
+def _rook_types(gamma, bits) -> dict[tuple[int, ...], int]:
+    """{mu: r_mu at q = 2^bits} from rook._type_polynomials, read under the
+    premise every packed check's width rests on: a placement of type mu is
+    a set partition of 1..n into blocks of sizes mu (its chains), so r_mu
+    counts at most _set_partitions(mu).  A type that counts more, its
+    slots summed exactly, raises ValueError."""
+    types = rook._type_polynomials(gamma, bits)
+    mask = (1 << bits) - 1
+    for mu, packed in types.items():
+        count = 0
+        while packed:
+            count += packed & mask
+            packed >>= bits
+        if count > _set_partitions(mu):
+            raise ValueError(f"{count} placements of type {mu} on {gamma}, "
+                             f"over its {_set_partitions(mu)} set partitions")
+    return types
+
+
 def _main_reports(members) -> list[list[CheckReport]]:
     """check_main's report for each path of members, a reversal orbit or
     one path, as ints at q = 2^bits.  X is read from the first member.
@@ -155,38 +177,33 @@ def _main_reports(members) -> list[list[CheckReport]]:
     its Schur vector times kf is its P vector, since s_la is the sum over
     mu of K_la,mu(q) P_mu.  Each member's coefficient of P_mu is
     q^(area - n(mu)) r_mu times the product of [m]_q! over the
-    multiplicities of mu, and is packed from its own type polynomials.
-    The width bounds every coefficient of both sides and every entry of
-    kf: X's coefficients' L1 norms pushed through the solve with kostka
-    and then times kostka, r_mu's L1 norm times the product of m!, that
-    factor at q = 1, and the largest Kostka number, all read from kostka
-    (Transitions.kf checks that they are kf's L1 norms).  A factor past
-    the width, or with a negative power of q (an r_mu that makes the
-    coefficient no polynomial), raises ValueError.  A member whose ints
-    differ is reported with both sides unpacked from them.
+    multiplicities of mu, a shift of its rook DP int (_rook_types).  The
+    width, set before any rook side is read, bounds X's coefficients' L1
+    norms pushed through the solve with kostka and then times kostka, and
+    n!, which bounds every Kostka number (kf's L1 norms, Transitions.kf)
+    and the rook side, r_mu times the product of m! being at most
+    n!/prod mu_i!.  A factor past the width, or a shift that drops a
+    nonzero slot (a negative power of q), raises ValueError.  A member
+    whose ints differ is reported with both sides unpacked from them.
     """
     n = len(members[0])
     t = symfunc.transitions(n)
     vec = _read_at_parts(t, chromatic_x(members[0]).coeffs)
     bounds = _times(_solve_bound([c.l1_norm() for c in vec], t.kostka),
                     t.kostka)
-    bounds += map(max, t.kostka)
-    rooks = []
-    for gamma in members:
-        rpolys = type_polynomials(gamma)
-        bounds += [r.l1_norm() * mult_factorials(mu).at_one()
-                   for mu, r in rpolys.items()]
-        rooks.append((gamma, rpolys))
-    bits = _width(max(bounds))
+    bits = _width(max(*bounds, math.factorial(n)))
     lhs = _times(_solve([pack_signed(c, bits) for c in vec], t.kostka),
                  t.packed(bits))
     out = []
-    for gamma, rpolys in rooks:
+    for gamma in members:
         a = area(gamma)
         rhs = [0] * len(lhs)
-        for mu, r in rpolys.items():
-            rhs[t.index[mu]] = (pack(r.shift(a - nstat(mu)), bits)
-                                * _packed(mult_factorials, bits, mu))
+        for mu, r in _rook_types(gamma, bits).items():
+            r, low = r << bits * a, bits * nstat(mu)   # times q^(a - n(mu))
+            if r & ((1 << low) - 1):
+                raise ValueError(f"coefficient of {mu} for {gamma} has a "
+                                 f"negative power of q")
+            rhs[t.index[mu]] = (r >> low) * _packed(mult_factorials, bits, mu)
         instance = f"heights={format_heights(gamma)}"
         if lhs == rhs:
             out.append([CheckReport("main", instance, "verified")])
@@ -201,11 +218,7 @@ def _main_reports(members) -> list[list[CheckReport]]:
 def check_main(gamma) -> CheckReport:
     """Coloring route against rook route for one path: the full monomial
     expansion pushed into the P basis must equal the placement-derived
-    coefficients.
-
-    Both sides are compared as ints at q = 2^bits (_main_reports), at a
-    width that makes equal ints prove equal polynomials (_width).
-    """
+    coefficients, compared as ints at q = 2^bits (_main_reports)."""
     return _main_reports((gamma,))[0][0]
 
 
@@ -326,14 +339,14 @@ def check_multiplicativity(gamma, k: int,
 
     The coefficient level compares ints at q = 2^bits, bits =
     _mult_width(n, k), with both paths' type polynomials packed at that
-    width by the rook DP.  A path of size n has at most n! placements, one
-    per sequence of choices, and type polynomials and strip factors have
-    no negative coefficient, so each coefficient compared is at most
-    (n + k)!, or n! times a strip factor at q = 1: below 2^(bits-1)
-    (_width), so equal ints prove equal polynomials.  Types of gamma that
-    count more than n! placements, summed exactly slot by slot, raise
-    ValueError, since a sum could otherwise overflow the width unseen.
-    The ints are unpacked only to write a counterexample.
+    width by the rook DP.  gamma's are read under its premise
+    (_rook_types), so gamma has at most Bell(n) <= n! placements, and
+    type polynomials and strip factors have no negative coefficient: each
+    coefficient of a strip sum is at most n! times a strip factor at
+    q = 1, below 2^(bits-1) (_width).  The extended path's ints are
+    compared as they stand, each slot a coefficient below 2^bits, so
+    equal ints prove equal polynomials with no premise on them.  The ints
+    are unpacked only to write a counterexample.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -349,16 +362,9 @@ def check_multiplicativity(gamma, k: int,
     bits = _mult_width(n, k)
     big = rook._type_polynomials(extended, bits)
     sums = {}
-    count, mask = 0, (1 << bits) - 1
-    for mu, packed in rook._type_polynomials(gamma, bits).items():
+    for mu, packed in _rook_types(gamma, bits).items():
         for nu, factor in _packed_strips(mu, k, bits):
             sums[nu] = sums.get(nu, 0) + packed * factor
-        while packed:   # r_mu at q = 1, one coefficient at a time
-            count += packed & mask
-            packed >>= bits
-    if count > math.factorial(n):
-        raise ValueError(f"{count} placements on a path of size {n}, more "
-                         f"than {n}!")
     reports = []
     for nu, label in _typed_partitions(n + k):
         instance = base + label
@@ -395,6 +401,17 @@ def _columns_times(rows, terms) -> list[int]:
     return [sum(c * row[j] for j, c in terms if row[j]) for row in rows]
 
 
+@cache
+def _llt_rook_bound(n: int) -> int:
+    """The largest over la of the sum over mu of _set_partitions(mu)
+    2^(n - l(mu)) K_la,mu: a bound on llt's rook side T[la] under
+    _rook_types' premise, each weight's L1 norm being 2^(n - l(mu))."""
+    t = symfunc.transitions(n)
+    terms = [(j, _set_partitions(mu) << n - len(mu))
+             for j, mu in enumerate(t.parts)]
+    return max(_columns_times(t.kostka, terms))
+
+
 def _llt_reports(members) -> list[list[CheckReport]]:
     """check_llt's report for each path of members, a reversal orbit or
     one path, as ints at q = 2^bits.  The word function f is read from the
@@ -414,31 +431,22 @@ def _llt_reports(members) -> list[list[CheckReport]]:
     at conjugate(la) against q^area T[la], and q^(D+E) times LLT's at la
     with q inverted against q^E T[la].
 
-    The width bounds every coefficient of both sides and every entry of kf:
-    the L1 norms of f pushed through the solve with kostka, for each
-    member the sum over mu of 2^(n - l(mu)) times r_mu's L1 norm times the
-    norms of kf's column mu, and the largest L1 norm in kf, all read from
-    kostka (Transitions.kf checks that they are the Kostka numbers).  A
-    factor past the width, or with a negative power of q, raises
-    ValueError.  A member whose ints differ is reported with LLT's Schur
-    coefficients and the first form that fails unpacked from them: form
-    omega at conjugate(la) is T[la] times q^(area - D), and form tilde at
-    la is T[la] times q^(-D) with q inverted.
+    The width, set before any rook side is read, bounds every coefficient
+    of both sides and every entry of kf: f's L1 norms pushed through the
+    solve with kostka, _llt_rook_bound(n), and n!, which the rook DP needs
+    and each Kostka number (kf's L1 norms) is below.  A factor past the
+    width, or with a negative power of q, raises ValueError.  A member
+    whose ints differ is reported with LLT's Schur coefficients and the
+    first form that fails unpacked from them: form omega at conjugate(la)
+    is T[la] times q^(area - D), form tilde at la T[la] times q^(-D) with
+    q inverted.
     """
     n = len(members[0])
     t = symfunc.transitions(n)
     vec = _read_at_parts(t, llt_poly(members[0]).coeffs)
     top = max(c.max_exp for c in vec)
     bounds = _solve_bound([c.l1_norm() for c in vec], t.kostka)
-    bounds.append(max(map(max, t.kostka)))
-    rooks = []
-    for gamma in members:
-        rpolys = type_polynomials(gamma)
-        bounds.append(max(_columns_times(
-            t.kostka, [(t.index[mu], r.l1_norm() << n - len(mu))
-                       for mu, r in rpolys.items()])))
-        rooks.append((gamma, rpolys))
-    bits = _width(max(bounds))
+    bits = _width(max(*bounds, _llt_rook_bound(n), math.factorial(n)))
     d = n * (n - 1) // 2
     lhs = _solve([pack_signed(c, bits) for c in vec], t.kostka)
     omega_lhs = [lhs[i] << bits * d for i in _conjugates(n)]
@@ -447,10 +455,10 @@ def _llt_reports(members) -> list[list[CheckReport]]:
         t.kostka)]
     kf = t.packed(bits)
     out = []
-    for gamma, rpolys in rooks:
+    for gamma in members:
         a = area(gamma)
-        weights = [(t.index[mu], pack(r, bits) * _packed_llt_weight(mu, bits))
-                   for mu, r in rpolys.items()]
+        weights = [(t.index[mu], r * _packed_llt_weight(mu, bits))
+                   for mu, r in _rook_types(gamma, bits).items()]
         packed = _columns_times(kf, weights)
         instance = f"heights={format_heights(gamma)}"
         omega = omega_lhs == [v << bits * a for v in packed]
@@ -474,11 +482,8 @@ def _llt_reports(members) -> list[list[CheckReport]]:
 def check_llt(gamma) -> CheckReport:
     """Both closed forms of the word generating function from placement
     data: one through the transposed q-Whittaker transforms, one through
-    their inverted-q normalizations.
-
-    Both forms are compared as ints at q = 2^bits (_llt_reports), at a
-    width that makes equal ints prove equal polynomials (_width).
-    """
+    their inverted-q normalizations, compared as ints at q = 2^bits
+    (_llt_reports)."""
     return _llt_reports((gamma,))[0][0]
 
 
@@ -496,54 +501,48 @@ def check_principal(gamma, alpha_max: int) -> list[CheckReport]:
     (qseries.pack).  Every term of every route has nonnegative
     coefficients, so each coefficient of a route is at most its value at
     q = 1, and so are the coefficients of every factor in a nonzero term.
-    Those values are plain ints: sum of X_la(1) * m_la(1, ..., 1), sum of
-    r(1) * k!/(k - p)!, and the product of (k - a_i).  bits exceeds the
-    bit length of the largest by one, so every coefficient is below
-    2^(bits-1) and equal ints mean equal polynomials.  A factor past that
-    bound, or with a negative coefficient, raises ValueError.  The ints
-    are unpacked only to write a counterexample.
+    The width, set before any rook side is read, exceeds by one the bit
+    length of the largest of: X_la(1) m_la(1, ..., 1) summed, for each k;
+    n!, for the rook DP; and alpha_max^n, which bounds the product of
+    (k - a_i) and the sum of r(1) k!/(k - p)!, the p-part types counting
+    at most S(n, p) placements (_rook_types) and the sum over p of
+    S(n, p) k!/(k - p)! being k^n.  A factor past that bound, or with a
+    negative coefficient, raises ValueError.  The ints are unpacked only
+    to write a counterexample.
     """
     return _principal_reports((gamma,), alpha_max)[0]
 
 
 def _principal_reports(members, alpha_max: int) -> list[list[CheckReport]]:
     """check_principal's reports for each path of members, a reversal orbit
-    or one path.  X is read from the first member.  The members share the
-    direct route, and the packing width bounds every route of every
-    member."""
+    or one path, X read from the first member and the direct route shared."""
     if alpha_max < 0:
         raise ValueError("colors must be nonnegative")
     x = chromatic_x(members[0]).coeffs
     ks = range(alpha_max + 1)
     at_one = [sum(c.at_one() * principal_monomial(la, k).at_one()
                   for la, c in x.items()) for k in ks]
-    rooks = []
-    for gamma in members:
-        aseq = area_sequence(gamma)
-        by_parts = {}
-        for mu, r in type_polynomials(gamma).items():
-            by_parts[len(mu)] = by_parts.get(len(mu), ZERO) + r
-        # The product is nonzero from the first k above every a_i on.
-        top = max(aseq, default=-1)
-        at_one += [sum(r.at_one() * math.perm(k, p)
-                       for p, r in by_parts.items()) for k in ks]
-        at_one += [math.prod(k - ai for ai in aseq) for k in ks if k > top]
-        rooks.append((gamma, aseq, by_parts, top))
-    bits = _width(max(at_one, default=0))
+    n = len(members[0])
+    bits = _width(max(*at_one, alpha_max ** n, math.factorial(n)))
     # A partition with more than alpha_max parts adds nothing at any k.
     terms = [(la, pack(c, bits)) for la, c in x.items()
              if len(la) <= alpha_max]
     direct = [sum(c * _packed(principal_monomial, bits, la, k)
                   for la, c in terms) for k in ks]
     out = []
-    for gamma, aseq, by_parts, top in rooks:
+    for gamma in members:
         a = area(gamma)
-        packed = [(p, pack(r, bits)) for p, r in by_parts.items()
-                  if p <= alpha_max]
+        aseq = area_sequence(gamma)
+        # The product is nonzero from the first k above every a_i on.
+        top = max(aseq, default=-1)
+        by_parts = {}
+        for mu, r in _rook_types(gamma, bits).items():
+            by_parts[len(mu)] = by_parts.get(len(mu), 0) + r
         reports = []
         for colors in ks:
             via_types = sum(r * _packed(q_falling, bits, colors, p)
-                            for p, r in packed if p <= colors) << bits * a
+                            for p, r in by_parts.items()
+                            if p <= colors) << bits * a
             if colors > top:
                 product = math.prod(_packed(q_int, bits, colors - ai)
                                     for ai in aseq) << bits * a

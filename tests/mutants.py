@@ -116,11 +116,6 @@ MUTANTS = [
            "math.factorial(n) * top))\n", "math.factorial(n) * top)) - 1\n",
            MULT + ("tests/test_verify.py::"
                    "test_mult_width_is_set_by_the_factorial_term",)),
-    Mutant("mult-count-premise-unchecked", "src/rookhl/verify.py",
-           "if count > math.factorial(n):",
-           "if count > math.factorial(n) and False:",
-           ("tests/test_verify.py::"
-            "test_mult_raises_when_the_count_premise_fails",)),
     Mutant("mult-packed-strips-skip-one", "src/rookhl/verify.py",
            "bits))\n                 for nu in _vertical_strips(mu, k))",
            "bits))\n                 for nu in _vertical_strips(mu, k)[1:])",
@@ -141,22 +136,44 @@ MUTANTS = [
            ("tests/test_qseries.py::"
             "test_q_binomial_times_the_factorials_is_the_factorial",
             "tests/test_verify.py::test_check_multiplicativity_small_sizes")),
-    # The widths of main and llt must cover the table each packs, not only
-    # both sides.
-    Mutant("main-width-drops-kostka-term", "src/rookhl/verify.py",
-           "    bounds += map(max, t.kostka)\n", "",
+    # Every packed check reads its rook side through verify._rook_types,
+    # whose premise (each type counts at most its set partitions) every
+    # width rests on; a type one placement over it must raise.
+    Mutant("rook-premise-unchecked", "src/rookhl/verify.py",
+           "if count > _set_partitions(mu):",
+           "if count > _set_partitions(mu) and False:",
+           ("tests/test_verify.py::"
+            "test_a_type_one_placement_over_its_set_partitions_raises",
+            "tests/test_verify.py::"
+            "test_mult_raises_when_the_count_premise_fails")),
+    # main's width must cover the table it packs, kf, whose entries the
+    # n! term bounds, not only both sides.
+    Mutant("main-width-drops-factorial", "src/rookhl/verify.py",
+           "bits = _width(max(*bounds, math.factorial(n)))\n    lhs = _times(",
+           "bits = _width(max(bounds))\n    lhs = _times(",
            WIDTH),
     # main's bound must carry X's Schur bounds on through kf, by the Kostka
-    # numbers; no report tells, so only a test on the bound does.
+    # numbers; where n! holds the result anyway no report tells, so only a
+    # test on the bound does.
     Mutant("main-width-stops-at-schur", "src/rookhl/verify.py",
            "bounds = _times(_solve_bound([c.l1_norm() for c in vec], "
            "t.kostka),\n                    t.kostka)",
            "bounds = _solve_bound([c.l1_norm() for c in vec], t.kostka)",
            ("tests/test_verify.py::"
             "test_main_bounds_x_through_kostka_and_on_through_kf",)),
-    Mutant("llt-width-drops-kf-term", "src/rookhl/verify.py",
-           "    bounds.append(max(map(max, t.kostka)))\n", "",
-           WIDTH),
+    # llt's width must cover every rook side the premise allows; through
+    # n = 8 n! does too, so only a test on the bound tells.
+    Mutant("llt-width-drops-rook-bound", "src/rookhl/verify.py",
+           "max(*bounds, _llt_rook_bound(n), math.factorial(n))",
+           "max(*bounds, math.factorial(n))",
+           ("tests/test_verify.py::"
+            "test_llt_bounds_every_rook_side_the_premise_allows",)),
+    # principal's width must cover the type and product routes through
+    # alpha_max^n, beyond what X's sums and n! hold.
+    Mutant("principal-width-drops-power", "src/rookhl/verify.py",
+           "max(*at_one, alpha_max ** n, math.factorial(n))",
+           "max(*at_one, math.factorial(n))",
+           ("tests/test_verify.py::test_check_principal_bounds_every_route",)),
     # llt bounds kf's entries by the Kostka numbers, which the kf build
     # makes true by rejecting a negative coefficient.
     Mutant("kf-negative-coefficient-unchecked", "src/rookhl/symfunc.py",

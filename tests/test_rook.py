@@ -48,10 +48,22 @@ def test_placements_match_subset_oracle():
 
 def test_placement_counts_on_extreme_boards():
     # Full staircase board: placements are set partitions into chains.
+    # Each type mu then counts exactly its set partitions, n! over the
+    # product of mu_i! and of m! over mu's multiplicities, so the premise
+    # verify's checks read the rook DP under, r_mu(1) at most that many,
+    # is tight here.
     bell = [1, 1, 2, 5, 15, 52, 203, 877]
     for n in range(8):
         staircase = tuple(range(1, n + 1))
         assert len(placements(staircase)) == bell[n]
+        types = type_polynomials(staircase)
+        assert set(types) == set(enumerate_partitions(n))
+        for mu, r in types.items():
+            blocks = math.prod(map(math.factorial, mu)) * math.prod(
+                map(math.factorial, multiplicities(mu).values()))
+            assert r.at_one() == math.factorial(n) // blocks
+            assert verify._set_partitions(mu) == r.at_one()
+        assert sum(verify._set_partitions(mu) for mu in types) == bell[n]
         # Empty board: only the empty placement.
         assert placements(complete_path(n)) == [()]
 

@@ -2,16 +2,20 @@ import gc
 import math
 import multiprocessing
 import os
+import re
 from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
 from rookhl.dyck import (
-    area_sequence, enumerate_dyck, format_heights, modular_triples, reflect,
+    area, area_sequence, enumerate_dyck, format_heights, modular_triples,
+    reflect,
 )
 from rookhl.partitions import conjugate, enumerate_partitions
-from rookhl.qseries import ONE, Q, q_power, unpack
+from rookhl.qseries import (
+    ONE, Q, ZERO, from_int, q_binomial, q_falling, q_power, unpack,
+)
 from rookhl import chromatic, rook, symfunc, verify
 from rookhl.cli import main
 from rookhl.chromatic import chromatic_x, llt_poly, principal_direct
@@ -174,43 +178,69 @@ def test_the_width_holds_every_entry_of_the_table_it_packs(monkeypatch):
     # most 1, and 2 bits hold it.  kf's entries, which main and llt both
     # pack, reach L1 norm 6 at n = 5 (kf's are the Kostka numbers), so the
     # width must cover the table it packs too, for each check to report
-    # rather than raise.  llt's rook side has no type because a type's own
-    # column of kf is always covered, its weight in the bound being at
-    # least 1: only the columns no type reads need the table's term.
+    # rather than raise.  The fake rook DP answers at any width, so only
+    # the table can tell.  Both widths cover it through n!, since no
+    # Kostka number passes n!: K_la,mu is at most K_la,(1^n), the number
+    # of standard tableaux of shape la.
+    for n in range(9):
+        assert max(map(max, symfunc.transitions(n).kostka)) <= \
+            math.factorial(n)
     t = symfunc.transitions(5)
     assert max(map(max, t.kostka)) == 6
     tiny = SymFunc(5, "monomial", {(1, 1, 1, 1, 1): ONE})
     monkeypatch.setattr(verify, "chromatic_x", lambda g: tiny)
     monkeypatch.setattr(verify, "llt_poly", lambda g: tiny)
-    monkeypatch.setattr(verify, "type_polynomials", lambda g: {(5,): ONE})
+    monkeypatch.setattr(rook, "_type_polynomials", lambda g, w: {(5,): 1})
     assert check_main(FIG_PATH) == CheckReport(
         "main", "heights=2,2,4,4,5", "counterexample",
         lhs="(1,1,1,1,1): 1", rhs="(5): q^2")
-    monkeypatch.setattr(verify, "type_polynomials", lambda g: {})
+    monkeypatch.setattr(rook, "_type_polynomials", lambda g, w: {})
     assert check_llt(FIG_PATH) == CheckReport(
         "llt", "heights=2,2,4,4,5;form=omega", "counterexample",
         lhs="(1,1,1,1,1): 1", rhs="0")
 
 
 def test_main_bounds_x_through_kostka_and_on_through_kf(monkeypatch):
-    # X = m_(2,1,1) at n = 4, with a rook side of type (4): X's Schur
-    # coefficients reach 3 in absolute value, and so do the Kostka
-    # numbers, but its coefficient of P_(1^4) is -3 + q + q^2 + q^3, of L1
-    # norm 6.  A width from 3 still holds every coefficient here, so the
-    # report alone cannot see a bound that stops at the Schur vector.
+    # X = 6 m_(2,1,1) at n = 4, with a rook side of type (4): X's Schur
+    # coefficients reach 18 in absolute value, the Kostka numbers 3, and
+    # n! is 24, but its coefficient of P_(1^4) is -18 + 6q + 6q^2 + 6q^3,
+    # of L1 norm 36.  A width from 24 still holds every coefficient here,
+    # so the report alone cannot see a bound that stops at the Schur
+    # vector.
     widths = []
     real = verify._width
     monkeypatch.setattr(verify, "_width",
                         lambda bound: widths.append(bound) or real(bound))
-    x = SymFunc(4, "monomial", {(2, 1, 1): ONE})
+    x = SymFunc(4, "monomial", {(2, 1, 1): from_int(6)})
     monkeypatch.setattr(verify, "chromatic_x", lambda g: x)
-    monkeypatch.setattr(verify, "type_polynomials", lambda g: {(4,): ONE})
+    monkeypatch.setattr(rook, "_type_polynomials", lambda g, w: {(4,): 1})
     laurent = str(x.to_basis("hl_p"))
-    assert laurent == "(2,1,1): 1\n(1,1,1,1): -3 + q + q^2 + q^3"
+    assert laurent == "(2,1,1): 6\n(1,1,1,1): -18 + 6q + 6q^2 + 6q^3"
     assert check_main((1, 2, 3, 4)) == CheckReport(
         "main", "heights=1,2,3,4", "counterexample", lhs=laurent,
         rhs="(4): 1")
-    assert len(widths) == 1 and widths[0] >= 6
+    assert len(widths) == 1 and widths[0] >= 36 > math.factorial(4)
+
+
+def test_llt_bounds_every_rook_side_the_premise_allows(monkeypatch):
+    # llt's rook side T[la] sums, over the types mu, r_mu times a weight of
+    # L1 norm 2^(n - l(mu)) times K_la,mu(q); with r_mu counting at most
+    # its set partitions, no coefficient of T passes the largest sum of
+    # those bounds, 384 at n = 5.  Through n = 8, n! holds every T the
+    # premise allows as well, so no report tells a width without that
+    # term: only a test on the bound does.
+    widths = []
+    real = verify._width
+    monkeypatch.setattr(verify, "_width",
+                        lambda bound: widths.append(bound) or real(bound))
+    tiny = SymFunc(5, "monomial", {(1, 1, 1, 1, 1): ONE})
+    monkeypatch.setattr(verify, "llt_poly", lambda g: tiny)
+    t = symfunc.transitions(5)
+    allowed = max(sum((verify._set_partitions(mu) << 5 - len(mu)) * row[j]
+                      for j, mu in enumerate(t.parts)) for row in t.kostka)
+    assert allowed == 384 > math.factorial(5)
+    assert not check_llt(FIG_PATH).ok
+    assert len(widths) == 1 and widths[0] >= allowed
 
 
 @pytest.mark.parametrize("check", [
@@ -228,14 +258,23 @@ def test_a_width_narrower_than_the_bound_raises(monkeypatch, check):
             check(FIG_PATH)
 
 
-@pytest.mark.parametrize("check", [check_main, check_llt])
+@pytest.mark.parametrize("check", [check_main])
 def test_a_negative_power_of_q_in_a_rook_factor_raises(monkeypatch, check):
     # The packed counterpart of hl_coefficients' check that a coefficient
-    # of P is a polynomial: such a factor raises instead of being packed.
+    # of P is a polynomial.  The one placement of type (1^n) leaves every
+    # board cell free, D - area of them with D = n(n-1)/2 = n((1^n)); a
+    # rook side whose r_(1^n) lacks that q^(D - area) leaves
+    # q^(area - D) in the coefficient, which raises instead of being
+    # shifted off the int.  (llt multiplies each r_mu by q^(D - n(mu)),
+    # never a negative power, so no int it reads can carry one.)
+    n = len(FIG_PATH)
+    ones = (1,) * n
+    real = rook._type_polynomials
     monkeypatch.setattr(
-        verify, "type_polynomials",
-        lambda g: {mu: r.shift(-len(g) ** 2)
-                   for mu, r in type_polynomials(g).items()})
+        rook, "_type_polynomials",
+        lambda g, w: {**real(g, w), ones: 1} if g == FIG_PATH else real(g, w))
+    assert type_polynomials(FIG_PATH)[ones] == ONE
+    assert area(FIG_PATH) < n * (n - 1) // 2
     with pytest.raises(ValueError, match="negative power of q"):
         check(FIG_PATH)
 
@@ -390,9 +429,11 @@ def test_mult_width_is_set_by_the_factorial_term():
 
 
 def test_mult_raises_when_the_count_premise_fails(monkeypatch):
-    # The width rests on at most n! placements per path of size n.  Hand
-    # gamma one more: the check raises instead of returning a verdict, even
-    # though every coefficient still fits the width.
+    # The width rests on each type counting at most its set partitions, so
+    # at most n! placements per path of size n.  Hand gamma's type (3)
+    # seven, against its one set partition: the check raises instead of
+    # returning a verdict, even though every coefficient still fits the
+    # width.
     gamma = (2, 2, 3)
     real = rook._type_polynomials
 
@@ -402,8 +443,38 @@ def test_mult_raises_when_the_count_premise_fails(monkeypatch):
         return real(g, width)
 
     monkeypatch.setattr(rook, "_type_polynomials", dp)
-    with pytest.raises(ValueError, match="more than 3!"):
+    with pytest.raises(ValueError, match=re.escape(
+            "7 placements of type (3,) on (2, 2, 3), over its 1 set "
+            "partitions")):
         check_multiplicativity(gamma, 1)
+
+
+@pytest.mark.parametrize("check", [
+    check_main, check_llt,
+    pytest.param(partial(check_principal, alpha_max=6), id="check_principal"),
+    pytest.param(partial(check_multiplicativity, k=1), id="check_mult"),
+])
+def test_a_type_one_placement_over_its_set_partitions_raises(monkeypatch,
+                                                             check):
+    # On the full board every type counts exactly its set partitions
+    # (test_rook), so the premise every packed check's width rests on is
+    # tight there: one placement more, of type (2,1,1) with one free cell,
+    # raises before any width is trusted.
+    gamma = (1, 2, 3, 4)
+    real = rook._type_polynomials
+
+    def dp(g, width):
+        types = real(g, width)
+        if g == gamma:
+            types[(2, 1, 1)] += 1 << width
+        return types
+
+    assert type_polynomials(gamma)[(2, 1, 1)].at_one() == 6
+    monkeypatch.setattr(rook, "_type_polynomials", dp)
+    with pytest.raises(ValueError, match=re.escape(
+            "7 placements of type (2, 1, 1) on (1, 2, 3, 4), over its 6 set "
+            "partitions")):
+        check(gamma)
 
 
 def test_check_llt_small_sizes():
@@ -516,28 +587,40 @@ def test_check_principal_reports_a_direct_side_counterexample(monkeypatch):
 
 @pytest.mark.parametrize("side", ["direct", "types"])
 def test_check_principal_bounds_every_route(monkeypatch, side):
-    # Scale one route by 3^30: its coefficients outgrow the other two
-    # routes' values at q = 1, so the packing width must come from all of
-    # them for the report to name the exact polynomials instead of raising.
+    # Scale X by 3^30: its coefficients outgrow the other two routes'
+    # values at q = 1, so the packing width must come from all of them for
+    # the report to name the exact polynomials instead of raising.  Or
+    # take X = e_5 with the real rook side: X's sums stay at most 6 and n!
+    # is 120, but at 5 and 6 colors the type route's coefficients reach
+    # 264 and 578, which alpha_max^n must cover.
     big = 3 ** 30
     if side == "direct":
         monkeypatch.setattr(verify, "chromatic_x",
                             lambda g: scale(chromatic_x(g), big))
+        alpha_max = 4
     else:
-        monkeypatch.setattr(
-            verify, "type_polynomials",
-            lambda g: {mu: r * big for mu, r in type_polynomials(g).items()})
-    reports = check_principal(FIG_PATH, 4)
-    assert [r.ok for r in reports] == [True, True, False, False, False]
+        tiny = SymFunc(5, "monomial", {(1, 1, 1, 1, 1): ONE})
+        monkeypatch.setattr(verify, "chromatic_x", lambda g: tiny)
+        alpha_max = 6
+    reports = check_principal(FIG_PATH, alpha_max)
+    assert [r.ok for r in reports] == [True, True] + [False] * (alpha_max - 1)
+    types = type_polynomials(FIG_PATH)
     for colors, report in enumerate(reports[2:], start=2):
         right = principal_direct(FIG_PATH, colors)
-        scaled = right * big
+        if side == "direct":
+            lhs, series = right * big, right
+        else:
+            # e_5(1, q, ..., q^(colors-1)), nonzero from 5 colors on.
+            lhs = q_power(10) * q_binomial(colors, 5) if colors >= 5 else ZERO
+            series = sum((r * q_falling(colors, len(mu))
+                          for mu, r in types.items()),
+                         ZERO).shift(area(FIG_PATH))
         assert report == CheckReport(
             "principal", f"heights=2,2,4,4,5;colors={colors}",
-            "counterexample",
-            lhs=f"direct={scaled if side == 'direct' else right}",
-            rhs=f"types={scaled if side == 'types' else right};"
-                f"product={right}")
+            "counterexample", lhs=f"direct={lhs}",
+            rhs=f"types={series};product={right}")
+    if side == "types":
+        assert max(series.coeffs) == 578 >= 1 << math.factorial(5).bit_length()
 
 
 @pytest.mark.parametrize("identity", ["main", "llt", "principal"])
@@ -575,16 +658,15 @@ def test_sweep_equals_the_per_path_checks():
 def test_each_orbit_member_is_reported_on_its_own_rook_side(monkeypatch,
                                                            identity,
                                                            member):
-    # Break the rook side of one member of one orbit: the sweep must
-    # report that path, and only that path, whichever member it is.  The
-    # scale 3^30 takes principal's type route past what the other member
-    # bounds, so the shared packing width must cover both members.
+    # Break the rook side of one member of one orbit, multiplying its
+    # types by q, which keeps every count: the sweep must report that
+    # path, and only that path, whichever member it is.
     bad = sorted((FIG_PATH, reflect(FIG_PATH)))[member]
-    big = 3 ** 30
+    real = rook._type_polynomials
     monkeypatch.setattr(
-        verify, "type_polynomials",
-        lambda g: {mu: r * big for mu, r in type_polynomials(g).items()}
-        if g == bad else type_polynomials(g))
+        rook, "_type_polynomials",
+        lambda g, w: {mu: h << w for mu, h in real(g, w).items()}
+        if g == bad else real(g, w))
     failed = {r.instance.split(";")[0]
               for r in sweep(5, {identity}) if not r.ok}
     assert failed == {"heights=" + ",".join(map(str, bad))}
