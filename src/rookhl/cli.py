@@ -9,9 +9,10 @@ A command imports only what it runs, the package's own modules included:
 rook loads dyck, partitions, qseries and rook; expand adds symfunc, and
 chromatic unless it reads X in the P basis off the rook side; only verify
 loads verify, and with it every module.  json is imported where --json or
-rook --list writes it, and multiprocessing only when a verify sweep fans
-out over --jobs processes.  Each cmd_* imports inside its body, so the
-names resolve when it runs, from the modules as they are then.
+rook --list writes it, and rookhl.fanout only when a verify sweep fans out
+over --jobs processes; no command imports multiprocessing.  Each cmd_*
+imports inside its body, so the names resolve when it runs, from the
+modules as they are then.
 
 Every text command writes through one block writer, _write_lines: lines
 go to sys.stdout in blocks that end at a line boundary, so a verify sweep

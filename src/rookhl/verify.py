@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import gc
 import math
+import os
 from functools import cache
 from itertools import groupby
 from typing import NamedTuple
@@ -642,11 +643,10 @@ def sweep_tasks(n_max: int, identities) -> list[tuple]:
 
 
 # The process pool class of a sweep with jobs > 1, looked up when the sweep
-# runs.  None stands for multiprocessing.Pool, imported there, so that a
-# command which never fans out does not load multiprocessing.  Tests and
-# profilers may set another class, such as a start method's context.Pool.
-# The sweep builds it over a frozen heap and calls its map(fn, tasks) at the
-# default chunk size, so workers take contiguous batches (see sweep).
+# runs.  None stands for fanout.ForkPool, imported there, so that a command
+# which never fans out does not load it, or, without os.fork, for no pool.
+# Tests and profilers may set another class with its interface, such as a
+# start method's context.Pool.  The sweep builds it over a frozen heap.
 Pool = None
 
 
@@ -670,11 +670,11 @@ def _in_path_order(tasks, chunks) -> list[CheckReport]:
 
 def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
     """Run every selected check for all sizes up to n_max and return the
-    flattened reports in path order, independent of jobs and of the
-    pool's start method.  At most min(jobs, tasks) worker processes start,
-    and none for a single task.  Workers take contiguous batches at the
-    pool's default chunk size, so neighbouring paths share induced paths in
-    one worker's coloring memo, and inherit a frozen heap, which their
+    flattened reports in path order, independent of jobs and of the pool.
+    At most min(jobs, tasks) worker processes start: none for a single
+    task, nor, with Pool None, without os.fork.  Workers take contiguous
+    batches of ceil(tasks / 4 workers), so neighbouring paths share induced
+    paths in one worker's coloring memo, and inherit a frozen heap, which their
     collectors do not walk and so do not copy; it is unfrozen once the pool
     is closed, also when a task raises."""
     identities = set(identities)
@@ -688,12 +688,12 @@ def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
         for n in range(n_max + 1):
             transitions(n).kf
     workers = min(jobs, len(tasks))
-    if workers <= 1:
+    pool_class = Pool
+    if workers > 1 and pool_class is None and hasattr(os, "fork"):
+        from rookhl.fanout import ForkPool as pool_class
+    if workers <= 1 or pool_class is None:
         chunks = [_task_reports(t) for t in tasks]
     else:
-        pool_class = Pool
-        if pool_class is None:
-            from multiprocessing import Pool as pool_class
         gc.freeze()
         try:
             with pool_class(workers) as pool:

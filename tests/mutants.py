@@ -209,6 +209,28 @@ MUTANTS = [
            "            gc.unfreeze()\n", "            pass\n",
            ("tests/test_verify.py::"
             "test_sweep_leaves_the_collector_as_it_found_it",)),
+    # The fork pool: every batch a worker reads is run and reported, a
+    # task's exception reaches the parent, and each worker is reaped.
+    Mutant("fanout-drops-a-batch", "src/rookhl/fanout.py",
+           "                (i,) = _INDEX.unpack(data)\n",
+           "                (i,) = _INDEX.unpack(data)\n"
+           "                if i == 1:\n                    continue\n",
+           ("tests/test_fanout.py::"
+            "test_map_returns_the_results_in_task_order",)),
+    Mutant("fanout-swallows-task-error", "src/rookhl/fanout.py",
+           "                    if exc is not None:\n"
+           "                        raise exc\n",
+           "",
+           ("tests/test_fanout.py::"
+            "test_a_task_error_is_raised_in_the_parent",)),
+    Mutant("fanout-leaves-worker-unreaped", "src/rookhl/fanout.py",
+           "status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])",
+           "status = 0",
+           ("tests/test_fanout.py::"
+            "test_map_returns_the_results_in_task_order",
+            "tests/test_fanout.py::test_a_task_error_is_raised_in_the_parent",
+            "tests/test_fanout.py::"
+            "test_a_worker_that_dies_raises_runtime_error")),
     # The text commands write in blocks; the rest after the last full
     # block must still be written.
     Mutant("cli-drops-last-block", "src/rookhl/cli.py",

@@ -240,8 +240,9 @@ def test_bad_heights_names_flag(capsys):
 def test_cli_import_leaves_dataclasses_out():
     # Every command imports rookhl.cli; importing dataclasses would also
     # load inspect, ast, dis and tokenize.  A command imports json only to
-    # write it and multiprocessing only to fan out, and nothing in the
-    # package evaluates at rational points.  -S keeps site's imports out.
+    # write it and rookhl.fanout only to fan out, no command imports
+    # multiprocessing, and nothing in the package evaluates at rational
+    # points.  -S keeps site's imports out.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import rookhl.cli; "
             "print(sorted({'dataclasses', 'inspect', 'multiprocessing', "
             "'json', 'fractions'} & set(sys.modules)))")
@@ -251,6 +252,27 @@ def test_cli_import_leaves_dataclasses_out():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("jobs, loaded", [("2", ["rookhl.fanout"]),
+                                          ("1", [])])
+def test_verify_loads_the_fork_pool_only_to_fan_out(jobs, loaded):
+    # A sweep over --jobs 2 forks its workers through rookhl.fanout, and
+    # one over --jobs 1 runs in its own process; neither loads
+    # multiprocessing.
+    code = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1])\n"
+            "from rookhl.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['verify', '--identity', 'main', '--n-max', '3', "
+            f"'--jobs', '{jobs}'])\n"
+            "print(sorted({'multiprocessing', 'rookhl.fanout'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code,
+         str(Path(rookhl.__file__).resolve().parents[1])],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loaded}\n"
 
 
 def _loaded(statement):

@@ -772,20 +772,26 @@ def test_sweep_warms_only_the_degrees_its_checks_convert_in(monkeypatch):
 
 
 def _start_method_pool(monkeypatch, method):
-    """Make sweep build its pool from the named start method's context,
-    through the pool class it looks up when it fans out."""
+    """Make sweep build its pool from the named start method's context, or
+    for None from its default pool, through the pool class it looks up when
+    it fans out."""
+    if method is None:
+        monkeypatch.setattr(verify, "Pool", None)
+        return
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"start method {method} is not available")
     monkeypatch.setattr(verify, "Pool",
                         multiprocessing.get_context(method).Pool)
 
 
-def test_parallel_sweep_builds_kf_in_the_parent_only(monkeypatch, tmp_path):
+@pytest.mark.parametrize("method", [None, "fork"])
+def test_parallel_sweep_builds_kf_in_the_parent_only(monkeypatch, tmp_path,
+                                                     method):
     # The warm-up builds every P-basis and Kostka-Foulkes matrix the checks
     # read before the pool starts; forked workers inherit them, and weigh
-    # no strip themselves.  Fork is named explicitly: only forked workers
-    # see this monkeypatch.
-    _start_method_pool(monkeypatch, "fork")
+    # no strip themselves.  The default pool forks, and the fork context is
+    # named explicitly: only forked workers see this monkeypatch.
+    _start_method_pool(monkeypatch, method)
     log = tmp_path / "pids"
 
     def logged(name, real):
@@ -801,12 +807,13 @@ def test_parallel_sweep_builds_kf_in_the_parent_only(monkeypatch, tmp_path):
     assert set(log.read_text().splitlines()) == {f"psi {os.getpid()}"}
 
 
+@pytest.mark.parametrize("method", [None, "fork"])
 def test_parallel_sweep_warms_from_identities_given_once(monkeypatch,
-                                                        tmp_path):
+                                                        tmp_path, method):
     # Identities given as a one-shot iterator are read once, so the
     # warm-up still sees main after the task list is built, and forked
     # workers weigh no strip.
-    _start_method_pool(monkeypatch, "fork")
+    _start_method_pool(monkeypatch, method)
     log = tmp_path / "pids"
     real = symfunc._psi
 
@@ -821,12 +828,12 @@ def test_parallel_sweep_warms_from_identities_given_once(monkeypatch,
     assert set(log.read_text().splitlines()) == {str(os.getpid())}
 
 
-@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+@pytest.mark.parametrize("method", [None, "fork", "forkserver", "spawn"])
 def test_parallel_sweep_equals_serial_under_every_start_method(monkeypatch,
                                                                method):
-    # Workers that do not fork rebuild whatever they convert in.  The
-    # orbit tasks of main, llt and principal come back in any order of
-    # completion, and their reports in path order.
+    # None is the default pool.  Workers that do not fork rebuild whatever
+    # they convert in.  The orbit tasks of main, llt and principal come
+    # back in any order of completion, and their reports in path order.
     ids = {"main", "llt", "mult", "principal"}
     serial = sweep(4, ids)
     _start_method_pool(monkeypatch, method)
@@ -864,11 +871,12 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
         assert started == workers
 
 
-def test_sweep_leaves_the_collector_as_it_found_it(monkeypatch):
+@pytest.mark.parametrize("method", [None, "fork"])
+def test_sweep_leaves_the_collector_as_it_found_it(monkeypatch, method):
     # The pool is built over a frozen heap, which the sweep unfreezes once
     # the pool is closed, also when the pool's map raises.
     before = gc.get_freeze_count(), gc.isenabled()
-    _start_method_pool(monkeypatch, "fork")
+    _start_method_pool(monkeypatch, method)
     assert all(r.ok for r in sweep(4, {"main", "mult"}, jobs=2))
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
@@ -892,6 +900,15 @@ def test_sweep_leaves_the_collector_as_it_found_it(monkeypatch):
         sweep(4, {"main", "mult"}, jobs=2)
     assert frozen[0] > before[0]
     assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_sweep_without_fork_runs_in_one_process(monkeypatch):
+    # Where os has no fork, the default pool is not built: the sweep runs
+    # its tasks here, with the same reports.
+    serial = sweep(4, {"main", "mult"})
+    monkeypatch.setattr(verify, "Pool", None)
+    monkeypatch.delattr(os, "fork")
+    assert sweep(4, {"main", "mult"}, jobs=2) == serial
 
 
 def test_sweep_rejects_unknown_identity():
