@@ -16,8 +16,12 @@ modules as they are then.
 
 Every text command writes through one block writer, _write_lines: lines
 go to sys.stdout in blocks that end at a line boundary, so a verify sweep
-of thousands of reports costs a few writes, not one per line.  --json is
-one print.
+of thousands of reports costs a few writes, not one per line.  verify
+writes its text as the sweep's reports arrive (verify.stream), counting
+them for the summary line and the exit code, so its first block is out
+before its last task has run and no report is held; the stream is closed
+in a finally, so an early stop reaps its workers.  --json is one print,
+after the sweep.
 """
 
 from __future__ import annotations
@@ -122,30 +126,41 @@ def cmd_verify(args, parser):
         parser.error("--n-max: must be nonnegative")
     if args.jobs < 1:
         parser.error("--jobs: must be positive")
-    from rookhl.verify import sweep
+    from rookhl.verify import stream
     names = IDENTITIES if args.identity == "all" else (args.identity,)
-    reports = sweep(args.n_max, set(names), jobs=args.jobs)
-    failures = [r for r in reports if not r.ok]
-    if args.json:
-        import json
-        print(json.dumps([r.to_json() for r in reports]))
-    else:
-        _write_lines(_report_lines(reports, failures))
-    return 1 if failures else 0
+    reports = stream(args.n_max, set(names), jobs=args.jobs)
+    tally = [0, 0]      # reports, counterexamples
+    try:
+        if args.json:
+            import json
+            docs = []
+            for r in reports:
+                docs.append(r.to_json())
+                tally[1] += not r.ok
+            print(json.dumps(docs))
+        else:
+            _write_lines(_report_lines(reports, tally))
+    finally:
+        reports.close()
+    return 1 if tally[1] else 0
 
 
-def _report_lines(reports, failures):
+def _report_lines(reports, tally):
     """verify's text: a line per report, both sides under each
-    counterexample, and the summary line."""
+    counterexample, and the summary line.  tally counts the reports and
+    the counterexamples as they pass."""
     for r in reports:
+        tally[0] += 1
         yield f"{r.status}  {r.identity}  {r.instance}"
         if not r.ok:
+            tally[1] += 1
             yield f"  lhs: {r.lhs}"
             yield f"  rhs: {r.rhs}"
+    checks, failures = tally
     if failures:
-        yield f"{len(reports)} checks: {len(failures)} counterexamples"
+        yield f"{checks} checks: {failures} counterexamples"
     else:
-        yield f"{len(reports)} checks: all verified"
+        yield f"{checks} checks: all verified"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,32 +1,36 @@
 """A process pool that forks its workers directly and pipes their results
 back, for sweeps that fan out over --jobs processes.
 
-ForkPool(processes) is a context manager whose map(fn, tasks) returns
-[fn(t) for t in tasks], in task order, computed by at most `processes`
-workers forked from the calling process with os.fork.  The tasks are cut
-into contiguous batches of ceil(T / 4W) tasks, the chunk size
-multiprocessing.Pool.map picks, and the workers pull batch indices one at
-a time from one shared pipe, so a worker that draws short batches takes
-more of them.  Each worker pickles the results of each batch onto its own
-pipe as it finishes the batch, so that it holds none of them, then an end
-record, and leaves by os._exit: no atexit handler, finalizer or inherited
-stdout buffer runs in a worker.  The parent reads every result pipe at
-once, with poll, so no worker waits long on a full pipe.
+ForkPool(processes) is a context manager whose map(fn, tasks) yields fn(t)
+for each task, in task order, computed by at most `processes` workers
+forked from the calling process with os.fork when the first result is
+asked for.  The tasks are cut into contiguous batches of ceil(T / 4W)
+tasks, the chunk size multiprocessing.Pool.map picks, and the workers pull
+batch indices one at a time from one shared pipe, so a worker that draws
+short batches takes more of them.  Each worker sends the results of each
+batch as it finishes it, as one frame on its own pipe: a length prefix,
+then the pickle, so that it holds none of them; then an end frame, and it
+leaves by os._exit: no atexit handler, finalizer or inherited stdout
+buffer runs in a worker.  The parent reads every result pipe at once, with
+poll, so no worker waits long on a full pipe, unpickles each frame as it
+arrives, and yields a batch's results once it and every earlier batch are
+in, so it holds only the batches that came back early.
 
 Forked workers need no pickled tasks or functions and inherit whatever the
 parent has built.  Fork copies only the calling thread, so the caller
-forks from a process with no other threads; verify.sweep also freezes its
+forks from a process with no other threads; verify.stream also freezes its
 heap first, so that the workers' collectors do not walk, and so copy, it.
 
-A task's exception is re-raised in the parent.  A worker that exits
-non-zero, or before its end record, raises RuntimeError naming its exit
-status.  Every worker not yet reaped is killed and reaped before map
-returns or raises, KeyboardInterrupt included.
+A task's exception is raised in the parent after the results of every
+earlier task.  A worker that exits non-zero, or before its end frame,
+raises RuntimeError naming its exit status.  Every worker not yet reaped
+is killed and reaped when map's iterator finishes, raises or is closed,
+KeyboardInterrupt included; leaving the pool's with block closes every
+iterator its map returned.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import select
@@ -34,19 +38,30 @@ import signal
 import struct
 
 _INDEX = struct.Struct("I")
+_LENGTH = struct.Struct("Q")
 
 
 class ForkPool:
     def __init__(self, processes: int):
         self.processes = processes
+        self._maps = []
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        for results in self._maps:
+            results.close()
         return False
 
-    def map(self, fn, tasks) -> list:
+    def map(self, fn, tasks):
+        """An iterator of fn(t) for each task, in task order, closed when
+        the with block is left."""
+        results = self._map(fn, tasks)
+        self._maps.append(results)
+        return results
+
+    def _map(self, fn, tasks):
         tasks = list(tasks)
         size = -(-len(tasks) // (4 * self.processes)) or 1
         n_batches = -(-len(tasks) // size)
@@ -74,33 +89,37 @@ class ForkPool:
             with open(index_w, "wb", closefd=False) as fh:
                 fh.write(struct.pack(f"{n_batches}I", *range(n_batches)))
             _close(fds, index_w)
-            # Each worker's stream is unpickled at its EOF.
-            received = {fd: [] for fd in workers}
+            ended = set()       # result pipes whose last frame has come
             poller = select.poll()
             for fd in workers:
                 poller.register(fd, select.POLLIN)
-            batches = {}
+            batches = {}        # index -> (results, exc), not yet yielded
+            done = 0            # batches yielded
             while workers:
                 for fd, _ in poller.poll():
-                    chunk = os.read(fd, 1 << 16)
-                    if chunk:
-                        received[fd].append(chunk)
+                    frame = _read_frame(fd)
+                    if frame is None:
+                        poller.unregister(fd)
+                        pid = workers.pop(fd)
+                        status = os.waitstatus_to_exitcode(
+                            os.waitpid(pid, 0)[1])
+                        _close(fds, fd)
+                        if status or fd not in ended:
+                            raise RuntimeError(
+                                f"fork pool worker {pid} exited with "
+                                f"status {status} before reporting")
                         continue
-                    poller.unregister(fd)
-                    pid = workers[fd]
-                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    del workers[fd]
-                    _close(fds, fd)
-                    records = [] if status else _loads_all(
-                        b"".join(received.pop(fd)))
-                    if not records or records[-1][0] is not None:
-                        raise RuntimeError(f"fork pool worker {pid} exited "
-                                           f"with status {status} before "
-                                           "reporting")
-                    *done, (_, exc) = records
+                    i, results, exc = frame
+                    if i is None or exc is not None:
+                        ended.add(fd)
+                    if i is not None:
+                        batches[i] = results, exc
+                while done in batches:
+                    results, exc = batches.pop(done)
+                    done += 1
+                    yield from results
                     if exc is not None:
                         raise exc
-                    batches.update(done)
         finally:
             for fd in fds:
                 os.close(fd)
@@ -110,7 +129,6 @@ class ForkPool:
                     os.waitpid(pid, 0)
                 except (ProcessLookupError, ChildProcessError):
                     pass    # reaped just before an interrupt landed
-        return [r for i in range(n_batches) for r in batches[i]]
 
 
 def _close(fds, fd):
@@ -118,28 +136,56 @@ def _close(fds, fd):
     os.close(fd)
 
 
-def _loads_all(data: bytes) -> list:
-    """The objects pickled one after another into data."""
-    stream = io.BytesIO(data)
-    out = []
-    while stream.tell() < len(data):
-        out.append(pickle.load(stream))
-    return out
+def _read_frame(fd):
+    """The next frame on the result pipe fd, a length prefix and then a
+    pickle of that length, unpickled, or None at EOF.  A worker writes a
+    frame's two parts back to back, so once poll finds its first byte, the
+    rest follows without waiting on a task."""
+    head = _read_exactly(fd, _LENGTH.size)
+    if head is None:
+        return None
+    body = _read_exactly(fd, _LENGTH.unpack(head)[0])
+    return None if body is None else pickle.loads(body)
+
+
+def _read_exactly(fd, n):
+    """n bytes from fd, read into one buffer of that size, or None if fd
+    reaches EOF first."""
+    buf = bytearray(n)
+    got = 0
+    while got < n:
+        k = os.readv(fd, [memoryview(buf)[got:]])
+        if not k:
+            return None
+        got += k
+    return buf
 
 
 def _work(fn, tasks, size, index_r, result_w) -> int:
     """A worker: run each batch whose index it reads from index_r, until
-    EOF, and write (index, results) for it to result_w as it finishes it,
-    then (None, None), or (None, exc) for a task's exception, each pickled
-    on its own.  Returns its exit code."""
+    EOF, and send (index, results, None) for it to result_w as it finishes
+    it, then (None, None, None).  A task that raises ends the worker's
+    frames with (index, the batch's earlier results, exc).  Returns its
+    exit code."""
     with open(result_w, "wb") as fh:
-        try:
-            while data := os.read(index_r, _INDEX.size):
-                (i,) = _INDEX.unpack(data)
-                fh.write(pickle.dumps(
-                    (i, [fn(t) for t in tasks[i * size:(i + 1) * size]])))
-            end = (None, None)
-        except Exception as exc:
-            end = (None, exc)
-        fh.write(pickle.dumps(end))
+        while data := os.read(index_r, _INDEX.size):
+            (i,) = _INDEX.unpack(data)
+            results = []
+            try:
+                for t in tasks[i * size:(i + 1) * size]:
+                    results.append(fn(t))
+            except Exception as exc:
+                _send(fh, (i, results, exc))
+                return 0
+            _send(fh, (i, results, None))
+        _send(fh, (None, None, None))
     return 0
+
+
+def _send(fh, frame) -> None:
+    """Write frame to fh as its pickle's length and then the pickle, two
+    writes, so the pickle is not copied to prefix it, and flush."""
+    data = pickle.dumps(frame)
+    fh.write(_LENGTH.pack(len(data)))
+    fh.write(data)
+    fh.flush()

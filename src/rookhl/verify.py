@@ -2,9 +2,11 @@
 
 Every check compares two independently computed exact objects and returns
 CheckReport records: status "verified", or "counterexample" with both sides
-rendered as strings.  The sweep driver runs checks over all paths up to a
-size bound, deterministically, optionally spreading tasks over processes
-(ordering and output are identical either way).
+rendered as strings.  A sweep, stream, runs the checks over all paths
+up to a size bound, deterministically, optionally spreading tasks over
+processes, and yields the reports in path order as the tasks finish, so no
+process holds a whole sweep (ordering and output are identical either
+way); sweep is the same reports as one list.
 
 main, llt and principal compare a coloring side (X or the LLT polynomial)
 with a rook side (placement types).  A path and its reflection in the
@@ -37,7 +39,7 @@ import gc
 import math
 import os
 from functools import cache
-from itertools import groupby
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from rookhl.chromatic import chromatic_x, llt_poly, principal_monomial
@@ -646,37 +648,49 @@ def sweep_tasks(n_max: int, identities) -> list[tuple]:
 # runs.  None stands for fanout.ForkPool, imported there, so that a command
 # which never fans out does not load it, or, without os.fork, for no pool.
 # Tests and profilers may set another class with its interface, such as a
-# start method's context.Pool.  The sweep builds it over a frozen heap.
+# start method's context.Pool: a context manager whose map(fn, tasks)
+# returns an iterable of the results in task order.  The sweep builds it
+# over a frozen heap.
 Pool = None
 
 
-def _in_path_order(tasks, chunks) -> list[CheckReport]:
-    """The reports of the tasks, flattened in the order of a sweep with one
-    task per path.  The tasks of one identity are consecutive, and an
-    orbit identity's paths go by size, then lexicographically, as
-    enumerate_dyck lists them."""
-    reports = []
-    for kind, block in groupby(zip(tasks, chunks), key=lambda tc: tc[0][0]):
-        if kind in ORBIT_IDENTITIES:
-            by_path = sorted(((len(g), g), lists) for task, chunk in block
-                             for g, lists in zip(task[1], chunk))
-            per_path = [lists for _, lists in by_path]
+def _in_path_order(tasks, chunks):
+    """Yield the reports of the tasks, from their chunks in task order, in
+    the order of a sweep with one task per path, each path's as soon as
+    every earlier path of its block is in.  The tasks of one identity are
+    consecutive, and an orbit identity's paths go by size, then
+    lexicographically, as enumerate_dyck lists them.  An orbit task's first
+    member is the smaller, so once a task is in, so is every path before
+    the next task's first member, and none after it is."""
+    waiting = []    # (size, path, reports) of paths not yet yielded
+    for i, (task, chunk) in enumerate(zip(tasks, chunks)):
+        if task[0] not in ORBIT_IDENTITIES:
+            for lists in chunk:
+                yield from lists
+            continue
+        for g, lists in zip(task[1], chunk):
+            heappush(waiting, (len(g), g, lists))
+        after = tasks[i + 1] if i + 1 < len(tasks) else (None,)
+        if after[0] == task[0]:
+            bound = (len(after[1][0]), after[1][0])
         else:
-            per_path = [lists for _, chunk in block for lists in chunk]
-        for lists in per_path:
-            reports.extend(lists)
-    return reports
+            bound = (math.inf,)
+        while waiting and waiting[0][:2] < bound:
+            yield from heappop(waiting)[2]
 
 
-def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
-    """Run every selected check for all sizes up to n_max and return the
-    flattened reports in path order, independent of jobs and of the pool.
-    At most min(jobs, tasks) worker processes start: none for a single
-    task, nor, with Pool None, without os.fork.  Workers take contiguous
-    batches of ceil(tasks / 4 workers), so neighbouring paths share induced
-    paths in one worker's coloring memo, and inherit a frozen heap, which their
-    collectors do not walk and so do not copy; it is unfrozen once the pool
-    is closed, also when a task raises."""
+def stream(n_max: int, identities, jobs: int = 1):
+    """Run every selected check for all sizes up to n_max and yield the
+    reports in path order, independent of jobs and of the pool, each as
+    soon as its task and every task it follows have finished.  At most
+    min(jobs, tasks) worker processes start: none for a single task, nor,
+    with Pool None, without os.fork.  Workers take contiguous batches of
+    ceil(tasks / 4 workers), so neighbouring paths share induced paths in
+    one worker's coloring memo, and inherit a frozen heap, which their
+    collectors do not walk and so do not copy.  A task's exception is
+    raised after the reports before it.  Once the iterator finishes,
+    raises or is closed, the pool is closed, its workers reaped, and the
+    heap unfrozen."""
     identities = set(identities)
     tasks = sweep_tasks(n_max, identities)
     # Build kf (its L1 norms are kostka), which main and llt pack, at every
@@ -692,12 +706,16 @@ def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
     if workers > 1 and pool_class is None and hasattr(os, "fork"):
         from rookhl.fanout import ForkPool as pool_class
     if workers <= 1 or pool_class is None:
-        chunks = [_task_reports(t) for t in tasks]
-    else:
-        gc.freeze()
-        try:
-            with pool_class(workers) as pool:
-                chunks = pool.map(_task_reports, tasks)
-        finally:
-            gc.unfreeze()
-    return _in_path_order(tasks, chunks)
+        yield from _in_path_order(tasks, map(_task_reports, tasks))
+        return
+    gc.freeze()
+    try:
+        with pool_class(workers) as pool:
+            yield from _in_path_order(tasks, pool.map(_task_reports, tasks))
+    finally:
+        gc.unfreeze()
+
+
+def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:
+    """The reports of stream(n_max, identities, jobs), as one list."""
+    return list(stream(n_max, identities, jobs))

@@ -206,15 +206,15 @@ MUTANTS = [
     # A sweep with jobs > 1 freezes the heap before its pool forks and must
     # unfreeze it after, or the caller's collector never sees those objects.
     Mutant("sweep-leaves-heap-frozen", "src/rookhl/verify.py",
-           "            gc.unfreeze()\n", "            pass\n",
+           "        gc.unfreeze()\n", "        pass\n",
            ("tests/test_verify.py::"
             "test_sweep_leaves_the_collector_as_it_found_it",)),
     # The fork pool: every batch a worker reads is run and reported, a
     # task's exception reaches the parent, and each worker is reaped.
     Mutant("fanout-drops-a-batch", "src/rookhl/fanout.py",
-           "                (i,) = _INDEX.unpack(data)\n",
-           "                (i,) = _INDEX.unpack(data)\n"
-           "                if i == 1:\n                    continue\n",
+           "            (i,) = _INDEX.unpack(data)\n",
+           "            (i,) = _INDEX.unpack(data)\n"
+           "            if i == 1:\n                continue\n",
            ("tests/test_fanout.py::"
             "test_map_returns_the_results_in_task_order",)),
     Mutant("fanout-swallows-task-error", "src/rookhl/fanout.py",
@@ -224,13 +224,30 @@ MUTANTS = [
            ("tests/test_fanout.py::"
             "test_a_task_error_is_raised_in_the_parent",)),
     Mutant("fanout-leaves-worker-unreaped", "src/rookhl/fanout.py",
-           "status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])",
+           "status = os.waitstatus_to_exitcode(\n"
+           "                            os.waitpid(pid, 0)[1])",
            "status = 0",
            ("tests/test_fanout.py::"
             "test_map_returns_the_results_in_task_order",
-            "tests/test_fanout.py::test_a_task_error_is_raised_in_the_parent",
             "tests/test_fanout.py::"
             "test_a_worker_that_dies_raises_runtime_error")),
+    # The fork pool yields each batch once every earlier batch is in; one
+    # that comes back early must wait for its predecessors.
+    Mutant("fanout-yields-out-of-order", "src/rookhl/fanout.py",
+           "                while done in batches:\n"
+           "                    results, exc = batches.pop(done)\n",
+           "                while batches:\n"
+           "                    results, exc = batches.popitem()[1]\n",
+           ("tests/test_fanout.py::"
+            "test_a_batch_back_early_waits_for_every_earlier_batch",)),
+    # An orbit's reflected member waits until every path before it is in;
+    # yielded with its orbit, it comes out before the next orbit's first.
+    Mutant("path-order-reflection-early", "src/rookhl/verify.py",
+           "            bound = (len(after[1][0]), after[1][0])\n",
+           "            bound = (math.inf,)\n",
+           ("tests/test_verify.py::test_sweep_equals_the_per_path_checks",
+            "tests/test_verify.py::"
+            "test_each_path_comes_out_once_every_earlier_path_is_in")),
     # The text commands write in blocks; the rest after the last full
     # block must still be written.
     Mutant("cli-drops-last-block", "src/rookhl/cli.py",
@@ -238,6 +255,12 @@ MUTANTS = [
            "        sys.stdout.write(",
            ("tests/test_cli.py::test_verify_text",
             "tests/test_cli.py::test_verify_writes_its_text_in_blocks")),
+    # verify's summary line counts reports, not the lines it writes for
+    # them: a counterexample writes three.
+    Mutant("cli-summary-counts-lines", "src/rookhl/cli.py",
+           "            tally[1] += 1\n",
+           "            tally[0] += 2\n            tally[1] += 1\n",
+           ("tests/test_cli.py::test_verify_writes_its_text_in_blocks",)),
     # A query that never checks an identity must not compile verify.
     Mutant("cli-imports-verify-eagerly", "src/rookhl/cli.py",
            "import argparse\n", "import argparse\nimport rookhl.verify\n",

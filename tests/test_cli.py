@@ -209,6 +209,62 @@ def test_verify_writes_its_text_in_blocks(monkeypatch, gate):
     assert len(out.calls) * 20 < len(lines)
 
 
+def test_verify_writes_its_first_block_before_its_last_task(monkeypatch):
+    # A stand-in stdout records, at each write, how many tasks have
+    # returned their reports: the text goes out as the sweep runs, and
+    # every task has run by the last write, the summary's.
+    from rookhl import verify
+    returned = []
+    real = verify._task_reports
+
+    def task_reports(task):
+        out = real(task)
+        returned.append(task)
+        return out
+
+    at_write = []
+
+    class Writes(_Writes):
+        def write(self, text):
+            at_write.append(len(returned))
+            return super().write(text)
+
+    monkeypatch.setattr(verify, "_task_reports", task_reports)
+    monkeypatch.setattr(sys, "stdout", Writes())
+    assert main(["verify", "--identity", "mult", "--n-max", "5"]) == 0
+    n_tasks = len(verify.sweep_tasks(5, {"mult"}))
+    assert len(returned) == n_tasks
+    assert len(at_write) > 1
+    assert at_write[0] < n_tasks
+    assert at_write == sorted(at_write)
+    assert at_write[-1] == n_tasks
+
+
+def test_verify_json_is_one_print_after_the_sweep(monkeypatch, capsys):
+    # --json is one document, printed once every task has returned.
+    from rookhl import cli, verify
+    printed = []
+    n_tasks = len(verify.sweep_tasks(4, {"mult"}))
+    returned = []
+    real = verify._task_reports
+
+    def task_reports(task):
+        out = real(task)
+        returned.append(task)
+        return out
+
+    monkeypatch.setattr(verify, "_task_reports", task_reports)
+    monkeypatch.setattr(cli, "print",
+                        lambda *args: printed.append((len(returned), args)),
+                        raising=False)
+    assert main(["verify", "--identity", "mult", "--n-max", "4",
+                 "--json"]) == 0
+    assert capsys.readouterr().out == ""
+    [(at_print, (text,))] = printed
+    assert at_print == n_tasks
+    assert json.loads(text) == [r.to_json() for r in sweep(4, {"mult"})]
+
+
 def test_verify_jobs_equal_output(capsys):
     code1, out1 = run(capsys, ["verify", "--identity", "llt",
                                "--n-max", "3"])

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 from functools import partial
+from itertools import groupby
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +26,7 @@ from rookhl.verify import (
     CheckReport, check_main, check_modular, check_multiplicativity,
     check_llt, check_principal, sweep, sweep_tasks,
 )
+from forks import assert_reaped, record_forks
 from placement_oracle import ordered_type_polynomials
 from reference import is_vertical_strip, llt_forms, mult_by_pair_scan, scale
 
@@ -838,6 +840,78 @@ def test_parallel_sweep_equals_serial_under_every_start_method(monkeypatch,
     serial = sweep(4, ids)
     _start_method_pool(monkeypatch, method)
     assert sweep(4, ids, jobs=2) == serial
+    assert list(verify.stream(4, ids, jobs=2)) == serial
+
+
+def test_a_gate_off_sweep_fans_out_to_the_serial_reports(monkeypatch):
+    # With the gate off, most paths from n = 4 on are counterexamples, each
+    # with both sides written; forked workers inherit the broken rook DP,
+    # and their reports, streamed or listed, must be the serial ones.
+    monkeypatch.setattr(rook, "_type_polynomials",
+                        partial(ordered_type_polynomials, gate=False))
+    ids = {"main", "llt", "mult", "principal"}
+    serial = sweep(5, ids)
+    assert sum(not r.ok for r in serial) > len(serial) // 3
+    assert sweep(5, ids, jobs=2) == serial
+    assert list(verify.stream(5, ids, jobs=2)) == serial
+    assert list(verify.stream(5, ids, jobs=3)) == serial
+
+
+def test_each_path_comes_out_once_every_earlier_path_is_in():
+    # Stand-in chunks, one per task, name each path of the task; a path's
+    # report must come out in path order, as soon as the task of every
+    # earlier path of its block has been taken, and no sooner.
+    tasks = sweep_tasks(5, {"main", "mult", "llt"})
+    taken = []
+
+    def chunks():
+        for i, task in enumerate(tasks):
+            taken.append(i)
+            members = (task[1] if task[0] in verify.ORBIT_IDENTITIES
+                       else (task[1:],))
+            yield [[(task[0], g)] for g in members]
+
+    out = [(r, len(taken)) for r in verify._in_path_order(tasks, chunks())]
+    expected = []
+    for kind, block in groupby(enumerate(tasks), key=lambda it: it[1][0]):
+        block = list(block)
+        if kind not in verify.ORBIT_IDENTITIES:
+            expected += [((kind, t[1:]), i + 1) for i, t in block]
+            continue
+        where = {g: i for i, t in block for g in t[1]}
+        paths = sorted(where, key=lambda g: (len(g), g))
+        assert paths == paths_through(5)
+        for j, g in enumerate(paths):
+            last = max(where[h] for h in paths[:j + 1])
+            expected.append(((kind, g), last + 1))
+    assert out == expected
+
+
+def test_a_task_error_mid_sweep_comes_after_the_earlier_reports(monkeypatch):
+    # A task that raises in a worker: every report before it comes out,
+    # then its error; the workers are reaped and the heap unfrozen.
+    tasks = sweep_tasks(5, {"mult"})
+    bad = len(tasks) // 2
+    real = verify.check_multiplicativity
+    before = [r for t in tasks[:bad] for r in real(*t[1:])]
+
+    def check(*args):
+        if args == tasks[bad][1:]:
+            raise ValueError(f"task {bad} failed")
+        return real(*args)
+
+    frozen = gc.get_freeze_count()
+    monkeypatch.setattr(verify, "Pool", None)
+    monkeypatch.setattr(verify, "check_multiplicativity", check)
+    pids = record_forks(monkeypatch)
+    out = []
+    with pytest.raises(ValueError, match=f"task {bad} failed"):
+        for r in verify.stream(5, {"mult"}, jobs=2):
+            out.append(r)
+    assert out == before
+    assert gc.get_freeze_count() == frozen
+    assert len(pids) == 2
+    assert_reaped(pids)
 
 
 def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
