@@ -3,7 +3,8 @@
 Subcommands: expand (coloring or word generating function of one path, in a
 chosen basis), rook (placements and type polynomials), list-dyck, verify
 (identity sweeps with counterexample reporting).  Exit codes: 0 success,
-1 a verify run found a counterexample, 2 usage error.
+1 a verify run found a counterexample, 2 usage error, 141 stdout closed
+early (a shell's status for a process SIGPIPE ends).
 
 A command imports only what it runs, the package's own modules included:
 rook loads dyck, partitions, qseries and rook; expand adds symfunc, and
@@ -21,13 +22,15 @@ writes its text as the sweep's reports arrive (verify.stream), counting
 them for the summary line and the exit code, so its first block is out
 before its last task has run and no report is held; the stream is closed
 in a finally, so an early stop reaps its workers.  --json is one print,
-after the sweep.
+after the sweep.  A command whose stdout is closed before it has written
+everything, as `| head` closes it, exits with 141 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 
 from rookhl import IDENTITIES
@@ -211,7 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        code = args.func(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A closed stdout: exit's flush goes to devnull, not raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

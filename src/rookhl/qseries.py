@@ -288,19 +288,6 @@ def q_factorial(n: int) -> QLaurent:
     return result
 
 
-def q_binomial(n: int, k: int) -> QLaurent:
-    """Gaussian binomial [n]_q! / ([k]_q! [n-k]_q!), built row by row of
-    q-Pascal's triangle, [m, j] = [m-1, j-1] + q^j [m-1, j], keeping the
-    entries j <= k of one row."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"q_binomial undefined for n={n}, k={k}")
-    row = [ONE] + [ZERO] * k
-    for m in range(1, n + 1):
-        for j in range(min(m, k), 0, -1):
-            row[j] = row[j - 1] + row[j].shift(j)
-    return row[k]
-
-
 def q_falling(alpha: int, k: int) -> QLaurent:
     """Falling q-factorial [alpha]_q [alpha-1]_q ... [alpha-k+1]_q.
 

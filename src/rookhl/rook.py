@@ -120,8 +120,11 @@ def type_polynomials(gamma: tuple[int, ...]) -> dict[tuple[int, ...], QLaurent]:
             for mu, hist in _type_polynomials(gamma, width).items()}
 
 
-def _type_polynomials(gamma, width: int) -> dict[tuple[int, ...], int]:
-    """{mu: r_mu at q = 2^width}, vertex by vertex.
+def _type_polynomials(gamma, width: int, prefix=None):
+    """{mu: r_mu at q = 2^width}, vertex by vertex; with prefix = p, for
+    0 <= p < n, the pair (the types at the end of row p, those at the
+    end), from the one walk.  Row d <= p reads no height past column
+    d - 1, so the first are the types of the path gamma[:p].
 
     A state holds the ranks (chain positions) of the open vertices, those
     no vertex follows yet.  Vertex d starts a chain (rank 1) or follows an
@@ -151,6 +154,8 @@ def _type_polynomials(gamma, width: int) -> dict[tuple[int, ...], int]:
     states = {(): 1}
     on = 0      # row d meets columns 1..on, as gamma is weakly increasing
     for d in range(1, n + 1):
+        if d - 1 == prefix:
+            head = _by_type(states)
         met = on
         while gamma[on] < d:    # stops by column d: gamma[d-1] >= d
             on += 1
@@ -179,6 +184,11 @@ def _type_polynomials(gamma, width: int) -> dict[tuple[int, ...], int]:
                             + (hist << width * (m - j)) * spread[j - i])
                 i = j
         states = nxt
+    return _by_type(states) if prefix is None else (head, _by_type(states))
+
+
+def _by_type(states) -> dict[tuple[int, ...], int]:
+    """The DP's states summed by type, their ranks sorted descending."""
     by_type: dict[tuple[int, ...], int] = {}
     for ranks, hist in states.items():
         mu = tuple(sorted(ranks, reverse=True))

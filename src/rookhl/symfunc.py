@@ -295,19 +295,22 @@ def _padded_orbits(la, nvars):
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     """Product of symmetric functions, taken honestly: expand both in
-    enough variables, convolve the power dictionaries, and read off the
-    monomial coefficients from the sorted exponents."""
+    enough variables, and read the coefficient of each m_nu off the pairs
+    of exponent vectors that sum to nu padded with zeros, each vector of f
+    looked up against what nu leaves for g."""
     fm = f.to_basis("monomial")
     gm = g.to_basis("monomial")
     nvars = f.degree + g.degree
     left, right = ({alpha: c for la, c in h.coeffs.items()
                     for alpha in _padded_orbits(la, nvars)}
                    for h in (fm, gm))
-    acc: dict[tuple, QLaurent] = {}
-    for a, ca in left.items():
-        for b, cb in right.items():
-            e = tuple(x + y for x, y in zip(a, b))
-            if all(e[i] >= e[i + 1] for i in range(len(e) - 1)):
-                acc[e] = acc.get(e, ZERO) + ca * cb
-    out = {tuple(p for p in e if p): c for e, c in acc.items()}
+    out = {}
+    for nu in enumerate_partitions(nvars):
+        target = nu + (0,) * (nvars - len(nu))
+        acc = ZERO
+        for a, ca in left.items():
+            cb = right.get(tuple(x - y for x, y in zip(target, a)))
+            if cb is not None:
+                acc = acc + ca * cb
+        out[nu] = acc
     return SymFunc(nvars, "monomial", out)

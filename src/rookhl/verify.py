@@ -18,19 +18,21 @@ sides are never shared: that they agree on the orbit is what is checked.
 
 main, llt, principal and mult compare Python ints: every polynomial
 evaluated at q = 2^bits (qseries.pack, pack_signed), the rook side read
-as the rook DP's ints at that width (_rook_types).  Evaluation is a ring
-homomorphism and the basis changes are division-free (symfunc._solve
-against the integer kostka, symfunc._times by kf), so both sides are
-computed from packed inputs and packed kf (Transitions.packed) without a
-Laurent polynomial; principal's coloring side is summed from packed X
-coefficients and packed m_la(1, q, ..., q^(k-1)), each constant packed
-once per width (_packed).  Each orbit's width, and mult's per path size
-and block size (_mult_width), bounds every coefficient either side can
-have and every entry of a table packed, so each is below 2^(bits-1):
-equal ints prove equal polynomials, and unequal ints a counterexample
-(_width), written from the same ints (qseries.unpack_signed, pack_signed's
-inverse on that range).  A polynomial the width does not hold, or with a
-negative power of q, raises ValueError.
+as the rook DP's ints at that width (_rook_types), mult's two paths off
+one walk of the longer.  Evaluation is a ring homomorphism and the basis
+changes are division-free (symfunc._solve against the integer kostka,
+symfunc._times by kf), so both sides are computed from packed inputs and
+packed kf (Transitions.packed) without a Laurent polynomial; principal's
+coloring side is summed from packed X coefficients and packed
+m_la(1, q, ..., q^(k-1)), each constant packed once per width (_packed),
+and mult's strip factors are built as ints (_packed_strips).  Each
+width, mult's from (n + k)! with each strip factor checked against it,
+bounds every coefficient either side can have and every entry of a table
+packed, so each is below 2^(bits-1): equal ints prove equal polynomials,
+and unequal ints a counterexample (_width), written from the same ints
+(qseries.unpack_signed, pack_signed's inverse on that range).  A
+polynomial the width does not hold, or with a negative power of q,
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from rookhl.partitions import (
     conjugate, enumerate_partitions, format_partition, multiplicities, nstat,
 )
 from rookhl.qseries import (
-    QLaurent, ZERO, ONE, Q, pack, pack_signed, q_binomial, q_falling, q_int,
-    q_power, unpack, unpack_signed,
+    ZERO, ONE, Q, pack, pack_signed, q_falling, q_int, q_power, unpack,
+    unpack_signed,
 )
 from rookhl.rook import hl_coefficients, mult_factorials, type_polynomials
 from rookhl import IDENTITIES, rook, symfunc
@@ -153,13 +155,15 @@ def _set_partitions(mu) -> int:
         map(math.factorial, (*mu, *multiplicities(mu).values())))
 
 
-def _rook_types(gamma, bits) -> dict[tuple[int, ...], int]:
-    """{mu: r_mu at q = 2^bits} from rook._type_polynomials, read under the
-    premise every packed check's width rests on: a placement of type mu is
-    a set partition of 1..n into blocks of sizes mu (its chains), so r_mu
-    counts at most _set_partitions(mu).  A type that counts more, its
-    slots summed exactly, raises ValueError."""
-    types = rook._type_polynomials(gamma, bits)
+def _rook_types(gamma, bits, types=None) -> dict[tuple[int, ...], int]:
+    """{mu: r_mu at q = 2^bits} from rook._type_polynomials, or types if
+    given (gamma's, read off a longer path's walk), under the premise every
+    packed check's width rests on: a placement of type mu is a set
+    partition of 1..n into blocks of sizes mu (its chains), so r_mu counts
+    at most _set_partitions(mu).  A type that counts more, its slots
+    summed exactly, raises ValueError."""
+    if types is None:
+        types = rook._type_polynomials(gamma, bits)
     mask = (1 << bits) - 1
     for mu, packed in types.items():
         count = 0
@@ -265,40 +269,12 @@ def check_modular(n: int, level: str) -> list[CheckReport]:
 
 
 @cache
-def _strip_factor(nu, mu, k) -> QLaurent:
-    """The q-weight a vertical strip nu/mu of size k carries: the power
-    shift, the truncated q-factorial over new rows, and one Gaussian
-    binomial per part size.  A pure function of its partitions, so it is
-    memoized: a sweep asks for the same strips across all paths."""
-    nuc, muc = conjugate(nu), conjugate(mu)
-
-    def at(t, i):
-        return t[i - 1] if 1 <= i <= len(t) else 0
-
-    factor = q_power(nstat(nu) - nstat(mu) - k * (k - 1) // 2)
-    new_rows = at(nuc, 1) - at(muc, 1)
-    for t in range(new_rows + 1, k + 1):
-        factor = factor * q_int(t)
-    mults = multiplicities(mu)
-    top = max((nu[0] if nu else 0), (mu[0] if mu else 0))
-    for i in range(1, top + 1):
-        factor = factor * q_binomial(mults[i], at(nuc, i + 1) - at(muc, i + 1))
-    return factor
-
-
-@cache
-def _partitions(n: int) -> tuple:
-    """enumerate_partitions(n) as a tuple, memoized: every mult check of a
-    size reports on the same partitions, and no caller can change them."""
-    return tuple(enumerate_partitions(n))
-
-
-@cache
 def _typed_partitions(n: int) -> tuple:
-    """((nu, ";type=" + format_partition(nu)), ...) over _partitions(n):
-    each mult report of a size ends with its type's label, formatted once."""
+    """((nu, ";type=" + format_partition(nu)), ...) over the partitions nu
+    of n, a tuple, memoized: every mult check of a size reports on the same
+    partitions, each label formatted once, and no caller can change them."""
     return tuple((nu, f";type={format_partition(nu)}")
-                 for nu in _partitions(n))
+                 for nu in enumerate_partitions(n))
 
 
 def _vertical_strips(mu, k) -> list:
@@ -309,24 +285,37 @@ def _vertical_strips(mu, k) -> list:
 
 
 @cache
-def _mult_width(n: int, k: int) -> int:
-    """The width check_multiplicativity packs at for paths of size n and
-    blocks of size k: _width of the larger of (n + k)! and n! times the
-    largest _strip_factor at q = 1 over the vertical k-strips of the
-    partitions of n.  It depends on (n, k) alone, so the packed strips of
-    every path of a size share it."""
-    top = max(_strip_factor(nu, mu, k).at_one()
-              for mu in _partitions(n) for nu in _vertical_strips(mu, k))
-    return _width(max(math.factorial(n + k), math.factorial(n) * top))
-
-
-@cache
 def _packed_strips(mu, k, bits) -> tuple:
-    """((nu, _strip_factor(nu, mu, k) at q = 2^bits), ...) over the
-    vertical k-strips nu of mu, in _vertical_strips' order.  Memoized: a
-    sweep asks for the same strips across all paths."""
-    return tuple((nu, pack(_strip_factor(nu, mu, k), bits))
-                 for nu in _vertical_strips(mu, k))
+    """((nu, f at q = 2^bits), ...) over the vertical k-strips nu of mu, in
+    _vertical_strips' order, f the q-weight of the strip nu/mu, built as
+    an int: q^(n(nu) - n(mu) - k(k-1)/2), a shift; [t]_q for t = r+1..k,
+    r the new rows, a repunit; for each part size i of mu, [m_i, d_i]_q,
+    d_i of its m_i rows of length i growing, by q-Pascal.  f(1) = k!/r!
+    prod binom(m_i, d_i) bounds every coefficient; unless n! f(1) <
+    2^(bits-1), it raises ValueError.  Memoized across a sweep's paths."""
+    n, one = sum(mu), (1 << bits) - 1
+    muc = conjugate(mu) + (0,)
+    out = []
+    for nu in _vertical_strips(mu, k):
+        nuc = conjugate(nu) + (0,)
+        r = nuc[0] - muc[0]
+        factor = 1 << bits * (nstat(nu) - nstat(mu) - k * (k - 1) // 2)
+        for t in range(r + 1, k + 1):
+            factor *= ((1 << bits * t) - 1) // one
+        at_one = math.perm(k, k - r)
+        for i, m in multiplicities(mu).items():
+            d = nuc[i] - muc[i]
+            row = [1] + [0] * d     # [m', j]_q for j <= d, m' = 0..m
+            for top in range(1, m + 1):
+                for j in range(min(top, d), 0, -1):
+                    row[j] = row[j - 1] + (row[j] << bits * j)
+            factor *= row[d]
+            at_one *= math.comb(m, d)
+        if math.factorial(n) * at_one >> bits - 1:
+            raise ValueError(f"{bits} bits cannot hold {n}! times the strip "
+                             f"factor of {nu}/{mu}, {at_one} at q = 1")
+        out.append((nu, factor))
+    return tuple(out)
 
 
 def check_multiplicativity(gamma, k: int,
@@ -341,15 +330,16 @@ def check_multiplicativity(gamma, k: int,
     report).
 
     The coefficient level compares ints at q = 2^bits, bits =
-    _mult_width(n, k), with both paths' type polynomials packed at that
-    width by the rook DP.  gamma's are read under its premise
-    (_rook_types), so gamma has at most Bell(n) <= n! placements, and
-    type polynomials and strip factors have no negative coefficient: each
-    coefficient of a strip sum is at most n! times a strip factor at
-    q = 1, below 2^(bits-1) (_width).  The extended path's ints are
-    compared as they stand, each slot a coefficient below 2^bits, so
-    equal ints prove equal polynomials with no premise on them.  The ints
-    are unpacked only to write a counterexample.
+    _width((n + k)!), both paths' type polynomials read off one rook DP
+    walk of the extended path at that width, gamma's at the end of row n,
+    under its premise (_rook_types): gamma has at most Bell(n) <= n!
+    placements, and type polynomials and strip factors have no negative
+    coefficient, so each coefficient of a strip sum is at most n! times a
+    strip factor at q = 1, which _packed_strips holds below 2^(bits-1);
+    n! f(1) never passes (n + k)!, so none raises.  The extended path's
+    ints are compared as they stand, each slot a coefficient below 2^bits,
+    so equal ints prove equal polynomials with no premise on them.  The
+    ints are unpacked only to write a counterexample.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -362,10 +352,10 @@ def check_multiplicativity(gamma, k: int,
         lhs = SymFunc(n + k, "hl_p", hl_coefficients(extended))
         rhs = multiply(y1, y2).to_basis("hl_p")
         return [_report("mult.function", base, lhs, rhs)]
-    bits = _mult_width(n, k)
-    big = rook._type_polynomials(extended, bits)
+    bits = _width(math.factorial(n + k))
+    small, big = rook._type_polynomials(extended, bits, prefix=n)
     sums = {}
-    for mu, packed in _rook_types(gamma, bits).items():
+    for mu, packed in _rook_types(gamma, bits, small).items():
         for nu, factor in _packed_strips(mu, k, bits):
             sums[nu] = sums.get(nu, 0) + packed * factor
     reports = []

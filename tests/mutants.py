@@ -66,6 +66,15 @@ MUTANTS = [
     Mutant("rook-dp-prefix-not-resorted", "src/rookhl/rook.py",
            "tuple(sorted(ranks[:m]))", "ranks[:m]",
            ROOK_DP),
+    # mult reads gamma's types off the extended path's walk at the end of
+    # row n; read a row late, they are another path's.
+    Mutant("rook-dp-readout-row-late", "src/rookhl/rook.py",
+           "if d - 1 == prefix:", "if d - 2 == prefix:",
+           ("tests/test_rook.py::"
+            "test_kernel_reads_a_prefix_off_a_longer_walk",
+            "tests/test_verify.py::test_check_multiplicativity_small_sizes",
+            "tests/test_verify.py::"
+            "test_mult_walks_exactly_the_vertical_strips")),
     Mutant("rook-dp-tail-sorted", "src/rookhl/rook.py",
            "tuple(sorted(ranks[:m])) + ranks[m:]",
            "tuple(sorted(ranks[:m])) + tuple(sorted(ranks[m:]))",
@@ -76,8 +85,10 @@ MUTANTS = [
     # controls' stand-in.  With its gate off by default, the oracle
     # comparison must fail; with its gate stuck on, the controls must.
     Mutant("rook-dp-gate-off", "tests/placement_oracle.py",
-           "def ordered_type_polynomials(gamma, width, gate=True):",
-           "def ordered_type_polynomials(gamma, width, gate=False):",
+           "def ordered_type_polynomials(gamma, width, prefix=None, "
+           "gate=True):",
+           "def ordered_type_polynomials(gamma, width, prefix=None, "
+           "gate=False):",
            ("tests/test_rook.py::"
             "test_multiset_kernel_equals_the_ordered_kernel",)),
     Mutant("rook-control-gate-stuck-on", "tests/placement_oracle.py",
@@ -113,29 +124,40 @@ MUTANTS = [
             "test_llt_reports_raise_on_a_coloring_key_that_is_no_partition")),
     # mult's packed route, verify.check_multiplicativity.
     Mutant("mult-width-one-bit-short", "src/rookhl/verify.py",
-           "math.factorial(n) * top))\n", "math.factorial(n) * top)) - 1\n",
-           MULT + ("tests/test_verify.py::"
-                   "test_mult_width_is_set_by_the_factorial_term",)),
+           "bits = _width(math.factorial(n + k))",
+           "bits = _width(math.factorial(n + k)) - 1",
+           MULT[:2]),
     Mutant("mult-packed-strips-skip-one", "src/rookhl/verify.py",
-           "bits))\n                 for nu in _vertical_strips(mu, k))",
-           "bits))\n                 for nu in _vertical_strips(mu, k)[1:])",
+           "for nu in _vertical_strips(mu, k):",
+           "for nu in _vertical_strips(mu, k)[1:]:",
            MULT),
+    # Each strip factor is built as an int, its Gaussian binomials by
+    # q-Pascal, and checked against the width: n! f(1) < 2^(bits-1).
+    Mutant("mult-strip-pascal-shift", "src/rookhl/verify.py",
+           "row[j] = row[j - 1] + (row[j] << bits * j)",
+           "row[j] = row[j - 1] + (row[j] << bits * (j - 1))",
+           MULT),
+    Mutant("mult-strip-width-unchecked", "src/rookhl/verify.py",
+           "if math.factorial(n) * at_one >> bits - 1:", "if False:",
+           ("tests/test_verify.py::"
+            "test_a_strip_factor_past_the_width_raises",)),
     # Each mult report is labelled with a type of the extended path, of
     # size n + k; the labels of gamma's size would report on other types.
     Mutant("mult-labels-of-gamma-size", "src/rookhl/verify.py",
            "_typed_partitions(n + k)", "_typed_partitions(n)",
            ("tests/test_verify.py::"
             "test_check_main_reports_counterexample_when_rule_is_broken",)),
-    # The strips and the q-binomials the strip factors are built from.
+    # The strips the strip factors weigh.
     Mutant("horizontal-strips-skip-one", "src/rookhl/symfunc.py",
            "    return tuple(out)\n", "    return tuple(out[1:])\n",
            MULT),
-    Mutant("q-binomial-pascal-shift", "src/rookhl/qseries.py",
-           "row[j] = row[j - 1] + row[j].shift(j)",
-           "row[j] = row[j - 1] + row[j].shift(j - 1)",
-           ("tests/test_qseries.py::"
-            "test_q_binomial_times_the_factorials_is_the_factorial",
-            "tests/test_verify.py::test_check_multiplicativity_small_sizes")),
+    # The monomial product reads each target partition padded with zeros
+    # to every variable; unpadded, only the targets of full length count.
+    Mutant("multiply-skips-padded-targets", "src/rookhl/symfunc.py",
+           "target = nu + (0,) * (nvars - len(nu))", "target = nu",
+           ("tests/test_symfunc.py::test_multiply",
+            "tests/test_symfunc.py::"
+            "test_multiply_equals_the_scan_over_every_pair")),
     # Every packed check reads its rook side through verify._rook_types,
     # whose premise (each type counts at most its set partitions) every
     # width rests on; a type one placement over it must raise.

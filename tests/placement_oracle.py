@@ -96,9 +96,11 @@ def enumerated_type_polynomials(gamma, gate=True):
     return out
 
 
-def ordered_type_polynomials(gamma, width, gate=True):
+def ordered_type_polynomials(gamma, width, prefix=None, gate=True):
     """rook._type_polynomials with each state's open vertices in vertex
-    order, one transition per open column, and the column gate optional.
+    order, one transition per open column, and the column gate optional;
+    with prefix = p, 0 <= p < n, the pair (types at the end of row p,
+    types at the end), as the package's kernel reads them.
 
     A state lists the ranks of the open vertices in vertex order; row d's
     open columns are its first m = on - (d - 1 - len(state)) entries, and
@@ -115,6 +117,8 @@ def ordered_type_polynomials(gamma, width, gate=True):
     states = {(): 1}
     on = 0
     for d in range(1, n + 1):
+        if d - 1 == prefix:
+            head = by_type(states)
         while on < d - 1 and gamma[on] < d:
             on += 1
         nxt = {}
@@ -132,8 +136,14 @@ def ordered_type_polynomials(gamma, width, gate=True):
                            + (b + 1,))
                     nxt[key] = nxt.get(key, 0) + (hist << width * free)
         states = nxt
-    by_type = {}
+    return by_type(states) if prefix is None else (head, by_type(states))
+
+
+def by_type(states):
+    """The ordered kernel's states summed by type, over the open vertices'
+    ranks; a closed column's negated rank is no part."""
+    out = {}
     for ranks, hist in states.items():
         mu = tuple(sorted((r for r in ranks if r > 0), reverse=True))
-        by_type[mu] = by_type.get(mu, 0) + hist
-    return by_type
+        out[mu] = out.get(mu, 0) + hist
+    return out

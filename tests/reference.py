@@ -8,9 +8,12 @@ functions and the zero one, the
 readers of the package's JSON forms, and the Schur-basis transforms that
 check_llt's right side is built from one type at a time (omega, hl_h,
 hl_h_tilde, llt_forms), the oracle of its packed Kostka-Foulkes columns,
-and check_multiplicativity's coefficient level as a scan over every pair
-of a type and a partition filtered by is_vertical_strip
-(mult_by_pair_scan), the oracle of its strip walk.
+check_multiplicativity's coefficient level as a scan over every pair
+of a type and a partition filtered by is_vertical_strip, each strip
+weighted by a Laurent polynomial built factor by factor, from two walks
+of the rook DP (mult_by_pair_scan, strip_factor), the oracle of its strip
+walk, and the monomial product as a scan over every pair of exponent
+vectors (multiply_by_pairs), the oracle of symfunc.multiply.
 
 The package never lists edges or cells (the coloring DP reads each vertex's
 window, the rook DP each row's open columns), so these are independent of
@@ -26,11 +29,11 @@ from rookhl.partitions import (
     multiplicities, nstat,
 )
 from rookhl.qseries import (
-    ONE, Q, ZERO, QLaurent, from_int, q_factorial, q_power,
+    ONE, Q, ZERO, QLaurent, from_int, q_factorial, q_int, q_power,
 )
 from rookhl.rook import type_polynomials
 from rookhl.symfunc import SymFunc, _padded_orbits, transitions
-from rookhl.verify import CheckReport, _report, _strip_factor
+from rookhl.verify import CheckReport, _report
 
 
 def edges(gamma: tuple[int, ...]) -> set[tuple[int, int]]:
@@ -258,6 +261,39 @@ def is_vertical_strip(nu: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     return True
 
 
+def q_binomial(n: int, k: int) -> QLaurent:
+    """Gaussian binomial [n]_q! / ([k]_q! [n-k]_q!), built row by row of
+    q-Pascal's triangle, [m, j] = [m-1, j-1] + q^j [m-1, j], keeping the
+    entries j <= k of one row."""
+    if n < 0 or k < 0 or k > n:
+        raise ValueError(f"q_binomial undefined for n={n}, k={k}")
+    row = [ONE] + [ZERO] * k
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            row[j] = row[j - 1] + row[j].shift(j)
+    return row[k]
+
+
+def strip_factor(nu, mu, k) -> QLaurent:
+    """The q-weight a vertical strip nu/mu of size k carries: the power
+    shift, the truncated q-factorial over new rows, and one Gaussian
+    binomial per part size, each a Laurent polynomial."""
+    nuc, muc = conjugate(nu), conjugate(mu)
+
+    def at(t, i):
+        return t[i - 1] if 1 <= i <= len(t) else 0
+
+    factor = q_power(nstat(nu) - nstat(mu) - k * (k - 1) // 2)
+    new_rows = at(nuc, 1) - at(muc, 1)
+    for t in range(new_rows + 1, k + 1):
+        factor = factor * q_int(t)
+    mults = multiplicities(mu)
+    top = max((nu[0] if nu else 0), (mu[0] if mu else 0))
+    for i in range(1, top + 1):
+        factor = factor * q_binomial(mults[i], at(nuc, i + 1) - at(muc, i + 1))
+    return factor
+
+
 def mult_by_pair_scan(gamma, k) -> list[CheckReport]:
     """check_multiplicativity's coefficient-level reports, one per
     partition nu of n + k, each summing r_mu times the strip factor over
@@ -273,7 +309,27 @@ def mult_by_pair_scan(gamma, k) -> list[CheckReport]:
         rhs = ZERO
         for mu, r in present:
             if is_vertical_strip(nu, mu):
-                rhs = rhs + r * _strip_factor(nu, mu, k)
+                rhs = rhs + r * strip_factor(nu, mu, k)
         reports.append(_report("mult", base + f";type={format_partition(nu)}",
                                big.get(nu, ZERO), rhs))
     return reports
+
+
+def multiply_by_pairs(f: SymFunc, g: SymFunc) -> SymFunc:
+    """The product of f and g in the monomial basis, from every pair of
+    exponent vectors of the two in f.degree + g.degree variables, kept
+    where their sum is weakly decreasing."""
+    fm = f.to_basis("monomial")
+    gm = g.to_basis("monomial")
+    nvars = f.degree + g.degree
+    left, right = ({alpha: c for la, c in h.coeffs.items()
+                    for alpha in _padded_orbits(la, nvars)}
+                   for h in (fm, gm))
+    acc: dict[tuple, QLaurent] = {}
+    for a, ca in left.items():
+        for b, cb in right.items():
+            e = tuple(x + y for x, y in zip(a, b))
+            if all(e[i] >= e[i + 1] for i in range(len(e) - 1)):
+                acc[e] = acc.get(e, ZERO) + ca * cb
+    out = {tuple(p for p in e if p): c for e, c in acc.items()}
+    return SymFunc(nvars, "monomial", out)

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from functools import partial
@@ -329,6 +330,39 @@ def test_verify_loads_the_fork_pool_only_to_fan_out(jobs, loaded):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{loaded}\n"
+
+
+def test_verify_exits_141_once_its_stdout_is_closed():
+    # `verify ... | head -1`: the reader leaves after one line, with far
+    # more than a pipe holds still to come.  The next write finds stdout
+    # closed: the command exits with 141, a shell's status for SIGPIPE,
+    # not 1 (a counterexample), writes no traceback, and leaves no worker
+    # running in its process group.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(rookhl.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rookhl", "verify", "--identity", "main",
+         "--n-max", "8", "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+        start_new_session=True)
+    try:
+        line = b""
+        while not line.endswith(b"\n"):
+            line += proc.stdout.read(1)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert line == b"verified  main  heights=-\n"
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+            left = True
+        except ProcessLookupError:
+            left = False
+    assert not left
 
 
 def _loaded(statement):

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from rookhl.qseries import (
     QLaurent, ZERO, ONE, Q, from_int, q_power, pack, pack_signed,
-    unpack, unpack_signed, q_int, q_factorial, q_binomial, q_falling,
+    unpack, unpack_signed, q_int, q_factorial, q_falling,
 )
-from reference import coeff, q_eval, qlaurent_from_json
+from reference import coeff, q_binomial, q_eval, qlaurent_from_json
 
 
 laurents = st.builds(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rookhl.dyck import (
-    area, enumerate_dyck, complete_path, modular_triples,
+    area, enumerate_dyck, complete_path, concat, modular_triples,
 )
 from rookhl.partitions import enumerate_partitions, multiplicities, nstat
 from rookhl.qseries import QLaurent, ONE, ZERO, q_factorial, q_power, unpack
@@ -256,7 +256,7 @@ def ordered(gamma, gate=True):
     type_polynomials uses."""
     width = math.factorial(len(gamma)).bit_length()
     return {mu: unpack(hist, width) for mu, hist in
-            ordered_type_polynomials(gamma, width, gate).items()}
+            ordered_type_polynomials(gamma, width, gate=gate).items()}
 
 
 def test_type_polynomials_match_enumeration():
@@ -321,10 +321,10 @@ def test_multiset_kernel_keeps_the_tail_in_vertex_order():
 
 
 def test_kernel_width_must_hold_n_factorial():
-    # The seam takes the caller's width and has no gate; a width that
-    # cannot hold n! placements per fc value raises.
+    # The seam takes the caller's width and a row to read out at, and has
+    # no gate; a width that cannot hold n! placements per fc value raises.
     assert list(inspect.signature(rook._type_polynomials).parameters) == \
-        ["gamma", "width"]
+        ["gamma", "width", "prefix"]
     for gamma in (FIG_PATH, (1, 2, 3, 4, 5, 6, 7)):
         least = math.factorial(len(gamma)).bit_length()
         with pytest.raises(ValueError, match="cannot hold"):
@@ -332,6 +332,29 @@ def test_kernel_width_must_hold_n_factorial():
         assert {mu: unpack(h, least) for mu, h in
                 rook._type_polynomials(gamma, least).items()} == \
             type_polynomials(gamma)
+
+
+def test_kernel_reads_a_prefix_off_a_longer_walk():
+    # mult reads gamma's types at the end of row n of the walk over gamma
+    # followed by a complete block: row d <= n reads no height past column
+    # d - 1, so they are gamma's own, at every path through n = 8.  The
+    # ordered test kernel, the negative controls' stand-in, reads its
+    # prefix the same way, with either setting of the gate.
+    for n in range(9):
+        for k in (1, 2, 3):
+            width = math.factorial(n + k).bit_length()
+            for gamma in enumerate_dyck(n):
+                extended = concat(gamma, complete_path(k))
+                head, types = rook._type_polynomials(extended, width, n)
+                assert head == rook._type_polynomials(gamma, width)
+                if n > 5:
+                    continue
+                assert types == rook._type_polynomials(extended, width)
+                for gate in (True, False):
+                    assert ordered_type_polynomials(
+                        extended, width, n, gate) == (
+                        ordered_type_polynomials(gamma, width, gate=gate),
+                        ordered_type_polynomials(extended, width, gate=gate))
 
 
 def columns_met(gamma):
@@ -389,9 +412,9 @@ def test_gate_hook_reaches_every_rook_side_caller(monkeypatch, capsys):
     seen = []
     real = rook._type_polynomials
 
-    def recording(gamma, width):
+    def recording(gamma, width, prefix=None):
         seen.append(gamma)
-        return real(gamma, width)
+        return real(gamma, width, prefix)
 
     monkeypatch.setattr(rook, "_type_polynomials", recording)
     small = (2, 3, 3)
@@ -401,8 +424,9 @@ def test_gate_hook_reaches_every_rook_side_caller(monkeypatch, capsys):
         (lambda: verify.check_main(FIG_PATH), {FIG_PATH}),
         (lambda: verify.check_llt(FIG_PATH), {FIG_PATH}),
         (lambda: verify.check_principal(FIG_PATH, 2), {FIG_PATH}),
+        # Both of mult's sides come off the extended path's one walk.
         (lambda: verify.check_multiplicativity(small, 2),
-         {small, (2, 3, 3, 5, 5)}),
+         {(2, 3, 3, 5, 5)}),
         (lambda: verify.check_multiplicativity(small, 2, True),
          {small, (2, 2), (2, 3, 3, 5, 5)}),
         (lambda: verify.check_modular(4, "r_poly"),

@@ -15,7 +15,8 @@ from rookhl.rook import hl_coefficients
 from rookhl.symfunc import Transitions, transitions, SymFunc, multiply
 from reference import (
     add, coefficient, elementary, evaluate, hl_direct_oracle, hl_h,
-    hl_h_tilde, omega, one, q_eval, scale, subtract, symfunc_from_json, zero,
+    hl_h_tilde, multiply_by_pairs, omega, one, q_eval, scale, subtract,
+    symfunc_from_json, zero,
 )
 from tableaux import (
     ssyt, reading_word, charge_word, charge, kostka, kostka_foulkes,
@@ -366,6 +367,23 @@ def test_multiply():
         (2,): ONE, (1, 1): ONE}
     assert multiply(one(), elementary(2)) == elementary(2)
     assert multiply(one(), one()) == one()
+
+
+def test_multiply_equals_the_scan_over_every_pair():
+    # The product read off each target partition, padded with zeros,
+    # against the scan over every pair of exponent vectors, on every pair
+    # of monomials of total degree at most 6, with q-weighted coefficients
+    # on both sides, and on two sums of them.
+    for a in range(7):
+        for b in range(7 - a):
+            for la in enumerate_partitions(a):
+                for mu in enumerate_partitions(b):
+                    f = SymFunc(a, "monomial", {la: 1 + Q})
+                    g = SymFunc(b, "monomial", {mu: q_power(2)})
+                    assert multiply(f, g) == multiply_by_pairs(f, g)
+    f = SymFunc(3, "schur", {(2, 1): Q, (3,): ONE, (1, 1, 1): from_int(-2)})
+    g = SymFunc(2, "hl_p", {(2,): ONE - Q, (1, 1): from_int(3)})
+    assert multiply(f, g) == multiply_by_pairs(f, g)
 
 
 def test_omega():

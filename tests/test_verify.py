@@ -15,7 +15,7 @@ from rookhl.dyck import (
 )
 from rookhl.partitions import conjugate, enumerate_partitions
 from rookhl.qseries import (
-    ONE, Q, ZERO, from_int, q_binomial, q_falling, q_power, unpack,
+    ONE, Q, ZERO, from_int, pack, q_falling, q_power,
 )
 from rookhl import chromatic, rook, symfunc, verify
 from rookhl.cli import main
@@ -28,7 +28,10 @@ from rookhl.verify import (
 )
 from forks import assert_reaped, record_forks
 from placement_oracle import ordered_type_polynomials
-from reference import is_vertical_strip, llt_forms, mult_by_pair_scan, scale
+from reference import (
+    is_vertical_strip, llt_forms, mult_by_pair_scan, q_binomial, scale,
+    strip_factor,
+)
 
 FIG_PATH = (2, 2, 4, 4, 5)
 
@@ -391,43 +394,64 @@ def test_mult_walks_exactly_the_vertical_strips(monkeypatch, gate):
 
 def test_mult_strip_table_packs_every_vertical_strip():
     # Each memoized entry lists the conjugates of the horizontal k-strips
-    # of mu', in their order, each with its strip factor at the width of
-    # its size and k.
-    for size in range(8):
+    # of mu', in their order, which are every vertical k-strip of mu, each
+    # with its strip factor, built as an int, equal to the Laurent
+    # polynomial built factor by factor and packed, at the width of its
+    # size and k.
+    for size in range(10):
         for k in (1, 2, 3):
-            bits = verify._mult_width(size, k)
+            bits = verify._width(math.factorial(size + k))
+            bigger = enumerate_partitions(size + k)
             for mu in enumerate_partitions(size):
                 entries = verify._packed_strips(mu, k, bits)
                 assert [nu for nu, _ in entries] == [
                     conjugate(nu_c) for nu_c in
                     symfunc._horizontal_strips(conjugate(mu), k)]
+                assert {nu for nu, _ in entries} == {
+                    nu for nu in bigger if is_vertical_strip(nu, mu)}
                 for nu, packed in entries:
-                    assert unpack(packed, bits) == \
-                        verify._strip_factor(nu, mu, k)
-    # The cached partition list is a tuple, so no caller can change what
-    # the next check reports on.
-    parts = verify._partitions(6)
-    assert isinstance(parts, tuple)
-    assert parts == tuple(enumerate_partitions(6))
-    assert verify._partitions(6) is parts
+                    assert packed == pack(strip_factor(nu, mu, k), bits)
+    # The cached list of typed partitions is a tuple, so no caller can
+    # change what the next check reports on.
+    typed = verify._typed_partitions(6)
+    assert isinstance(typed, tuple)
+    assert [nu for nu, _ in typed] == enumerate_partitions(6)
+    assert verify._typed_partitions(6) is typed
     with pytest.raises(TypeError):
-        parts[0] = (1,) * 6
+        typed[0] = ((1,) * 6, ";type=1,1,1,1,1,1")
 
 
 def test_mult_width_is_set_by_the_factorial_term():
     # A strip factor at q = 1 with r new rows is k!/r! times binomials
     # binom(m_i, d_i), at most binom(k, r) n^(k - r), which is at most
-    # (n + 1)...(n + k).  So n! times it never passes (n + k)!, and that
-    # term alone sets the width: a width one bit short fails at every size.
+    # (n + 1)...(n + k).  So n! times it never passes (n + k)!, and mult's
+    # width from (n + k)! alone holds every strip factor it packs.
     for k in (1, 2, 3):
         for n in range(11 - k):
-            top = max(verify._strip_factor(nu, mu, k).at_one()
+            top = max(strip_factor(nu, mu, k).at_one()
                       for mu in enumerate_partitions(n)
                       for nu in enumerate_partitions(n + k)
                       if is_vertical_strip(nu, mu))
             assert math.factorial(n) * top <= math.factorial(n + k)
-            assert verify._mult_width(n, k) == \
-                verify._width(math.factorial(n + k))
+            bits = verify._width(math.factorial(n + k))
+            for mu in enumerate_partitions(n):
+                verify._packed_strips(mu, k, bits)
+
+
+def test_a_strip_factor_past_the_width_raises():
+    # Each packed strip factor f must leave n! f(1) below 2^(bits-1), so
+    # that a strip sum over at most n! placements fits the width: the
+    # least width that holds n! times the largest f(1) of mu's strips
+    # packs them all, and one bit less raises.
+    for n in range(7):
+        for k in (1, 2, 3):
+            for mu in enumerate_partitions(n):
+                top = max(strip_factor(nu, mu, k).at_one()
+                          for nu in verify._vertical_strips(mu, k))
+                bits = verify._bits(math.factorial(n) * top)
+                verify._packed_strips(mu, k, bits)
+                with pytest.raises(ValueError, match="bits cannot hold"):
+                    verify._packed_strips(mu, k, bits - 1)
 
 
 def test_mult_raises_when_the_count_premise_fails(monkeypatch):
@@ -436,13 +460,14 @@ def test_mult_raises_when_the_count_premise_fails(monkeypatch):
     # seven, against its one set partition: the check raises instead of
     # returning a verdict, even though every coefficient still fits the
     # width.
+    # gamma's types are read off the extended path's walk, at row 3.
     gamma = (2, 2, 3)
     real = rook._type_polynomials
 
-    def dp(g, width):
-        if g == gamma:
-            return {(3,): 7}
-        return real(g, width)
+    def dp(g, width, prefix=None):
+        if prefix is not None and g[:prefix] == gamma:
+            return {(3,): 7}, real(g, width, prefix)[1]
+        return real(g, width, prefix)
 
     monkeypatch.setattr(rook, "_type_polynomials", dp)
     with pytest.raises(ValueError, match=re.escape(
@@ -461,14 +486,15 @@ def test_a_type_one_placement_over_its_set_partitions_raises(monkeypatch,
     # On the full board every type counts exactly its set partitions
     # (test_rook), so the premise every packed check's width rests on is
     # tight there: one placement more, of type (2,1,1) with one free cell,
-    # raises before any width is trusted.
+    # raises before any width is trusted.  mult reads gamma's types off
+    # the extended path's walk, at row 4.
     gamma = (1, 2, 3, 4)
     real = rook._type_polynomials
 
-    def dp(g, width):
-        types = real(g, width)
-        if g == gamma:
-            types[(2, 1, 1)] += 1 << width
+    def dp(g, width, prefix=None):
+        types = real(g, width, prefix)
+        if g[:prefix] == gamma:
+            (types if prefix is None else types[0])[(2, 1, 1)] += 1 << width
         return types
 
     assert type_polynomials(gamma)[(2, 1, 1)].at_one() == 6
