@@ -219,7 +219,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # A closed stdout: exit's flush goes to devnull, not raising again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
     return code
 

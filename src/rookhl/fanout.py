@@ -18,8 +18,9 @@ in, so it holds only the batches that came back early.
 
 Forked workers need no pickled tasks or functions and inherit whatever the
 parent has built.  Fork copies only the calling thread, so the caller
-forks from a process with no other threads; verify.stream also freezes its
-heap first, so that the workers' collectors do not walk, and so copy, it.
+forks from a process with no other threads.  Each worker freezes the heap
+it inherited before its first task, so that its collector does not walk,
+and so copy, it; the caller's heap is left as it was.
 
 A task's exception is raised in the parent after the results of every
 earlier task.  A worker that exits non-zero, or before its end frame,
@@ -31,6 +32,7 @@ iterator its map returned.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import select
@@ -76,6 +78,7 @@ class ForkPool:
                 if pid == 0:
                     code = 1
                     try:
+                        gc.freeze()
                         os.close(index_w)
                         code = _work(fn, tasks, size, index_r, result_w)
                     finally:

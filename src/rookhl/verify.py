@@ -37,7 +37,6 @@ raises ValueError.
 
 from __future__ import annotations
 
-import gc
 import math
 import os
 from functools import cache
@@ -277,27 +276,21 @@ def _typed_partitions(n: int) -> tuple:
                  for nu in enumerate_partitions(n))
 
 
-def _vertical_strips(mu, k) -> list:
-    """The vertical k-strips nu of mu, walked as the conjugates of the
-    horizontal k-strips of mu', each met once."""
-    return [conjugate(nu_c)
-            for nu_c in symfunc._horizontal_strips(conjugate(mu), k)]
-
-
 @cache
 def _packed_strips(mu, k, bits) -> tuple:
-    """((nu, f at q = 2^bits), ...) over the vertical k-strips nu of mu, in
-    _vertical_strips' order, f the q-weight of the strip nu/mu, built as
-    an int: q^(n(nu) - n(mu) - k(k-1)/2), a shift; [t]_q for t = r+1..k,
-    r the new rows, a repunit; for each part size i of mu, [m_i, d_i]_q,
-    d_i of its m_i rows of length i growing, by q-Pascal.  f(1) = k!/r!
-    prod binom(m_i, d_i) bounds every coefficient; unless n! f(1) <
-    2^(bits-1), it raises ValueError.  Memoized across a sweep's paths."""
+    """((nu, f at q = 2^bits), ...) over the vertical k-strips nu of mu,
+    walked as the conjugates of the horizontal k-strips of mu', each met
+    once, f the q-weight of the strip nu/mu, built as an int:
+    q^(n(nu) - n(mu) - k(k-1)/2), a shift; [t]_q for t = r+1..k, r the new
+    rows, a repunit; for each part size i of mu, [m_i, d_i]_q, d_i of its
+    m_i rows of length i growing, by q-Pascal.  f(1) = k!/r! prod
+    binom(m_i, d_i) bounds every coefficient; unless n! f(1) < 2^(bits-1),
+    it raises ValueError.  Memoized across a sweep's paths."""
     n, one = sum(mu), (1 << bits) - 1
     muc = conjugate(mu) + (0,)
     out = []
-    for nu in _vertical_strips(mu, k):
-        nuc = conjugate(nu) + (0,)
+    for nuc in symfunc._horizontal_strips(muc[:-1], k):
+        nu, nuc = conjugate(nuc), nuc + (0,)
         r = nuc[0] - muc[0]
         factor = 1 << bits * (nstat(nu) - nstat(mu) - k * (k - 1) // 2)
         for t in range(r + 1, k + 1):
@@ -639,8 +632,7 @@ def sweep_tasks(n_max: int, identities) -> list[tuple]:
 # which never fans out does not load it, or, without os.fork, for no pool.
 # Tests and profilers may set another class with its interface, such as a
 # start method's context.Pool: a context manager whose map(fn, tasks)
-# returns an iterable of the results in task order.  The sweep builds it
-# over a frozen heap.
+# returns an iterable of the results in task order.
 Pool = None
 
 
@@ -676,11 +668,9 @@ def stream(n_max: int, identities, jobs: int = 1):
     min(jobs, tasks) worker processes start: none for a single task, nor,
     with Pool None, without os.fork.  Workers take contiguous batches of
     ceil(tasks / 4 workers), so neighbouring paths share induced paths in
-    one worker's coloring memo, and inherit a frozen heap, which their
-    collectors do not walk and so do not copy.  A task's exception is
-    raised after the reports before it.  Once the iterator finishes,
-    raises or is closed, the pool is closed, its workers reaped, and the
-    heap unfrozen."""
+    one worker's coloring memo.  A task's exception is raised after the
+    reports before it.  Once the iterator finishes, raises or is closed,
+    the pool is closed and its workers reaped."""
     identities = set(identities)
     tasks = sweep_tasks(n_max, identities)
     # Build kf (its L1 norms are kostka), which main and llt pack, at every
@@ -698,12 +688,8 @@ def stream(n_max: int, identities, jobs: int = 1):
     if workers <= 1 or pool_class is None:
         yield from _in_path_order(tasks, map(_task_reports, tasks))
         return
-    gc.freeze()
-    try:
-        with pool_class(workers) as pool:
-            yield from _in_path_order(tasks, pool.map(_task_reports, tasks))
-    finally:
-        gc.unfreeze()
+    with pool_class(workers) as pool:
+        yield from _in_path_order(tasks, pool.map(_task_reports, tasks))
 
 
 def sweep(n_max: int, identities, jobs: int = 1) -> list[CheckReport]:

@@ -128,8 +128,8 @@ MUTANTS = [
            "bits = _width(math.factorial(n + k)) - 1",
            MULT[:2]),
     Mutant("mult-packed-strips-skip-one", "src/rookhl/verify.py",
-           "for nu in _vertical_strips(mu, k):",
-           "for nu in _vertical_strips(mu, k)[1:]:",
+           "for nuc in symfunc._horizontal_strips(muc[:-1], k):",
+           "for nuc in symfunc._horizontal_strips(muc[:-1], k)[1:]:",
            MULT),
     # Each strip factor is built as an int, its Gaussian binomials by
     # q-Pascal, and checked against the width: n! f(1) < 2^(bits-1).
@@ -225,12 +225,12 @@ MUTANTS = [
             "test_sweep_tasks_look_up_their_checks_when_they_run",
             "tests/test_cli.py::"
             "test_benchmark_tracer_runs_a_sweep_with_unchanged_stdout")),
-    # A sweep with jobs > 1 freezes the heap before its pool forks and must
-    # unfreeze it after, or the caller's collector never sees those objects.
-    Mutant("sweep-leaves-heap-frozen", "src/rookhl/verify.py",
-           "        gc.unfreeze()\n", "        pass\n",
-           ("tests/test_verify.py::"
-            "test_sweep_leaves_the_collector_as_it_found_it",)),
+    # Each forked worker freezes the heap it inherited, so that its
+    # collector never walks, and so never copies, it.
+    Mutant("fanout-worker-heap-unfrozen", "src/rookhl/fanout.py",
+           "                        gc.freeze()\n", "",
+           ("tests/test_fanout.py::"
+            "test_each_worker_freezes_its_heap_and_the_callers_is_left",)),
     # The fork pool: every batch a worker reads is run and reported, a
     # task's exception reaches the parent, and each worker is reaped.
     Mutant("fanout-drops-a-batch", "src/rookhl/fanout.py",

@@ -332,27 +332,21 @@ def test_verify_loads_the_fork_pool_only_to_fan_out(jobs, loaded):
     assert proc.stdout == f"{loaded}\n"
 
 
-def test_verify_exits_141_once_its_stdout_is_closed():
-    # `verify ... | head -1`: the reader leaves after one line, with far
-    # more than a pipe holds still to come.  The next write finds stdout
-    # closed: the command exits with 141, a shell's status for SIGPIPE,
-    # not 1 (a counterexample), writes no traceback, and leaves no worker
-    # running in its process group.
+def _close_stdout_early(argv, read):
+    """Run `python -m rookhl argv` in its own session, take read(stdout),
+    close its stdout, and return its exit status, what was read, its
+    stderr, and whether any process was left running in its group."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(rookhl.__file__).resolve().parents[1]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "rookhl", "verify", "--identity", "main",
-         "--n-max", "8", "--jobs", "2"],
+        [sys.executable, "-m", "rookhl", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
         start_new_session=True)
     try:
-        line = b""
-        while not line.endswith(b"\n"):
-            line += proc.stdout.read(1)
+        got = read(proc.stdout)
         proc.stdout.close()
-        assert proc.wait(timeout=60) == 141
-        assert line == b"verified  main  heights=-\n"
-        assert proc.stderr.read() == b""
+        status = proc.wait(timeout=60)
+        err = proc.stderr.read()
     finally:
         proc.kill()
         proc.wait()
@@ -362,7 +356,58 @@ def test_verify_exits_141_once_its_stdout_is_closed():
             left = True
         except ProcessLookupError:
             left = False
-    assert not left
+    return status, got, err, left
+
+
+def test_verify_exits_141_once_its_stdout_is_closed():
+    # `verify ... | head -1`: the reader leaves after one line, with far
+    # more than a pipe holds still to come.  The next write finds stdout
+    # closed: the command exits with 141, a shell's status for SIGPIPE,
+    # not 1 (a counterexample), writes no traceback, and leaves no worker
+    # running in its process group.  The unbuffered pipe's readline reads
+    # a byte at a time, so no more than the line is taken.
+    assert _close_stdout_early(
+        ["verify", "--identity", "main", "--n-max", "8", "--jobs", "2"],
+        lambda out: out.readline()) == (
+            141, b"verified  main  heights=-\n", b"", False)
+
+
+def test_verify_json_exits_141_once_its_stdout_is_closed():
+    # --json writes one document once the sweep is done, far more than a
+    # pipe holds; a reader that leaves after its first bytes gets the same
+    # exit as one that leaves the text blocks early.
+    status, got, err, left = _close_stdout_early(
+        ["verify", "--identity", "all", "--n-max", "7", "--json",
+         "--jobs", "2"],
+        lambda out: out.read(20))
+    assert (status, err, left) == (141, b"", False)
+    assert b'[{"identity": "main"'.startswith(got) and got
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts the open fds in /proc/self/fd")
+def test_a_closed_stdout_leaves_no_fd_open():
+    # main's exit on a closed stdout points stdout at os.devnull and
+    # closes the fd it opened for it, so a caller in the same process has
+    # as many fds open after it as before.  Far more than a pipe holds is
+    # written to a stdout whose read end is closed.
+    code = ("import os, sys\n"
+            "from rookhl.cli import main\n"
+            "before = len(os.listdir('/proc/self/fd'))\n"
+            "code = main(['list-dyck', '--n', '12'])\n"
+            "after = len(os.listdir('/proc/self/fd'))\n"
+            "print(code, before, after, file=sys.stderr)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(rookhl.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", code],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    code, before, after = err.split()
+    assert (code, after) == (b"141", before)
 
 
 def _loaded(statement):

@@ -1,3 +1,4 @@
+import gc
 import os
 import signal
 import time
@@ -40,6 +41,22 @@ def test_map_returns_the_results_in_task_order(forked, processes, n_tasks):
 def test_map_over_no_tasks_forks_nothing(forked):
     assert list(ForkPool(2).map(square_in_worker, [])) == []
     assert forked == []
+
+
+def freeze_count_in_worker(t):
+    return gc.get_freeze_count()
+
+
+def test_each_worker_freezes_its_heap_and_the_callers_is_left(forked):
+    # A worker freezes the heap it inherited, more than the caller had
+    # frozen, so its collector never walks, and so never copies, it; the
+    # caller's collector is left as it was.
+    before = gc.get_freeze_count()
+    with ForkPool(2) as pool:
+        counts = list(pool.map(freeze_count_in_worker, range(8)))
+    assert all(c > before for c in counts)
+    assert gc.get_freeze_count() == before
+    assert_reaped(forked)
 
 
 def raise_on_seven(t):

@@ -200,6 +200,20 @@ def test_package_source_has_no_assert():
     assert found == []
 
 
+def test_only_fanout_forks_or_freezes_the_heap():
+    # The fork and the heap freeze it needs are decided in one module: no
+    # other module of the package names os.fork, gc.freeze or gc.unfreeze.
+    src = Path(rook.__file__).parent
+    named = {("os", "fork"), ("gc", "freeze"), ("gc", "unfreeze")}
+    found = {path.name
+             for path in src.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and (node.value.id, node.attr) in named}
+    assert found == {"fanout.py"}
+
+
 def test_hl_coefficient_at_single_column_type():
     # Type (1,...,1) always yields the full q-factorial.
     for n in range(6):

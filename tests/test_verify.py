@@ -446,8 +446,9 @@ def test_a_strip_factor_past_the_width_raises():
     for n in range(7):
         for k in (1, 2, 3):
             for mu in enumerate_partitions(n):
-                top = max(strip_factor(nu, mu, k).at_one()
-                          for nu in verify._vertical_strips(mu, k))
+                top = max(strip_factor(conjugate(nu_c), mu, k).at_one()
+                          for nu_c in symfunc._horizontal_strips(
+                              conjugate(mu), k))
                 bits = verify._bits(math.factorial(n) * top)
                 verify._packed_strips(mu, k, bits)
                 with pytest.raises(ValueError, match="bits cannot hold"):
@@ -915,7 +916,8 @@ def test_each_path_comes_out_once_every_earlier_path_is_in():
 
 def test_a_task_error_mid_sweep_comes_after_the_earlier_reports(monkeypatch):
     # A task that raises in a worker: every report before it comes out,
-    # then its error; the workers are reaped and the heap unfrozen.
+    # then its error; the workers are reaped and the collector left as it
+    # was.
     tasks = sweep_tasks(5, {"mult"})
     bad = len(tasks) // 2
     real = verify.check_multiplicativity
@@ -971,17 +973,9 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
         assert started == workers
 
 
-@pytest.mark.parametrize("method", [None, "fork"])
-def test_sweep_leaves_the_collector_as_it_found_it(monkeypatch, method):
-    # The pool is built over a frozen heap, which the sweep unfreezes once
-    # the pool is closed, also when the pool's map raises.
-    before = gc.get_freeze_count(), gc.isenabled()
-    _start_method_pool(monkeypatch, method)
-    assert all(r.ok for r in sweep(4, {"main", "mult"}, jobs=2))
-    assert (gc.get_freeze_count(), gc.isenabled()) == before
-
-    frozen = []
-
+def _failing_pool(frozen):
+    """A pool class whose map raises, which appends to frozen the freeze
+    count of the heap each of its pools is built over."""
     class Failing:
         def __init__(self, processes):
             frozen.append(gc.get_freeze_count())
@@ -992,14 +986,47 @@ def test_sweep_leaves_the_collector_as_it_found_it(monkeypatch, method):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=None):
+        def map(self, fn, tasks):
             raise RuntimeError("map failed")
+    return Failing
 
-    monkeypatch.setattr(verify, "Pool", Failing)
+
+@pytest.mark.parametrize("method", [None, "fork"])
+def test_sweep_leaves_the_collector_as_it_found_it(monkeypatch, method):
+    # The sweep builds its pool over the heap as it finds it, and leaves
+    # the collector so, also when the pool's map raises.
+    before = gc.get_freeze_count(), gc.isenabled()
+    _start_method_pool(monkeypatch, method)
+    assert all(r.ok for r in sweep(4, {"main", "mult"}, jobs=2))
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    frozen = []
+    monkeypatch.setattr(verify, "Pool", _failing_pool(frozen))
     with pytest.raises(RuntimeError, match="map failed"):
         sweep(4, {"main", "mult"}, jobs=2)
-    assert frozen[0] > before[0]
+    assert frozen[0] == before[0]
     assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_sweep_keeps_the_callers_frozen_heap(monkeypatch):
+    # A caller that froze its heap before a parallel sweep finds it still
+    # frozen after it, also when the pool's map raises: only the forked
+    # workers freeze what they inherit.
+    monkeypatch.setattr(verify, "Pool", None)
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        assert all(r.ok for r in sweep(4, {"main"}, jobs=2))
+        assert gc.get_freeze_count() == frozen
+        built_over = []
+        monkeypatch.setattr(verify, "Pool", _failing_pool(built_over))
+        with pytest.raises(RuntimeError, match="map failed"):
+            sweep(4, {"main"}, jobs=2)
+        assert built_over == [frozen]
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 def test_sweep_without_fork_runs_in_one_process(monkeypatch):
