@@ -7,13 +7,14 @@ chosen basis), rook (placements and type polynomials), list-dyck, verify
 early (a shell's status for a process SIGPIPE ends).
 
 A command imports only what it runs, the package's own modules included:
-rook loads dyck, partitions, qseries and rook; expand adds symfunc, and
-chromatic unless it reads X in the P basis off the rook side; only verify
-loads verify, and with it every module.  json is imported where --json or
-rook --list writes it, and rookhl.fanout only when a verify sweep fans out
-over --jobs processes; no command imports multiprocessing.  Each cmd_*
-imports inside its body, so the names resolve when it runs, from the
-modules as they are then.
+list-dyck loads dyck and partitions, whose codec reads and writes heights;
+rook adds qseries and rook; expand adds qseries and symfunc, then rook to
+read X in the P basis off the rook side and chromatic otherwise; only
+verify loads verify, and with it every module.  json is imported where
+--json writes it, and rookhl.fanout only when a verify sweep fans out over
+--jobs processes; no command imports multiprocessing.  Each cmd_* imports
+inside its body, so the names resolve when it runs, from the modules as
+they are then.
 
 Every text command writes through one block writer, _write_lines: lines
 go to sys.stdout in blocks that end at a line boundary, so a verify sweep
@@ -99,12 +100,11 @@ def cmd_rook(args, parser):
 
     def lines():
         if args.list:
-            import json
             for p in placements(gamma):
                 mu = placement_type(n, p)
                 if want is not None and mu != want:
                     continue
-                cells = json.dumps([list(c) for c in p])
+                cells = str([list(c) for c in p])
                 yield (f"{cells} type={format_partition(mu)} "
                        f"fc={len(free_cells(gamma, p))}")
         table = type_polynomials(gamma)

@@ -5,12 +5,15 @@ A path on n steps up and n steps right is stored as the tuple
 (m_1, ..., m_n) where m_i is the height of the path above column i.
 Validity: the heights are non-decreasing and i <= m_i <= n.  The path
 doubles as a graph on vertices 1..n (edges below the path) and as a poset
-board (cells above the path).
+board (cells above the path).  Heights are parsed and written as
+partitions are (partitions.parse_ints, format_partition).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+from rookhl.partitions import format_partition as format_heights, parse_ints
 
 
 def from_heights(heights) -> tuple[int, ...]:
@@ -50,20 +53,7 @@ def check_heights(gamma) -> None:
 
 def parse_heights(text: str) -> tuple[int, ...]:
     """Parse '2,2,4,4,5' into a validated height tuple; '-' or '' is n=0."""
-    text = text.strip()
-    if text in ("-", ""):
-        return ()
-    try:
-        hs = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse heights from {text!r}") from None
-    return from_heights(hs)
-
-
-def format_heights(gamma: tuple[int, ...]) -> str:
-    if not gamma:
-        return "-"
-    return ",".join(str(m) for m in gamma)
+    return from_heights(parse_ints(text, "heights"))
 
 
 def enumerate_dyck(n: int) -> list[tuple[int, ...]]:

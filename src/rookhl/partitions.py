@@ -63,20 +63,27 @@ def multiplicities(la: tuple[int, ...]) -> Counter:
     return Counter(la)
 
 
-def parse_partition(text: str) -> tuple[int, ...]:
-    """Parse '3,2,1' into (3, 2, 1); '-' or '' is the empty partition."""
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Parse '3,2,1' into (3, 2, 1), checking nothing else; '-' or '' is ().
+    Text that is no such list raises ValueError naming what it should be:
+    the command-line codec of partitions and of dyck's heights."""
     text = text.strip()
     if text in ("-", ""):
         return ()
     try:
-        parts = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse partition from {text!r}") from None
-    return check_partition(parts)
+        raise ValueError(f"cannot parse {what} from {text!r}") from None
+
+
+def parse_partition(text: str) -> tuple[int, ...]:
+    """Parse '3,2,1' into (3, 2, 1); '-' or '' is the empty partition."""
+    return check_partition(parse_ints(text, "partition"))
 
 
 def format_partition(la: tuple[int, ...]) -> str:
-    """Inverse of parse_partition."""
+    """Inverse of parse_partition and of dyck.parse_heights; it is
+    dyck.format_heights too."""
     if not la:
         return "-"
     return ",".join(str(p) for p in la)

@@ -279,13 +279,11 @@ def q_int(n: int) -> QLaurent:
 
 
 def q_factorial(n: int) -> QLaurent:
-    """[n]_q! = [1]_q [2]_q ... [n]_q.  Empty product 1 for n = 0."""
+    """[n]_q! = [1]_q [2]_q ... [n]_q, q_falling(n, n).  Empty product 1
+    for n = 0."""
     if n < 0:
         raise ValueError("q_factorial requires n >= 0")
-    result = ONE
-    for k in range(2, n + 1):
-        result = result * q_int(k)
-    return result
+    return q_falling(n, n)
 
 
 def q_falling(alpha: int, k: int) -> QLaurent:

@@ -107,19 +107,13 @@ def _width(bound: int) -> int:
     return bits
 
 
-def _solve_bound(vec, norms) -> list[int]:
-    """Bounds on the L1 norms of the entries of symfunc._solve(v, m), where
-    vec bounds those of v and norms holds those of m: the same forward
-    substitution, adding a bound on each product where it subtracts the
-    product."""
-    x = list(vec)
-    for i in range(len(x)):
-        if x[i]:
-            row = norms[i]
-            for j in range(i + 1, len(x)):
-                if row[j]:
-                    x[j] += x[i] * row[j]
-    return x
+@cache
+def _negated_kostka(n: int) -> list[list[int]]:
+    """-kostka of degree n.  symfunc._solve(b, _negated_kostka(n)), for b
+    bounding the L1 norms of v, bounds those of _solve(v, kostka): the
+    same forward substitution, adding |x_i| K_ij where that subtracts
+    x_i K_ij, since kostka's entries are nonnegative."""
+    return [[-k for k in row] for row in symfunc.transitions(n).kostka]
 
 
 @cache
@@ -185,17 +179,18 @@ def _main_reports(members) -> list[list[CheckReport]]:
     q^(area - n(mu)) r_mu times the product of [m]_q! over the
     multiplicities of mu, a shift of its rook DP int (_rook_types).  The
     width, set before any rook side is read, bounds X's coefficients' L1
-    norms pushed through the solve with kostka and then times kostka, and
-    n!, which bounds every Kostka number (kf's L1 norms, Transitions.kf)
-    and the rook side, r_mu times the product of m! being at most
-    n!/prod mu_i!.  A factor past the width, or a shift that drops a
-    nonzero slot (a negative power of q), raises ValueError.  A member
-    whose ints differ is reported with both sides unpacked from them.
+    norms pushed through the same solve against -kostka (_negated_kostka)
+    and then times kostka, and n!, which bounds every Kostka number (kf's
+    L1 norms, Transitions.kf) and the rook side, r_mu times the product of
+    m! being at most n!/prod mu_i!.  A factor past the width, or a shift
+    that drops a nonzero slot (a negative power of q), raises ValueError.
+    A member whose ints differ is reported with both sides unpacked from
+    them.
     """
     n = len(members[0])
     t = symfunc.transitions(n)
     vec = _read_at_parts(t, chromatic_x(members[0]).coeffs)
-    bounds = _times(_solve_bound([c.l1_norm() for c in vec], t.kostka),
+    bounds = _times(_solve([c.l1_norm() for c in vec], _negated_kostka(n)),
                     t.kostka)
     bits = _width(max(*bounds, math.factorial(n)))
     lhs = _times(_solve([pack_signed(c, bits) for c in vec], t.kostka),
@@ -419,19 +414,19 @@ def _llt_reports(members) -> list[list[CheckReport]]:
 
     The width, set before any rook side is read, bounds every coefficient
     of both sides and every entry of kf: f's L1 norms pushed through the
-    solve with kostka, _llt_rook_bound(n), and n!, which the rook DP needs
-    and each Kostka number (kf's L1 norms) is below.  A factor past the
-    width, or with a negative power of q, raises ValueError.  A member
-    whose ints differ is reported with LLT's Schur coefficients and the
-    first form that fails unpacked from them: form omega at conjugate(la)
-    is T[la] times q^(area - D), form tilde at la T[la] times q^(-D) with
-    q inverted.
+    same solve against -kostka (_negated_kostka), _llt_rook_bound(n), and
+    n!, which the rook DP needs and each Kostka number (kf's L1 norms) is
+    below.  A factor past the width, or with a negative power of q, raises
+    ValueError.  A member whose ints differ is reported with LLT's Schur
+    coefficients and the first form that fails unpacked from them: form
+    omega at conjugate(la) is T[la] times q^(area - D), form tilde at la
+    T[la] times q^(-D) with q inverted.
     """
     n = len(members[0])
     t = symfunc.transitions(n)
     vec = _read_at_parts(t, llt_poly(members[0]).coeffs)
     top = max(c.max_exp for c in vec)
-    bounds = _solve_bound([c.l1_norm() for c in vec], t.kostka)
+    bounds = _solve([c.l1_norm() for c in vec], _negated_kostka(n))
     bits = _width(max(*bounds, _llt_rook_bound(n), math.factorial(n)))
     d = n * (n - 1) // 2
     lhs = _solve([pack_signed(c, bits) for c in vec], t.kostka)
@@ -510,9 +505,7 @@ def _principal_reports(members, alpha_max: int) -> list[list[CheckReport]]:
                   for la, c in x.items()) for k in ks]
     n = len(members[0])
     bits = _width(max(*at_one, alpha_max ** n, math.factorial(n)))
-    # A partition with more than alpha_max parts adds nothing at any k.
-    terms = [(la, pack(c, bits)) for la, c in x.items()
-             if len(la) <= alpha_max]
+    terms = [(la, pack(c, bits)) for la, c in x.items()]
     direct = [sum(c * _packed(principal_monomial, bits, la, k)
                   for la, c in terms) for k in ks]
     out = []

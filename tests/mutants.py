@@ -178,11 +178,17 @@ MUTANTS = [
     # numbers; where n! holds the result anyway no report tells, so only a
     # test on the bound does.
     Mutant("main-width-stops-at-schur", "src/rookhl/verify.py",
-           "bounds = _times(_solve_bound([c.l1_norm() for c in vec], "
-           "t.kostka),\n                    t.kostka)",
-           "bounds = _solve_bound([c.l1_norm() for c in vec], t.kostka)",
+           "bounds = _times(_solve([c.l1_norm() for c in vec], "
+           "_negated_kostka(n)),\n                    t.kostka)",
+           "bounds = _solve([c.l1_norm() for c in vec], _negated_kostka(n))",
            ("tests/test_verify.py::"
             "test_main_bounds_x_through_kostka_and_on_through_kf",)),
+    # main's and llt's bounds run the solve they bound, against -kostka;
+    # against kostka itself it subtracts where a bound must add.
+    Mutant("bound-kostka-not-negated", "src/rookhl/verify.py",
+           "[[-k for k in row]", "[[k for k in row]",
+           ("tests/test_verify.py::"
+            "test_each_bound_is_the_solve_against_negated_kostka",)),
     # llt's width must cover every rook side the premise allows; through
     # n = 8 n! does too, so only a test on the bound tells.
     Mutant("llt-width-drops-rook-bound", "src/rookhl/verify.py",
@@ -209,6 +215,12 @@ MUTANTS = [
            ("tests/test_verify.py::test_check_llt_small_sizes",
             "tests/test_verify.py::"
             "test_packed_reports_equal_the_symfunc_route")),
+    # Partitions and heights share one text codec, in which '-' is the
+    # empty tuple.
+    Mutant("parse-ints-drops-dash", "src/rookhl/partitions.py",
+           'if text in ("-", ""):', 'if text == "":',
+           ("tests/test_partitions.py::test_parse_and_format",
+            "tests/test_dyck.py::test_parse_format_heights")),
     # A kind-1 modular triple needs its row condition; from_heights checks
     # only that the moved column stays a path.
     Mutant("modular-kind1-no-row-condition", "src/rookhl/dyck.py",

@@ -13,7 +13,9 @@ of a type and a partition filtered by is_vertical_strip, each strip
 weighted by a Laurent polynomial built factor by factor, from two walks
 of the rook DP (mult_by_pair_scan, strip_factor), the oracle of its strip
 walk, and the monomial product as a scan over every pair of exponent
-vectors (multiply_by_pairs), the oracle of symfunc.multiply.
+vectors (multiply_by_pairs), the oracle of symfunc.multiply, and the
+bound on the L1 norms of a forward substitution as its own loop
+(solve_bound), the oracle of verify's solve against -kostka.
 
 The package never lists edges or cells (the coloring DP reads each vertex's
 window, the rook DP each row's open columns), so these are independent of
@@ -333,3 +335,18 @@ def multiply_by_pairs(f: SymFunc, g: SymFunc) -> SymFunc:
                 acc[e] = acc.get(e, ZERO) + ca * cb
     out = {tuple(p for p in e if p): c for e, c in acc.items()}
     return SymFunc(nvars, "monomial", out)
+
+
+def solve_bound(vec, norms) -> list[int]:
+    """Bounds on the L1 norms of the entries of symfunc._solve(v, m), where
+    vec bounds those of v and norms holds those of m: the same forward
+    substitution, adding a bound on each product where it subtracts the
+    product."""
+    x = list(vec)
+    for i in range(len(x)):
+        if x[i]:
+            row = norms[i]
+            for j in range(i + 1, len(x)):
+                if row[j]:
+                    x[j] += x[i] * row[j]
+    return x

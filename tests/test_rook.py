@@ -1,4 +1,5 @@
 import ast
+import copy
 import inspect
 import math
 import random
@@ -198,6 +199,47 @@ def test_package_source_has_no_assert():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _body_shape(fn):
+    """fn's body, docstring aside, as ast.dump text once its arguments and
+    the names it assigns are renamed by order of first use; None for a
+    body of fewer than two statements.  Global and attribute names stay."""
+    body = copy.deepcopy(fn.body)
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    if len(body) < 2:
+        return None
+    a = fn.args
+    local = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                 a.vararg, a.kwarg) if arg}
+    local |= {node.id for stmt in body for node in ast.walk(stmt)
+              if isinstance(node, ast.Name)
+              and isinstance(node.ctx, ast.Store)}
+    renamed = {}
+    for stmt in body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and node.id in local:
+                node.id = renamed.setdefault(node.id, f"v{len(renamed)}")
+    return ast.dump(ast.Module(body, []))
+
+
+def test_package_writes_each_function_body_once():
+    # A rule is written once: no two functions of the package with two or
+    # more statements have the same body up to the names of their
+    # arguments and locals.  A second copy calls the first instead.
+    src = Path(rook.__file__).parent
+    by_shape = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                shape = _body_shape(node)
+                if shape is not None:
+                    by_shape.setdefault(shape, []).append(
+                        f"{path.name}:{node.lineno} {node.name}")
+    assert [names for names in by_shape.values() if len(names) > 1] == []
 
 
 def test_only_fanout_forks_or_freezes_the_heap():

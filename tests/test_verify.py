@@ -2,6 +2,7 @@ import gc
 import math
 import multiprocessing
 import os
+import random
 import re
 from functools import partial
 from itertools import groupby
@@ -30,7 +31,7 @@ from forks import assert_reaped, record_forks
 from placement_oracle import ordered_type_polynomials
 from reference import (
     is_vertical_strip, llt_forms, mult_by_pair_scan, q_binomial, scale,
-    strip_factor,
+    solve_bound, strip_factor,
 )
 
 FIG_PATH = (2, 2, 4, 4, 5)
@@ -225,6 +226,28 @@ def test_main_bounds_x_through_kostka_and_on_through_kf(monkeypatch):
         "main", "heights=1,2,3,4", "counterexample", lhs=laurent,
         rhs="(4): 1")
     assert len(widths) == 1 and widths[0] >= 36 > math.factorial(4)
+
+
+def test_each_bound_is_the_solve_against_negated_kostka():
+    # main's and llt's bounds run symfunc._solve against -kostka, adding
+    # |x_i| K_ij where the solve against kostka subtracts x_i K_ij: the
+    # bound solve_bound computes by its own loop.  Checked on the L1
+    # norms of X and LLT of every path through n = 7, and on random
+    # nonnegative vectors, zeros among them, at n = 8-10.
+    for n in range(8):
+        t = symfunc.transitions(n)
+        for gamma in enumerate_dyck(n):
+            for f in (chromatic_x(gamma), llt_poly(gamma)):
+                v = [f.coeffs.get(la, ZERO).l1_norm() for la in t.parts]
+                assert (symfunc._solve(v, verify._negated_kostka(n))
+                        == solve_bound(v, t.kostka))
+    rng = random.Random(0)
+    for n in range(8, 11):
+        t = symfunc.transitions(n)
+        for _ in range(200):
+            v = [rng.choice((0, rng.randrange(1, 1 << 40))) for _ in t.parts]
+            assert (symfunc._solve(v, verify._negated_kostka(n))
+                    == solve_bound(v, t.kostka))
 
 
 def test_llt_bounds_every_rook_side_the_premise_allows(monkeypatch):
