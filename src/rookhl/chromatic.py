@@ -91,7 +91,8 @@ def _coloring_coeffs(gamma, proper) -> dict:
     can change the memo.  One width serves every size up to 20 (20! <
     2^64); a larger top size keys its own entries.  A window is contiguous
     only for heights that never decrease and never fall below the
-    diagonal, so other heights raise ValueError."""
+    diagonal, so other heights, and heights that are no ints, raise
+    ValueError (dyck.check_heights)."""
     check_heights(gamma)
     bits = max(64, math.factorial(len(gamma)).bit_length())
     return {la: unpack(hist, bits) for la, hist in

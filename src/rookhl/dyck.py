@@ -17,36 +17,29 @@ from rookhl.partitions import format_partition as format_heights, parse_ints
 
 
 def from_heights(heights) -> tuple[int, ...]:
-    """Validate a height sequence and return it as a tuple.
-
-    Error messages point at the offending column (1-based).
-    """
+    """Validate a height sequence (check_heights, bounded by its length)
+    and return it as a tuple."""
     hs = tuple(heights)
-    n = len(hs)
-    for i, m in enumerate(hs, start=1):
+    check_heights(hs, len(hs))
+    return hs
+
+
+def check_heights(gamma, n=None) -> None:
+    """Raise ValueError, naming the first offending column (1-based),
+    unless every height is an int (not a bool), none falls below the
+    diagonal or exceeds n, and none decreases; n None bounds nothing.
+
+    Both transfer DPs call it with no bound: the coloring DP reads each
+    vertex's neighbors below it as one window, the rook DP each row's open
+    columns as a prefix, and heights above n only close columns.
+    """
+    for i, m in enumerate(gamma, start=1):
         if not isinstance(m, int) or isinstance(m, bool):
             raise ValueError(f"height at column {i} is not an integer: {m!r}")
         if m < i:
             raise ValueError(f"height {m} at column {i} is below the diagonal")
-        if m > n:
+        if n is not None and m > n:
             raise ValueError(f"height {m} at column {i} exceeds n={n}")
-        if i > 1 and m < hs[i - 2]:
-            raise ValueError(f"heights decrease at column {i}")
-    return hs
-
-
-def check_heights(gamma) -> None:
-    """Raise ValueError, with from_heights's messages, unless the heights
-    never decrease and never fall below the diagonal.
-
-    Both transfer DPs need this shape: the coloring DP reads each vertex's
-    neighbors below it as one window, the rook DP each row's open columns
-    as a prefix.  Heights above n are accepted, since they only close
-    columns.
-    """
-    for i, m in enumerate(gamma, start=1):
-        if m < i:
-            raise ValueError(f"height {m} at column {i} is below the diagonal")
         if i > 1 and m < gamma[i - 2]:
             raise ValueError(f"heights decrease at column {i}")
 

@@ -90,5 +90,6 @@ def format_partition(la: tuple[int, ...]) -> str:
 
 
 def coefficient_line(la, poly) -> str:
-    """The '(3,2): 1 + 2q + q^2' row printed for one coefficient."""
-    return "(" + ",".join(str(p) for p in la) + f"): {poly}"
+    """The '(3,2): 1 + 2q + q^2' row printed for one coefficient, its
+    partition written by format_partition, save () for the empty one."""
+    return f"({format_partition(la) if la else ''}): {poly}"

@@ -142,8 +142,9 @@ def _type_polynomials(gamma, width: int, prefix=None):
     and a width below n!.bit_length() raises ValueError; nor does type mu
     count more than n!/(prod mu_i! prod m_i!), its chains being a set
     partition of 1..n.  Heights that decrease or fall below the diagonal
-    make row d's columns no prefix and raise ValueError
-    (dyck.check_heights); heights above n only close columns.
+    make row d's columns no prefix, and they and heights that are no ints
+    raise ValueError (dyck.check_heights); heights above n only close
+    columns.
     """
     check_heights(gamma)
     n = len(gamma)

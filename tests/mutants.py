@@ -221,6 +221,19 @@ MUTANTS = [
            'if text in ("-", ""):', 'if text == "":',
            ("tests/test_partitions.py::test_parse_and_format",
             "tests/test_dyck.py::test_parse_format_heights")),
+    # One height check serves from_heights and both transfer DPs: the DPs'
+    # unbounded call still rejects a height that is no int, and
+    # from_heights's bounded call still rejects a height above n.
+    Mutant("heights-int-check-bounded-only", "src/rookhl/dyck.py",
+           "if not isinstance(m, int) or isinstance(m, bool):",
+           "if n is not None and (not isinstance(m, int)\n"
+           "                              or isinstance(m, bool)):",
+           ("tests/test_verify.py::"
+            "test_every_entry_point_rejects_a_height_that_is_no_int",
+            "tests/test_dyck.py::test_check_heights_agrees_with_from_heights")),
+    Mutant("heights-bound-dropped", "src/rookhl/dyck.py",
+           "if n is not None and m > n:", "if False:",
+           ("tests/test_dyck.py::test_from_heights_names_offending_column",)),
     # A kind-1 modular triple needs its row condition; from_heights checks
     # only that the moved column stays a path.
     Mutant("modular-kind1-no-row-condition", "src/rookhl/dyck.py",

@@ -46,7 +46,8 @@ def error_of(fn, gamma):
 
 def test_check_heights_agrees_with_from_heights():
     # Below n + 1 the DPs' check and from_heights reject the same tuples
-    # with the same message; heights above n pass the DPs' check.
+    # with the same message, a height that is no int among them; heights
+    # above n pass the DPs' check.
     for n in range(5):
         for gamma in product(range(n + 1), repeat=n):
             assert error_of(check_heights, gamma) == \
@@ -54,6 +55,13 @@ def test_check_heights_agrees_with_from_heights():
         for gamma in enumerate_dyck(n):
             if gamma:
                 check_heights(gamma[:-1] + (n + 2,))
+            for i, m in enumerate(gamma):
+                for odd in (float(m), m == 1, str(m)):
+                    bad = gamma[:i] + (odd,) + gamma[i + 1:]
+                    message = (f"height at column {i + 1} is not an "
+                               f"integer: {odd!r}")
+                    assert error_of(check_heights, bad) == message
+                    assert error_of(from_heights, bad) == message
 
 
 def test_enumerate_dyck_counts_are_catalan():

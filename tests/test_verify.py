@@ -327,6 +327,17 @@ def test_llt_reports_raise_on_a_coloring_key_that_is_no_partition(
         check_llt(FIG_PATH)
 
 
+def test_every_entry_point_rejects_a_height_that_is_no_int():
+    # The DPs' height check is from_heights's: a float or a bool is no
+    # height, and is not read as the int it equals.
+    calls = (type_polynomials, hl_coefficients, chromatic_x, llt_poly,
+             check_main, check_llt, partial(check_multiplicativity, k=1))
+    for gamma in ((True, 2), (1.5, 2)):
+        for call in calls:
+            with pytest.raises(ValueError, match="is not an integer"):
+                call(gamma)
+
+
 def test_check_modular_chromatic_counterexample_names_the_type(monkeypatch):
     # Swap in the word function for the complete graph only: the coloring
     # recurrence then breaks, and the report narrows to the first type.
