@@ -17,28 +17,28 @@ from rookhl.partitions import format_partition as format_heights, parse_ints
 
 
 def from_heights(heights) -> tuple[int, ...]:
-    """Validate a height sequence (check_heights, bounded by its length)
-    and return it as a tuple."""
+    """A height sequence as a tuple, validated by check_heights."""
     hs = tuple(heights)
-    check_heights(hs, len(hs))
+    check_heights(hs)
     return hs
 
 
-def check_heights(gamma, n=None) -> None:
+def check_heights(gamma) -> None:
     """Raise ValueError, naming the first offending column (1-based),
     unless every height is an int (not a bool), none falls below the
-    diagonal or exceeds n, and none decreases; n None bounds nothing.
+    diagonal or exceeds n = len(gamma), and none decreases.
 
-    Both transfer DPs call it with no bound: the coloring DP reads each
-    vertex's neighbors below it as one window, the rook DP each row's open
-    columns as a prefix, and heights above n only close columns.
+    The transfer DPs read each vertex's neighbors below it as one window
+    and each row's open columns as a prefix, and area would count cells
+    above row n that no board has.
     """
+    n = len(gamma)
     for i, m in enumerate(gamma, start=1):
         if not isinstance(m, int) or isinstance(m, bool):
             raise ValueError(f"height at column {i} is not an integer: {m!r}")
         if m < i:
             raise ValueError(f"height {m} at column {i} is below the diagonal")
-        if n is not None and m > n:
+        if m > n:
             raise ValueError(f"height {m} at column {i} exceeds n={n}")
         if i > 1 and m < gamma[i - 2]:
             raise ValueError(f"heights decrease at column {i}")

@@ -278,14 +278,6 @@ def q_int(n: int) -> QLaurent:
     return QLaurent(0, (1,) * n)
 
 
-def q_factorial(n: int) -> QLaurent:
-    """[n]_q! = [1]_q [2]_q ... [n]_q, q_falling(n, n).  Empty product 1
-    for n = 0."""
-    if n < 0:
-        raise ValueError("q_factorial requires n >= 0")
-    return q_falling(n, n)
-
-
 def q_falling(alpha: int, k: int) -> QLaurent:
     """Falling q-factorial [alpha]_q [alpha-1]_q ... [alpha-k+1]_q.
 

@@ -12,9 +12,10 @@ type_polynomials computes those sums without listing a placement: a
 transfer DP (_type_polynomials, packed at the caller's width) places the
 vertices one at a time, keeping only the ranks of the chains' open ends,
 and scores each row of free cells as soon as its vertex joins a chain.
-placements, placement_type and free_cells list and score placements one
-by one, for `rookhl rook --list`; the tests sum them per type as the DP's
-oracle.
+Its one premise-checked read is _rook_types, and the P coefficients are
+written once, from that read, as ints (_hl_packed).  placements,
+placement_type and free_cells list and score placements one by one, for
+`rookhl rook --list`; the tests sum them per type as the DP's oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 from rookhl.dyck import area, check_heights
 from rookhl.partitions import multiplicities, nstat
-from rookhl.qseries import QLaurent, ONE, q_factorial, unpack
+from rookhl.qseries import QLaurent, unpack
 
 
 def placements(gamma: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
@@ -112,12 +113,38 @@ def free_cells(gamma, placement) -> set[tuple[int, int]]:
 
 def type_polynomials(gamma: tuple[int, ...]) -> dict[tuple[int, ...], QLaurent]:
     """The sum of q^fc over the placements of each type, r_mu, for every
-    type with a placement, from one pass of _type_polynomials at its own
-    width.  The DP is looked up at call time, so that tests can put
-    another kernel in its place."""
+    type with a placement: _rook_types unpacked at n!'s bit length."""
     width = math.factorial(len(gamma)).bit_length()
     return {mu: unpack(hist, width)
-            for mu, hist in _type_polynomials(gamma, width).items()}
+            for mu, hist in _rook_types(gamma, width).items()}
+
+
+@cache
+def _set_partitions(mu) -> int:
+    """The number of set partitions of 1..n into blocks of sizes mu."""
+    return math.factorial(sum(mu)) // math.prod(
+        map(math.factorial, (*mu, *multiplicities(mu).values())))
+
+
+def _rook_types(gamma, bits, types=None) -> dict[tuple[int, ...], int]:
+    """{mu: r_mu at q = 2^bits} from _type_polynomials, looked up at call
+    time so that tests can put another kernel in its place, or types if
+    given (gamma's, read off a longer path's walk), under the premise every
+    packed width rests on: a placement of type mu is a set partition of
+    1..n into blocks of sizes mu (its chains), so r_mu counts at most
+    _set_partitions(mu).  A type that counts more raises ValueError."""
+    if types is None:
+        types = _type_polynomials(gamma, bits)
+    mask = (1 << bits) - 1
+    for mu, packed in types.items():
+        count = 0
+        while packed:
+            count += packed & mask
+            packed >>= bits
+        if count > _set_partitions(mu):
+            raise ValueError(f"{count} placements of type {mu} on {gamma}, "
+                             f"over its {_set_partitions(mu)} set partitions")
+    return types
 
 
 def _type_polynomials(gamma, width: int, prefix=None):
@@ -141,10 +168,10 @@ def _type_polynomials(gamma, width: int, prefix=None):
     count exceeds n!, the number of choice sequences, so slots never carry
     and a width below n!.bit_length() raises ValueError; nor does type mu
     count more than n!/(prod mu_i! prod m_i!), its chains being a set
-    partition of 1..n.  Heights that decrease or fall below the diagonal
-    make row d's columns no prefix, and they and heights that are no ints
-    raise ValueError (dyck.check_heights); heights above n only close
-    columns.
+    partition of 1..n (_rook_types checks it).  Heights that decrease or
+    fall below the diagonal make row d's columns no prefix, and they,
+    heights above n and heights that are no ints raise ValueError
+    (dyck.check_heights).
     """
     check_heights(gamma)
     n = len(gamma)
@@ -198,30 +225,36 @@ def _by_type(states) -> dict[tuple[int, ...], int]:
 
 
 @cache
-def mult_factorials(mu: tuple[int, ...]) -> QLaurent:
-    """The product of [m]_q! over the multiplicities m of the parts of mu,
-    memoized: every path of a size asks for the same types."""
-    poly = ONE
+def _packed_factorials(mu, bits) -> int:
+    """The product of [m]_q! over the multiplicities m of mu's parts at
+    q = 2^bits, of repunits [t]_q, t = 2..m; memoized for every path."""
+    one, out = (1 << bits) - 1, 1
     for m in multiplicities(mu).values():
-        poly = poly * q_factorial(m)
-    return poly
+        for t in range(2, m + 1):
+            out *= ((1 << bits * t) - 1) // one
+    return out
+
+
+def _hl_packed(gamma, bits) -> dict[tuple[int, ...], int]:
+    """{mu: the coefficient of the Hall-Littlewood P_mu attached to gamma,
+    q^(area - n(mu)) r_mu _packed_factorials(mu), at q = 2^bits}.  Under
+    _rook_types' premise its coefficients sum to at most n!/prod mu_i!.  A
+    shift that drops a nonzero slot (a negative power of q) raises
+    ValueError."""
+    a = area(gamma)
+    out = {}
+    for mu, r in _rook_types(gamma, bits).items():
+        r, low = r << bits * a, bits * nstat(mu)   # times q^(a - n(mu))
+        if r & ((1 << low) - 1):
+            raise ValueError(f"coefficient of {mu} for {gamma} has a "
+                             f"negative power of q")
+        out[mu] = (r >> low) * _packed_factorials(mu, bits)
+    return out
 
 
 def hl_coefficients(gamma: tuple[int, ...]) -> dict[tuple[int, ...], QLaurent]:
-    """The coefficient of the Hall-Littlewood P_mu in the expansion attached
-    to gamma, q^(area - n(mu)) r_mu mult_factorials(mu), for every type mu
-    present, from one pass of the DP.
-
-    mult_factorials(mu) has constant term 1, so the product's lowest power
-    is the shifted r_mu's: a shift that leaves a negative power of q makes
-    the coefficient no polynomial, and raises ValueError.
-    """
-    a = area(gamma)
-    out = {}
-    for mu, r in type_polynomials(gamma).items():
-        poly = r.shift(a - nstat(mu)) * mult_factorials(mu)
-        if not poly.is_polynomial():
-            raise ValueError(f"coefficient of {mu} for {gamma} is not a "
-                             f"polynomial: {poly}")
-        out[mu] = poly
-    return out
+    """The coefficient of the Hall-Littlewood P_mu attached to gamma, for
+    every type mu present: _hl_packed unpacked at n!'s bit length."""
+    width = math.factorial(len(gamma)).bit_length()
+    return {mu: unpack(c, width)
+            for mu, c in _hl_packed(gamma, width).items()}

@@ -18,11 +18,13 @@ sides are never shared: that they agree on the orbit is what is checked.
 
 main, llt, principal and mult compare Python ints: every polynomial
 evaluated at q = 2^bits (qseries.pack, pack_signed), the rook side read
-as the rook DP's ints at that width (_rook_types), mult's two paths off
-one walk of the longer.  Evaluation is a ring homomorphism and the basis
-changes are division-free (symfunc._solve against the integer kostka,
-symfunc._times by kf), so both sides are computed from packed inputs and
-packed kf (Transitions.packed) without a Laurent polynomial; principal's
+as the rook DP's ints at that width, under the premise that each type
+counts at most its set partitions (rook._rook_types; main's as P
+coefficients, rook._hl_packed), mult's two paths off one walk of the
+longer.  Evaluation is a ring homomorphism and the basis changes are
+division-free (symfunc._solve against the integer kostka, symfunc._times
+by kf), so both sides are computed from packed inputs and packed kf
+(Transitions.packed) without a Laurent polynomial; principal's
 coloring side is summed from packed X coefficients and packed
 m_la(1, q, ..., q^(k-1)), each constant packed once per width (_packed),
 and mult's strip factors are built as ints (_packed_strips).  Each
@@ -45,8 +47,8 @@ from typing import NamedTuple
 
 from rookhl.chromatic import chromatic_x, llt_poly, principal_monomial
 from rookhl.dyck import (
-    area, area_sequence, complete_path, concat, enumerate_dyck,
-    format_heights, modular_triples, reflect,
+    area, area_sequence, check_heights, complete_path, concat,
+    enumerate_dyck, format_heights, modular_triples, reflect,
 )
 from rookhl.partitions import (
     conjugate, enumerate_partitions, format_partition, multiplicities, nstat,
@@ -55,7 +57,7 @@ from rookhl.qseries import (
     ZERO, ONE, Q, pack, pack_signed, q_falling, q_int, q_power, unpack,
     unpack_signed,
 )
-from rookhl.rook import hl_coefficients, mult_factorials, type_polynomials
+from rookhl.rook import hl_coefficients, type_polynomials
 from rookhl import IDENTITIES, rook, symfunc
 from rookhl.symfunc import SymFunc, _solve, _times, multiply, transitions
 
@@ -141,34 +143,6 @@ def _read_at_parts(t, coeffs) -> list:
     return [coeffs.get(la, ZERO) for la in t.parts]
 
 
-@cache
-def _set_partitions(mu) -> int:
-    """The number of set partitions of 1..n into blocks of sizes mu."""
-    return math.factorial(sum(mu)) // math.prod(
-        map(math.factorial, (*mu, *multiplicities(mu).values())))
-
-
-def _rook_types(gamma, bits, types=None) -> dict[tuple[int, ...], int]:
-    """{mu: r_mu at q = 2^bits} from rook._type_polynomials, or types if
-    given (gamma's, read off a longer path's walk), under the premise every
-    packed check's width rests on: a placement of type mu is a set
-    partition of 1..n into blocks of sizes mu (its chains), so r_mu counts
-    at most _set_partitions(mu).  A type that counts more, its slots
-    summed exactly, raises ValueError."""
-    if types is None:
-        types = rook._type_polynomials(gamma, bits)
-    mask = (1 << bits) - 1
-    for mu, packed in types.items():
-        count = 0
-        while packed:
-            count += packed & mask
-            packed >>= bits
-        if count > _set_partitions(mu):
-            raise ValueError(f"{count} placements of type {mu} on {gamma}, "
-                             f"over its {_set_partitions(mu)} set partitions")
-    return types
-
-
 def _main_reports(members) -> list[list[CheckReport]]:
     """check_main's report for each path of members, a reversal orbit or
     one path, as ints at q = 2^bits.  X is read from the first member.
@@ -177,13 +151,13 @@ def _main_reports(members) -> list[list[CheckReport]]:
     its Schur vector times kf is its P vector, since s_la is the sum over
     mu of K_la,mu(q) P_mu.  Each member's coefficient of P_mu is
     q^(area - n(mu)) r_mu times the product of [m]_q! over the
-    multiplicities of mu, a shift of its rook DP int (_rook_types).  The
+    multiplicities of mu, read at the width (rook._hl_packed).  The
     width, set before any rook side is read, bounds X's coefficients' L1
     norms pushed through the same solve against -kostka (_negated_kostka)
     and then times kostka, and n!, which bounds every Kostka number (kf's
     L1 norms, Transitions.kf) and the rook side, r_mu times the product of
-    m! being at most n!/prod mu_i!.  A factor past the width, or a shift
-    that drops a nonzero slot (a negative power of q), raises ValueError.
+    m! being at most n!/prod mu_i!.  A factor past the width, or a rook
+    coefficient with a negative power of q, raises ValueError.
     A member whose ints differ is reported with both sides unpacked from
     them.
     """
@@ -197,14 +171,9 @@ def _main_reports(members) -> list[list[CheckReport]]:
                  t.packed(bits))
     out = []
     for gamma in members:
-        a = area(gamma)
         rhs = [0] * len(lhs)
-        for mu, r in _rook_types(gamma, bits).items():
-            r, low = r << bits * a, bits * nstat(mu)   # times q^(a - n(mu))
-            if r & ((1 << low) - 1):
-                raise ValueError(f"coefficient of {mu} for {gamma} has a "
-                                 f"negative power of q")
-            rhs[t.index[mu]] = (r >> low) * _packed(mult_factorials, bits, mu)
+        for mu, c in rook._hl_packed(gamma, bits).items():
+            rhs[t.index[mu]] = c
         instance = f"heights={format_heights(gamma)}"
         if lhs == rhs:
             out.append([CheckReport("main", instance, "verified")])
@@ -320,7 +289,7 @@ def check_multiplicativity(gamma, k: int,
     The coefficient level compares ints at q = 2^bits, bits =
     _width((n + k)!), both paths' type polynomials read off one rook DP
     walk of the extended path at that width, gamma's at the end of row n,
-    under its premise (_rook_types): gamma has at most Bell(n) <= n!
+    under its premise (rook._rook_types): gamma has at most Bell(n) <= n!
     placements, and type polynomials and strip factors have no negative
     coefficient, so each coefficient of a strip sum is at most n! times a
     strip factor at q = 1, which _packed_strips holds below 2^(bits-1);
@@ -331,6 +300,7 @@ def check_multiplicativity(gamma, k: int,
     """
     if k < 1:
         raise ValueError("k must be positive")
+    check_heights(gamma)
     n = len(gamma)
     extended = concat(gamma, complete_path(k))
     base = f"heights={format_heights(gamma)};k={k}"
@@ -343,7 +313,7 @@ def check_multiplicativity(gamma, k: int,
     bits = _width(math.factorial(n + k))
     small, big = rook._type_polynomials(extended, bits, prefix=n)
     sums = {}
-    for mu, packed in _rook_types(gamma, bits, small).items():
+    for mu, packed in rook._rook_types(gamma, bits, small).items():
         for nu, factor in _packed_strips(mu, k, bits):
             sums[nu] = sums.get(nu, 0) + packed * factor
     reports = []
@@ -384,11 +354,11 @@ def _columns_times(rows, terms) -> list[int]:
 
 @cache
 def _llt_rook_bound(n: int) -> int:
-    """The largest over la of the sum over mu of _set_partitions(mu)
+    """The largest over la of the sum over mu of rook._set_partitions(mu)
     2^(n - l(mu)) K_la,mu: a bound on llt's rook side T[la] under
-    _rook_types' premise, each weight's L1 norm being 2^(n - l(mu))."""
+    rook._rook_types' premise, each weight's L1 norm being 2^(n - l(mu))."""
     t = symfunc.transitions(n)
-    terms = [(j, _set_partitions(mu) << n - len(mu))
+    terms = [(j, rook._set_partitions(mu) << n - len(mu))
              for j, mu in enumerate(t.parts)]
     return max(_columns_times(t.kostka, terms))
 
@@ -439,7 +409,7 @@ def _llt_reports(members) -> list[list[CheckReport]]:
     for gamma in members:
         a = area(gamma)
         weights = [(t.index[mu], r * _packed_llt_weight(mu, bits))
-                   for mu, r in _rook_types(gamma, bits).items()]
+                   for mu, r in rook._rook_types(gamma, bits).items()]
         packed = _columns_times(kf, weights)
         instance = f"heights={format_heights(gamma)}"
         omega = omega_lhs == [v << bits * a for v in packed]
@@ -486,7 +456,7 @@ def check_principal(gamma, alpha_max: int) -> list[CheckReport]:
     length of the largest of: X_la(1) m_la(1, ..., 1) summed, for each k;
     n!, for the rook DP; and alpha_max^n, which bounds the product of
     (k - a_i) and the sum of r(1) k!/(k - p)!, the p-part types counting
-    at most S(n, p) placements (_rook_types) and the sum over p of
+    at most S(n, p) placements (rook._rook_types) and the sum over p of
     S(n, p) k!/(k - p)! being k^n.  A factor past that bound, or with a
     negative coefficient, raises ValueError.  The ints are unpacked only
     to write a counterexample.
@@ -515,7 +485,7 @@ def _principal_reports(members, alpha_max: int) -> list[list[CheckReport]]:
         # The product is nonzero from the first k above every a_i on.
         top = max(aseq, default=-1)
         by_parts = {}
-        for mu, r in _rook_types(gamma, bits).items():
+        for mu, r in rook._rook_types(gamma, bits).items():
             by_parts[len(mu)] = by_parts.get(len(mu), 0) + r
         reports = []
         for colors in ks:

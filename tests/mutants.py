@@ -158,16 +158,32 @@ MUTANTS = [
            ("tests/test_symfunc.py::test_multiply",
             "tests/test_symfunc.py::"
             "test_multiply_equals_the_scan_over_every_pair")),
-    # Every packed check reads its rook side through verify._rook_types,
-    # whose premise (each type counts at most its set partitions) every
-    # width rests on; a type one placement over it must raise.
-    Mutant("rook-premise-unchecked", "src/rookhl/verify.py",
+    # Every reader of the rook DP but mult's prefix walk goes through
+    # rook._rook_types, whose premise (each type counts at most its set
+    # partitions) every width rests on; a type one placement over it must
+    # raise.
+    Mutant("rook-premise-unchecked", "src/rookhl/rook.py",
            "if count > _set_partitions(mu):",
            "if count > _set_partitions(mu) and False:",
            ("tests/test_verify.py::"
             "test_a_type_one_placement_over_its_set_partitions_raises",
             "tests/test_verify.py::"
             "test_mult_raises_when_the_count_premise_fails")),
+    # type_polynomials unpacks the premise-checked read, not the DP itself.
+    Mutant("type-polynomials-skips-premise", "src/rookhl/rook.py",
+           "for mu, hist in _rook_types(gamma, width).items()}",
+           "for mu, hist in _type_polynomials(gamma, width).items()}",
+           ("tests/test_rook.py::"
+            "test_only_the_premise_checked_read_and_mult_name_the_rook_dp",
+            "tests/test_verify.py::"
+            "test_a_type_one_placement_over_its_set_partitions_raises")),
+    # The P coefficient's product of [m]_q! over mu's multiplicities is a
+    # product of repunits [t]_q, t = 2..m; one short drops [m]_q.
+    Mutant("hl-factorials-repunit-one-short", "src/rookhl/rook.py",
+           "for t in range(2, m + 1):", "for t in range(2, m):",
+           ("tests/test_rook.py::test_hl_coefficients_are_polynomials",
+            "tests/test_rook.py::test_hl_coefficient_at_single_column_type",
+            "tests/test_verify.py::test_check_main_small_sizes")),
     # main's width must cover the table it packs, kf, whose entries the
     # n! term bounds, not only both sides.
     Mutant("main-width-drops-factorial", "src/rookhl/verify.py",
@@ -221,19 +237,28 @@ MUTANTS = [
            'if text in ("-", ""):', 'if text == "":',
            ("tests/test_partitions.py::test_parse_and_format",
             "tests/test_dyck.py::test_parse_format_heights")),
-    # One height check serves from_heights and both transfer DPs: the DPs'
-    # unbounded call still rejects a height that is no int, and
-    # from_heights's bounded call still rejects a height above n.
-    Mutant("heights-int-check-bounded-only", "src/rookhl/dyck.py",
+    # One height check serves from_heights, both transfer DPs and mult:
+    # it rejects a height that is no int, a float that equals one too, and
+    # a height above n, at every entry point.
+    Mutant("heights-int-check-takes-floats", "src/rookhl/dyck.py",
            "if not isinstance(m, int) or isinstance(m, bool):",
-           "if n is not None and (not isinstance(m, int)\n"
-           "                              or isinstance(m, bool)):",
+           "if not isinstance(m, (int, float)) or isinstance(m, bool):",
            ("tests/test_verify.py::"
             "test_every_entry_point_rejects_a_height_that_is_no_int",
             "tests/test_dyck.py::test_check_heights_agrees_with_from_heights")),
     Mutant("heights-bound-dropped", "src/rookhl/dyck.py",
-           "if n is not None and m > n:", "if False:",
-           ("tests/test_dyck.py::test_from_heights_names_offending_column",)),
+           "if m > n:", "if False:",
+           ("tests/test_dyck.py::test_from_heights_names_offending_column",
+            "tests/test_dyck.py::test_check_heights_agrees_with_from_heights",
+            "tests/test_verify.py::"
+            "test_every_entry_point_rejects_a_height_above_n")),
+    # mult's DP sees only the extended path, which is valid whatever gamma
+    # is, so the check must run the height rule on gamma itself.
+    Mutant("mult-heights-unchecked", "src/rookhl/verify.py",
+           "    check_heights(gamma)\n    n = len(gamma)\n    extended",
+           "    n = len(gamma)\n    extended",
+           ("tests/test_verify.py::"
+            "test_every_entry_point_rejects_a_height_above_n",)),
     # A kind-1 modular triple needs its row condition; from_heights checks
     # only that the moved column stays a path.
     Mutant("modular-kind1-no-row-condition", "src/rookhl/dyck.py",

@@ -1,7 +1,8 @@
 """Reference forms that only the tests read: a path's graph edges and board
 cells listed as sets, dominance order, e_k and 1 in the monomial basis,
-the exact value of a Laurent polynomial and of a symmetric function at
-rational points, a Hall-Littlewood P evaluated straight from its
+the q-factorial [n]_q! as a Laurent polynomial (the oracle of the P
+coefficients' packed product of repunits), the exact value of a Laurent
+polynomial and of a symmetric function at rational points, a Hall-Littlewood P evaluated straight from its
 symmetrization formula, single coefficients of a Laurent polynomial and
 of a symmetric function, the sum, scaling and difference of symmetric
 functions and the zero one, the
@@ -31,7 +32,7 @@ from rookhl.partitions import (
     multiplicities, nstat,
 )
 from rookhl.qseries import (
-    ONE, Q, ZERO, QLaurent, from_int, q_factorial, q_int, q_power,
+    ONE, Q, ZERO, QLaurent, from_int, q_falling, q_int, q_power,
 )
 from rookhl.rook import type_polynomials
 from rookhl.symfunc import SymFunc, _padded_orbits, transitions
@@ -80,6 +81,14 @@ def elementary(k: int) -> SymFunc:
     if k < 0:
         raise ValueError("elementary requires k >= 0")
     return SymFunc(k, "monomial", {(1,) * k: ONE})
+
+
+def q_factorial(n: int) -> QLaurent:
+    """[n]_q! = [1]_q [2]_q ... [n]_q, q_falling(n, n).  Empty product 1
+    for n = 0."""
+    if n < 0:
+        raise ValueError("q_factorial requires n >= 0")
+    return q_falling(n, n)
 
 
 def q_eval(p: QLaurent, q0) -> Fraction:

@@ -17,7 +17,7 @@ from rookhl.chromatic import chromatic_x
 from rookhl.cli import main
 from rookhl.dyck import area, enumerate_dyck
 from rookhl.partitions import enumerate_partitions, multiplicities, nstat
-from rookhl.qseries import QLaurent, ZERO, ONE, q_factorial, q_power
+from rookhl.qseries import QLaurent, ZERO, ONE, q_power
 from rookhl import rook
 from rookhl.rook import (
     hl_coefficients, placements, rank_tables, type_polynomials,
@@ -28,7 +28,7 @@ from rookhl.verify import (
 )
 from class_dp import llt_coefficient, x_coefficient
 from placement_oracle import extended_placement, ordered_type_polynomials
-from reference import evaluate, hl_direct_oracle
+from reference import evaluate, hl_direct_oracle, q_factorial
 from tableaux import kostka
 
 FIG_PATH = (2, 2, 4, 4, 5)

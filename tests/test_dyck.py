@@ -45,16 +45,18 @@ def error_of(fn, gamma):
 
 
 def test_check_heights_agrees_with_from_heights():
-    # Below n + 1 the DPs' check and from_heights reject the same tuples
-    # with the same message, a height that is no int among them; heights
-    # above n pass the DPs' check.
+    # The DPs' check and from_heights reject the same tuples with the same
+    # message, a height that is no int and a height above n among them.
     for n in range(5):
         for gamma in product(range(n + 1), repeat=n):
             assert error_of(check_heights, gamma) == \
                 error_of(from_heights, gamma)
         for gamma in enumerate_dyck(n):
             if gamma:
-                check_heights(gamma[:-1] + (n + 2,))
+                high = gamma[:-1] + (n + 2,)
+                assert error_of(check_heights, high) == \
+                    error_of(from_heights, high) == \
+                    f"height {n + 2} at column {n} exceeds n={n}"
             for i, m in enumerate(gamma):
                 for odd in (float(m), m == 1, str(m)):
                     bad = gamma[:i] + (odd,) + gamma[i + 1:]

@@ -7,9 +7,11 @@ from hypothesis import given, strategies as st
 
 from rookhl.qseries import (
     QLaurent, ZERO, ONE, Q, from_int, q_power, pack, pack_signed,
-    unpack, unpack_signed, q_int, q_factorial, q_falling,
+    unpack, unpack_signed, q_int, q_falling,
 )
-from reference import coeff, q_binomial, q_eval, qlaurent_from_json
+from reference import (
+    coeff, q_binomial, q_eval, q_factorial, qlaurent_from_json,
+)
 
 
 laurents = st.builds(

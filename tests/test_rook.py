@@ -12,7 +12,7 @@ from rookhl.dyck import (
     area, enumerate_dyck, complete_path, concat, modular_triples,
 )
 from rookhl.partitions import enumerate_partitions, multiplicities, nstat
-from rookhl.qseries import QLaurent, ONE, ZERO, q_factorial, q_power, unpack
+from rookhl.qseries import QLaurent, ONE, ZERO, q_power, unpack
 from rookhl import rook, verify
 from rookhl.cli import main
 from rookhl.rook import (
@@ -23,7 +23,7 @@ from placement_oracle import (
     chains, enumerated_type_polynomials, extended_placement, fc,
     oracle_free_cells, ordered_type_polynomials,
 )
-from reference import poset_cells
+from reference import poset_cells, q_factorial
 
 
 def subsets_oracle(gamma):
@@ -51,8 +51,8 @@ def test_placement_counts_on_extreme_boards():
     # Full staircase board: placements are set partitions into chains.
     # Each type mu then counts exactly its set partitions, n! over the
     # product of mu_i! and of m! over mu's multiplicities, so the premise
-    # verify's checks read the rook DP under, r_mu(1) at most that many,
-    # is tight here.
+    # every reader of the rook DP checks (rook._rook_types), r_mu(1) at
+    # most that many, is tight here.
     bell = [1, 1, 2, 5, 15, 52, 203, 877]
     for n in range(8):
         staircase = tuple(range(1, n + 1))
@@ -63,8 +63,8 @@ def test_placement_counts_on_extreme_boards():
             blocks = math.prod(map(math.factorial, mu)) * math.prod(
                 map(math.factorial, multiplicities(mu).values()))
             assert r.at_one() == math.factorial(n) // blocks
-            assert verify._set_partitions(mu) == r.at_one()
-        assert sum(verify._set_partitions(mu) for mu in types) == bell[n]
+            assert rook._set_partitions(mu) == r.at_one()
+        assert sum(rook._set_partitions(mu) for mu in types) == bell[n]
         # Empty board: only the empty placement.
         assert placements(complete_path(n)) == [()]
 
@@ -187,7 +187,7 @@ def test_hl_coefficient_raises_on_negative_power(monkeypatch):
     # is q; a kernel that returns 1 leaves q^-1 (1 + q).
     monkeypatch.setattr(rook, "_type_polynomials",
                         lambda gamma, width: {(1, 1): 1})
-    with pytest.raises(ValueError, match="not a polynomial"):
+    with pytest.raises(ValueError, match="negative power of q"):
         hl_coefficients((1, 2))
 
 
@@ -242,6 +242,32 @@ def test_package_writes_each_function_body_once():
     assert [names for names in by_shape.values() if len(names) > 1] == []
 
 
+def test_only_the_premise_checked_read_and_mult_name_the_rook_dp():
+    # Every width that reads the rook DP rests on each type counting at
+    # most its set partitions, which rook._rook_types checks.  So no code
+    # of the package names _type_polynomials but that read and
+    # check_multiplicativity's prefix walk, which passes gamma's types to
+    # it and compares the extended path's slots as they stand.
+    src = Path(rook.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        scopes = [(ast.parse(path.read_text()), "<module>")]
+        while scopes:
+            scope, name = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scopes.append((node, node.name))
+                    continue
+                scopes.append((node, name))
+                if (isinstance(node, ast.Name)
+                        and node.id == "_type_polynomials"
+                        or isinstance(node, ast.Attribute)
+                        and node.attr == "_type_polynomials"):
+                    found.add(f"{path.name} {name}")
+    assert found == {"rook.py _rook_types",
+                     "verify.py check_multiplicativity"}
+
+
 def test_only_fanout_forks_or_freezes_the_heap():
     # The fork and the heap freeze it needs are decided in one module: no
     # other module of the package names os.fork, gc.freeze or gc.unfreeze.
@@ -264,7 +290,9 @@ def test_hl_coefficient_at_single_column_type():
 
 
 def test_hl_coefficients_are_polynomials():
-    for n in range(5):
+    # The Laurent oracle of the packed P rule: the shift of r_mu times the
+    # q-factorials built as Laurent polynomials, on every path through 7.
+    for n in range(8):
         for gamma in enumerate_dyck(n):
             for mu, poly in hl_coefficients(gamma).items():
                 assert poly.is_polynomial()
@@ -340,7 +368,7 @@ def random_heights(rng, n, top):
 
 def test_multiset_kernel_equals_the_ordered_kernel():
     # The multiset DP against the ordered one it replaced, packed, on every
-    # path through n = 7 and on seeded random heights up to n + 3, at the
+    # path through n = 7 and on seeded random heights up to n, at the
     # smallest width and at wider ones.
     for n in range(8):
         width = math.factorial(n).bit_length()
@@ -350,7 +378,7 @@ def test_multiset_kernel_equals_the_ordered_kernel():
     rng = random.Random(21)
     for _ in range(400):
         n = rng.randint(1, 9)
-        gamma = random_heights(rng, n, n + 3)
+        gamma = random_heights(rng, n, n)
         width = math.factorial(n).bit_length() + rng.randint(0, 4)
         assert rook._type_polynomials(gamma, width) == \
             ordered_type_polynomials(gamma, width), gamma
@@ -426,16 +454,16 @@ def columns_met(gamma):
 @pytest.mark.parametrize("gamma", [
     (3, 3, 3, 6, 6, 6, 8, 8), (1, 2, 5, 5, 5, 8, 8, 8),
     (2, 4, 4, 4, 7, 7, 7, 8), (2, 2, 6, 6, 6, 6, 8, 8),
-    (3, 3, 3, 7, 7, 7, 9, 10), (2, 4, 4, 9, 9, 9, 9, 9),
-    (3, 3, 3, 6, 6, 6, 9, 9, 9), (1, 4, 4, 4, 6, 8, 8, 9, 11),
+    (3, 3, 3, 7, 7, 7, 8, 8), (2, 4, 4, 8, 8, 8, 8, 8),
+    (3, 3, 3, 6, 6, 6, 9, 9, 9), (1, 4, 4, 4, 6, 8, 8, 9, 9),
 ])
 def test_type_polynomials_read_open_columns_across_jumps(gamma):
     # The DP keeps only open vertices and reads row d's open columns as
     # the first on - (closed vertices) entries of a state.  Where on jumps
     # by more than one in a row, vertices closed before the jump and open
-    # ones after it share that prefix; heights above n leave columns that
-    # no row meets.  The DP must still equal the enumeration, and so must
-    # the ordered test kernel with either setting of the gate.
+    # ones after it share that prefix.  The DP must still equal the
+    # enumeration, and so must the ordered test kernel with either setting
+    # of the gate.
     on = columns_met(gamma)
     assert max(b - a for a, b in zip(on, on[1:])) > 1
     assert type_polynomials(gamma) == enumerated_type_polynomials(gamma)
@@ -453,12 +481,18 @@ def test_type_polynomials_reject_heights_the_dp_cannot_read():
             type_polynomials(gamma)
         with pytest.raises(ValueError):
             ordered(gamma, gate=False)
-    # Heights above n only close columns, and stay accepted.
-    for gamma in ((2, 2, 4), (2, 2, 4, 5, 5)):
-        assert type_polynomials(gamma) == enumerated_type_polynomials(gamma)
-        for gate in (True, False):
-            assert ordered(gamma, gate) == \
-                enumerated_type_polynomials(gamma, gate)
+    # A height above n is no path, whose area would count cells off its
+    # board: it raises as well.
+    with pytest.raises(ValueError, match="exceeds n=3"):
+        type_polynomials((2, 2, 4))
+    for gate in (True, False):
+        with pytest.raises(ValueError, match="exceeds n=3"):
+            ordered((2, 2, 4), gate)
+    # (2, 2, 4, 5, 5) is a path of size 5, and stays accepted.
+    gamma = (2, 2, 4, 5, 5)
+    assert type_polynomials(gamma) == enumerated_type_polynomials(gamma)
+    for gate in (True, False):
+        assert ordered(gamma, gate) == enumerated_type_polynomials(gamma, gate)
 
 
 def test_gate_hook_reaches_every_rook_side_caller(monkeypatch, capsys):

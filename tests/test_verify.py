@@ -11,8 +11,8 @@ from types import SimpleNamespace
 import pytest
 
 from rookhl.dyck import (
-    area, area_sequence, enumerate_dyck, format_heights, modular_triples,
-    reflect,
+    ModularTriple, area, area_sequence, enumerate_dyck, format_heights,
+    modular_triples, reflect,
 )
 from rookhl.partitions import conjugate, enumerate_partitions
 from rookhl.qseries import (
@@ -85,10 +85,12 @@ def test_check_main_reports_counterexample_when_rule_is_broken(monkeypatch):
                     lhs="direct=q^2 + 3q^3 + 3q^4 + q^5",
                     rhs="types=2q^3 + 4q^4 + 2q^5;"
                         "product=q^2 + 3q^3 + 3q^4 + q^5")
-    assert [r for r in check_multiplicativity((2, 2, 4), 2)
+    # (2, 2, 3) holds with the gate on, so its counterexamples are the
+    # gate's alone.
+    assert [r for r in check_multiplicativity((2, 2, 3), 2)
             if not r.ok][0] == CheckReport(
-        "mult", "heights=2,2,4;k=2;type=3,2", "counterexample",
-        lhs="2q", rhs="1 + 2q + q^2")
+        "mult", "heights=2,2,3;k=2;type=3,2", "counterexample",
+        lhs="4q^2", rhs="1 + 2q + q^2")
 
 
 def test_check_llt_reports_the_tilde_form_when_only_it_fails(monkeypatch):
@@ -264,7 +266,7 @@ def test_llt_bounds_every_rook_side_the_premise_allows(monkeypatch):
     tiny = SymFunc(5, "monomial", {(1, 1, 1, 1, 1): ONE})
     monkeypatch.setattr(verify, "llt_poly", lambda g: tiny)
     t = symfunc.transitions(5)
-    allowed = max(sum((verify._set_partitions(mu) << 5 - len(mu)) * row[j]
+    allowed = max(sum((rook._set_partitions(mu) << 5 - len(mu)) * row[j]
                       for j, mu in enumerate(t.parts)) for row in t.kostka)
     assert allowed == 384 > math.factorial(5)
     assert not check_llt(FIG_PATH).ok
@@ -336,6 +338,20 @@ def test_every_entry_point_rejects_a_height_that_is_no_int():
         for call in calls:
             with pytest.raises(ValueError, match="is not an integer"):
                 call(gamma)
+
+
+def test_every_entry_point_rejects_a_height_above_n():
+    # A height above n is no path: area would count cells off its board,
+    # so the checks' two sides would read it differently and report a
+    # false counterexample.  mult's DP sees only the extended path, a
+    # valid one, so the check runs the height rule on gamma itself.
+    calls = (type_polynomials, hl_coefficients, chromatic_x, llt_poly,
+             check_main, check_llt, partial(check_principal, alpha_max=3),
+             partial(check_multiplicativity, k=1),
+             partial(check_multiplicativity, k=1, function_level=True))
+    for call in calls:
+        with pytest.raises(ValueError, match="exceeds n=3"):
+            call((2, 2, 4))
 
 
 def test_check_modular_chromatic_counterexample_names_the_type(monkeypatch):
@@ -511,19 +527,29 @@ def test_mult_raises_when_the_count_premise_fails(monkeypatch):
         check_multiplicativity(gamma, 1)
 
 
+def modular_through(gamma):
+    """check_modular's r_poly level on the size of gamma."""
+    return check_modular(len(gamma), "r_poly")
+
+
 @pytest.mark.parametrize("check", [
     check_main, check_llt,
     pytest.param(partial(check_principal, alpha_max=6), id="check_principal"),
     pytest.param(partial(check_multiplicativity, k=1), id="check_mult"),
+    type_polynomials, hl_coefficients,
+    pytest.param(modular_through, id="check_modular"),
 ])
 def test_a_type_one_placement_over_its_set_partitions_raises(monkeypatch,
                                                              check):
     # On the full board every type counts exactly its set partitions
-    # (test_rook), so the premise every packed check's width rests on is
+    # (test_rook), so the premise every reader of the rook DP rests on is
     # tight there: one placement more, of type (2,1,1) with one free cell,
     # raises before any width is trusted.  mult reads gamma's types off
-    # the extended path's walk, at row 4.
+    # the extended path's walk, at row 4.  The full board is in no modular
+    # triple, so check_modular is handed one with it in every place.
     gamma = (1, 2, 3, 4)
+    monkeypatch.setattr(verify, "modular_triples", lambda n: [
+        ModularTriple(gamma, gamma, gamma, 1, 1)])
     real = rook._type_polynomials
 
     def dp(g, width, prefix=None):
