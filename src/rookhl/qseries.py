@@ -3,10 +3,14 @@
 QLaurent is the universal coefficient type of this package: every statistic
 generating function, transition-matrix entry, and identity check is built
 from it.  There is no floating point, no tolerance and no polynomial
-division anywhere.
+division anywhere.  The packed checks read polynomials as ints at
+q = 2**bits (pack, unpack), and build their q-integers there (q_falling_at).
 """
 
 from __future__ import annotations
+
+import math
+from functools import cache
 
 
 class QLaurent:
@@ -49,10 +53,6 @@ class QLaurent:
         if not self.coeffs:
             return 0
         return self.min_exp + len(self.coeffs) - 1
-
-    def is_polynomial(self) -> bool:
-        """True when no negative power of q appears."""
-        return not self.coeffs or self.min_exp >= 0
 
     # -- ring structure ----------------------------------------------------
 
@@ -271,23 +271,19 @@ def unpack_signed(value: int, bits: int) -> QLaurent:
     return QLaurent(0, coeffs)
 
 
-def q_int(n: int) -> QLaurent:
-    """[n]_q = 1 + q + ... + q^(n-1).  [0]_q = 0."""
-    if n < 0:
-        raise ValueError("q_int requires n >= 0")
-    return QLaurent(0, (1,) * n)
-
-
-def q_falling(alpha: int, k: int) -> QLaurent:
-    """Falling q-factorial [alpha]_q [alpha-1]_q ... [alpha-k+1]_q.
-
-    Zero when k > alpha (a factor [0]_q occurs); 1 when k = 0.
-    """
+@cache
+def q_falling_at(alpha: int, k: int, bits: int) -> int:
+    """[alpha]_q [alpha-1]_q ... [alpha-k+1]_q at q = 2**bits, a product of
+    repunits, memoized: 1 when k = 0, 0 when k > alpha.  Its coefficients
+    are nonnegative and sum to alpha!/(alpha-k)!; unless that is below
+    2**bits, so that no slot carries, or on a negative argument, it
+    raises ValueError."""
     if alpha < 0 or k < 0:
-        raise ValueError("q_falling requires nonnegative arguments")
+        raise ValueError("q_falling_at requires nonnegative arguments")
+    if math.perm(alpha, k) >> bits:
+        raise ValueError(f"{bits} bits cannot hold {alpha}!/{alpha - k}!")
     if k > alpha:
-        return ZERO
-    result = ONE
-    for t in range(alpha, alpha - k, -1):
-        result = result * q_int(t)
-    return result
+        return 0
+    one = (1 << bits) - 1
+    return math.prod(((1 << bits * t) - 1) // one
+                     for t in range(alpha - k + 1, alpha + 1))

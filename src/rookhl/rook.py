@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from rookhl.dyck import area, check_heights
 from rookhl.partitions import multiplicities, nstat
-from rookhl.qseries import QLaurent, unpack
+from rookhl.qseries import QLaurent, q_falling_at, unpack
 
 
 def placements(gamma: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
@@ -162,7 +162,8 @@ def _type_polynomials(gamma, width: int, prefix=None):
     them.  By free_cells's rule, a new chain frees the cell of every open
     met column, and following one of the c columns ranked b those ranked
     above b and the tied ones to its left, 0 to c - 1 of them: the c
-    choices leave one multiset, and one transition adds them, times [c]_q.
+    choices leave one multiset, and one transition adds them, times [c]_q
+    (qseries.q_falling_at(c, 1, width)).
 
     Each state's fc histogram is one int, `width` bits per fc value.  No
     count exceeds n!, the number of choice sequences, so slots never carry
@@ -177,8 +178,7 @@ def _type_polynomials(gamma, width: int, prefix=None):
     n = len(gamma)
     if width < math.factorial(n).bit_length():
         raise ValueError(f"{width} bits cannot hold {n}! placements")
-    spread = [((1 << width * c) - 1) // ((1 << width) - 1)    # [c]_q
-              for c in range(n + 1)]
+    spread = [q_falling_at(c, 1, width) for c in range(n + 1)]
     states = {(): 1}
     on = 0      # row d meets columns 1..on, as gamma is weakly increasing
     for d in range(1, n + 1):
@@ -227,12 +227,10 @@ def _by_type(states) -> dict[tuple[int, ...], int]:
 @cache
 def _packed_factorials(mu, bits) -> int:
     """The product of [m]_q! over the multiplicities m of mu's parts at
-    q = 2^bits, of repunits [t]_q, t = 2..m; memoized for every path."""
-    one, out = (1 << bits) - 1, 1
-    for m in multiplicities(mu).values():
-        for t in range(2, m + 1):
-            out *= ((1 << bits * t) - 1) // one
-    return out
+    q = 2^bits, each qseries.q_falling_at(m, m, bits); memoized for every
+    path."""
+    return math.prod(q_falling_at(m, m, bits)
+                     for m in multiplicities(mu).values())
 
 
 def _hl_packed(gamma, bits) -> dict[tuple[int, ...], int]:

@@ -26,15 +26,16 @@ division-free (symfunc._solve against the integer kostka, symfunc._times
 by kf), so both sides are computed from packed inputs and packed kf
 (Transitions.packed) without a Laurent polynomial; principal's
 coloring side is summed from packed X coefficients and packed
-m_la(1, q, ..., q^(k-1)), each constant packed once per width (_packed),
-and mult's strip factors are built as ints (_packed_strips).  Each
-width, mult's from (n + k)! with each strip factor checked against it,
-bounds every coefficient either side can have and every entry of a table
-packed, so each is below 2^(bits-1): equal ints prove equal polynomials,
-and unequal ints a counterexample (_width), written from the same ints
+m_la(1, q, ..., q^(k-1)), each packed once per width (_packed), mult's
+strip factors are built as ints (_packed_strips), and every q-integer
+by one memoized kernel (qseries.q_falling_at).  Each width, mult's from
+(n + k)! with each strip factor checked against it, bounds every
+coefficient either side can have and every entry of a table packed, so
+each is below 2^(bits-1): equal ints prove equal polynomials, and unequal
+ints a counterexample (_width), written from the same ints
 (qseries.unpack_signed, pack_signed's inverse on that range).  A
-polynomial the width does not hold, or with a negative power of q,
-raises ValueError.
+polynomial the width does not hold, or with a negative power of q, raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from rookhl.partitions import (
     conjugate, enumerate_partitions, format_partition, multiplicities, nstat,
 )
 from rookhl.qseries import (
-    ZERO, ONE, Q, pack, pack_signed, q_falling, q_int, q_power, unpack,
+    ZERO, ONE, Q, pack, pack_signed, q_falling_at, q_power, unpack,
     unpack_signed,
 )
 from rookhl.rook import hl_coefficients, type_polynomials
@@ -245,20 +246,20 @@ def _packed_strips(mu, k, bits) -> tuple:
     """((nu, f at q = 2^bits), ...) over the vertical k-strips nu of mu,
     walked as the conjugates of the horizontal k-strips of mu', each met
     once, f the q-weight of the strip nu/mu, built as an int:
-    q^(n(nu) - n(mu) - k(k-1)/2), a shift; [t]_q for t = r+1..k, r the new
-    rows, a repunit; for each part size i of mu, [m_i, d_i]_q, d_i of its
-    m_i rows of length i growing, by q-Pascal.  f(1) = k!/r! prod
-    binom(m_i, d_i) bounds every coefficient; unless n! f(1) < 2^(bits-1),
-    it raises ValueError.  Memoized across a sweep's paths."""
-    n, one = sum(mu), (1 << bits) - 1
+    q^(n(nu) - n(mu) - k(k-1)/2), a shift; [k]_q!/[r]_q!, r the new rows,
+    qseries.q_falling_at(k, k - r); for each part size i of mu,
+    [m_i, d_i]_q, d_i of its m_i rows of length i growing, by q-Pascal.
+    f(1) = k!/r! prod binom(m_i, d_i) bounds every coefficient; unless
+    n! f(1) < 2^(bits-1), it raises ValueError.  Memoized across a sweep's
+    paths."""
+    n = sum(mu)
     muc = conjugate(mu) + (0,)
     out = []
     for nuc in symfunc._horizontal_strips(muc[:-1], k):
         nu, nuc = conjugate(nuc), nuc + (0,)
         r = nuc[0] - muc[0]
-        factor = 1 << bits * (nstat(nu) - nstat(mu) - k * (k - 1) // 2)
-        for t in range(r + 1, k + 1):
-            factor *= ((1 << bits * t) - 1) // one
+        factor = q_falling_at(k, k - r, bits) << bits * (
+            nstat(nu) - nstat(mu) - k * (k - 1) // 2)
         at_one = math.perm(k, k - r)
         for i, m in multiplicities(mu).items():
             d = nuc[i] - muc[i]
@@ -449,7 +450,7 @@ def check_principal(gamma, alpha_max: int) -> list[CheckReport]:
     negative alpha_max raises ValueError.
 
     The routes are compared as ints, each evaluated at q = 2^bits
-    (qseries.pack).  Every term of every route has nonnegative
+    (qseries.pack, q_falling_at).  Every term of every route has nonnegative
     coefficients, so each coefficient of a route is at most its value at
     q = 1, and so are the coefficients of every factor in a nonzero term.
     The width, set before any rook side is read, exceeds by one the bit
@@ -458,8 +459,10 @@ def check_principal(gamma, alpha_max: int) -> list[CheckReport]:
     (k - a_i) and the sum of r(1) k!/(k - p)!, the p-part types counting
     at most S(n, p) placements (rook._rook_types) and the sum over p of
     S(n, p) k!/(k - p)! being k^n.  A factor past that bound, or with a
-    negative coefficient, raises ValueError.  The ints are unpacked only
-    to write a counterexample.
+    negative coefficient, raises ValueError.  q_falling_at checks that its
+    value at q = 1 is below 2^bits, not pack's signed half range; each it
+    reads here is at most k^p <= alpha_max^n at q = 1, which _width holds
+    below 2^(bits-1).  The ints are unpacked only to write a counterexample.
     """
     return _principal_reports((gamma,), alpha_max)[0]
 
@@ -489,11 +492,10 @@ def _principal_reports(members, alpha_max: int) -> list[list[CheckReport]]:
             by_parts[len(mu)] = by_parts.get(len(mu), 0) + r
         reports = []
         for colors in ks:
-            via_types = sum(r * _packed(q_falling, bits, colors, p)
-                            for p, r in by_parts.items()
-                            if p <= colors) << bits * a
+            via_types = sum(r * q_falling_at(colors, p, bits)
+                            for p, r in by_parts.items()) << bits * a
             if colors > top:
-                product = math.prod(_packed(q_int, bits, colors - ai)
+                product = math.prod(q_falling_at(colors - ai, 1, bits)
                                     for ai in aseq) << bits * a
             else:
                 product = 0

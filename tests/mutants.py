@@ -177,13 +177,22 @@ MUTANTS = [
             "test_only_the_premise_checked_read_and_mult_name_the_rook_dp",
             "tests/test_verify.py::"
             "test_a_type_one_placement_over_its_set_partitions_raises")),
-    # The P coefficient's product of [m]_q! over mu's multiplicities is a
-    # product of repunits [t]_q, t = 2..m; one short drops [m]_q.
-    Mutant("hl-factorials-repunit-one-short", "src/rookhl/rook.py",
-           "for t in range(2, m + 1):", "for t in range(2, m):",
+    # The P coefficient's product of [m]_q! over mu's multiplicities reads
+    # the one q-integer kernel, qseries.q_falling_at(m, m), a product of
+    # repunits [t]_q; one short at the top drops [m]_q.  (At the bottom it
+    # would drop [1]_q = 1, which no test can tell.)
+    Mutant("hl-factorials-repunit-one-short", "src/rookhl/qseries.py",
+           "range(alpha - k + 1, alpha + 1)", "range(alpha - k + 1, alpha)",
            ("tests/test_rook.py::test_hl_coefficients_are_polynomials",
             "tests/test_rook.py::test_hl_coefficient_at_single_column_type",
             "tests/test_verify.py::test_check_main_small_sizes")),
+    # The kernel holds its value at q = 1 below 2^bits, so that no slot
+    # carries; every caller's own width holds it, so only a test of the
+    # kernel at a narrower width tells.
+    Mutant("q-falling-range-unchecked", "src/rookhl/qseries.py",
+           "if math.perm(alpha, k) >> bits:", "if False:",
+           ("tests/test_qseries.py::"
+            "test_q_falling_at_raises_one_bit_below_its_value_at_one",)),
     # main's width must cover the table it packs, kf, whose entries the
     # n! term bounds, not only both sides.
     Mutant("main-width-drops-factorial", "src/rookhl/verify.py",

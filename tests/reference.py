@@ -1,7 +1,8 @@
 """Reference forms that only the tests read: a path's graph edges and board
 cells listed as sets, dominance order, e_k and 1 in the monomial basis,
-the q-factorial [n]_q! as a Laurent polynomial (the oracle of the P
-coefficients' packed product of repunits), the exact value of a Laurent
+the q-integer [n]_q, the falling q-factorial and [n]_q! as Laurent
+polynomials (the oracles of qseries.q_falling_at, the packed product of
+repunits every check reads), the exact value of a Laurent
 polynomial and of a symmetric function at rational points, a Hall-Littlewood P evaluated straight from its
 symmetrization formula, single coefficients of a Laurent polynomial and
 of a symmetric function, the sum, scaling and difference of symmetric
@@ -31,9 +32,7 @@ from rookhl.partitions import (
     check_partition, conjugate, enumerate_partitions, format_partition,
     multiplicities, nstat,
 )
-from rookhl.qseries import (
-    ONE, Q, ZERO, QLaurent, from_int, q_falling, q_int, q_power,
-)
+from rookhl.qseries import ONE, Q, ZERO, QLaurent, from_int, q_power
 from rookhl.rook import type_polynomials
 from rookhl.symfunc import SymFunc, _padded_orbits, transitions
 from rookhl.verify import CheckReport, _report
@@ -81,6 +80,28 @@ def elementary(k: int) -> SymFunc:
     if k < 0:
         raise ValueError("elementary requires k >= 0")
     return SymFunc(k, "monomial", {(1,) * k: ONE})
+
+
+def q_int(n: int) -> QLaurent:
+    """[n]_q = 1 + q + ... + q^(n-1).  [0]_q = 0."""
+    if n < 0:
+        raise ValueError("q_int requires n >= 0")
+    return QLaurent(0, (1,) * n)
+
+
+def q_falling(alpha: int, k: int) -> QLaurent:
+    """Falling q-factorial [alpha]_q [alpha-1]_q ... [alpha-k+1]_q.
+
+    Zero when k > alpha (a factor [0]_q occurs); 1 when k = 0.
+    """
+    if alpha < 0 or k < 0:
+        raise ValueError("q_falling requires nonnegative arguments")
+    if k > alpha:
+        return ZERO
+    result = ONE
+    for t in range(alpha, alpha - k, -1):
+        result = result * q_int(t)
+    return result
 
 
 def q_factorial(n: int) -> QLaurent:

@@ -8,9 +8,7 @@ import pytest
 
 from rookhl.dyck import area, area_sequence, enumerate_dyck, reflect
 from rookhl.partitions import enumerate_partitions, multiplicities
-from rookhl.qseries import (
-    QLaurent, ZERO, ONE, Q, from_int, q_falling, q_power,
-)
+from rookhl.qseries import QLaurent, ZERO, ONE, Q, from_int, q_power
 from rookhl.rook import type_polynomials
 from rookhl import chromatic
 from rookhl.chromatic import (
@@ -18,7 +16,7 @@ from rookhl.chromatic import (
 )
 from rookhl.symfunc import SymFunc
 from class_dp import class_counts, llt_coefficient, x_coefficient
-from reference import edges, evaluate, one, q_eval, q_factorial
+from reference import edges, evaluate, one, q_eval, q_factorial, q_falling
 
 
 def window_counts(gamma, caps, lifts, proper):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given, strategies as st
 
 from rookhl.qseries import (
     QLaurent, ZERO, ONE, Q, from_int, q_power, pack, pack_signed,
-    unpack, unpack_signed, q_int, q_falling,
+    unpack, unpack_signed, q_falling_at,
 )
 from reference import (
-    coeff, q_binomial, q_eval, q_factorial, qlaurent_from_json,
+    coeff, q_binomial, q_eval, q_factorial, q_falling, q_int,
+    qlaurent_from_json,
 )
 
 
@@ -253,6 +255,34 @@ def test_q_falling():
     assert q_falling(4, 4) == q_factorial(4)
     with pytest.raises(ValueError):
         q_falling(-1, 0)
+
+
+def test_q_falling_at_is_the_packed_laurent_falling_factorial():
+    # The one packed q-integer kernel against the Laurent reference, at
+    # every width from the least that holds its value at q = 1 up to three
+    # more bits; pack's own half range holds from one bit above the least.
+    for alpha in range(13):
+        for k in range(alpha + 2):
+            ref = q_falling(alpha, k)
+            least = math.perm(alpha, k).bit_length()
+            for bits in range(least, least + 4):
+                got = q_falling_at(alpha, k, bits)
+                assert got == q_eval(ref, 1 << bits), (alpha, k, bits)
+                if bits > least:
+                    assert got == pack(ref, bits), (alpha, k, bits)
+
+
+def test_q_falling_at_raises_one_bit_below_its_value_at_one():
+    # Below the least width that holds alpha!/(alpha-k)!, a slot could
+    # carry: the kernel raises instead.  So does a negative argument.
+    for alpha in range(13):
+        for k in range(alpha + 1):
+            least = math.perm(alpha, k).bit_length()
+            with pytest.raises(ValueError, match="bits cannot hold"):
+                q_falling_at(alpha, k, least - 1)
+    for alpha, k in ((-1, 0), (0, -1), (-2, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            q_falling_at(alpha, k, 8)
 
 
 # -- evaluation -----------------------------------------------------------------

@@ -15,9 +15,7 @@ from rookhl.dyck import (
     modular_triples, reflect,
 )
 from rookhl.partitions import conjugate, enumerate_partitions
-from rookhl.qseries import (
-    ONE, Q, ZERO, from_int, pack, q_falling, q_power,
-)
+from rookhl.qseries import ONE, Q, ZERO, from_int, pack, q_power
 from rookhl import chromatic, rook, symfunc, verify
 from rookhl.cli import main
 from rookhl.chromatic import chromatic_x, llt_poly, principal_direct
@@ -30,8 +28,8 @@ from rookhl.verify import (
 from forks import assert_reaped, record_forks
 from placement_oracle import ordered_type_polynomials
 from reference import (
-    is_vertical_strip, llt_forms, mult_by_pair_scan, q_binomial, scale,
-    solve_bound, strip_factor,
+    is_vertical_strip, llt_forms, mult_by_pair_scan, q_binomial, q_falling,
+    scale, solve_bound, strip_factor,
 )
 
 FIG_PATH = (2, 2, 4, 4, 5)
