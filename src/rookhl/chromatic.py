@@ -9,13 +9,17 @@ for X and any vertex set for LLT, and leaves the rest to the path induced
 on the other vertices, where each vertex keeps the part of its window
 outside I.  The recursion is memoized on that path's area sequence, so the
 paths of a sweep share every induced path they meet, and each coefficient
-histogram is packed into one integer.
+histogram is packed into one integer at the width its caller asks for.
+_coloring_ints is the one read of it, each coefficient checked against
+its premise, the words of its content: chromatic_x and llt_poly unpack
+it, and verify's main and principal compare its ints as they stand.
 
 The principal specialization, the colorings from 1..k weighted by
 q^(ascents + sum of (color - 1)), is read off X's monomial coefficients:
 ps_k(X) = sum over la of [m_la]X * m_la(1, q, ..., q^(k-1)) (Stanley,
-EC2 7.8).  principal_monomial is the second factor, a memoized pure
-function of (la, k), and principal_direct sums the products.
+EC2 7.8).  _packed_monomial builds the second factor as an int, a
+memoized pure function of (la, k) and the width, principal_monomial
+unpacks it, and principal_direct sums the products.
 
 The tests compare the recursion with the color-by-color class DP of
 tests/class_dp.py, that DP and the principal specialization with a
@@ -29,7 +33,8 @@ import math
 from functools import cache
 
 from rookhl.dyck import area_sequence, check_heights
-from rookhl.qseries import ONE, ZERO, QLaurent, unpack
+from rookhl.partitions import enumerate_partitions
+from rookhl.qseries import ZERO, QLaurent, slot_sum, unpack
 from rookhl.symfunc import SymFunc
 
 
@@ -86,51 +91,101 @@ def _induced_counts(aseq, proper, bits) -> list:
     return sorted(out.items(), key=lambda item: -item[0][-1])
 
 
-def _coloring_coeffs(gamma, proper) -> dict:
-    """_induced_counts for gamma, unpacked into a fresh dict, so no caller
-    can change the memo.  One width serves every size up to 20 (20! <
-    2^64); a larger top size keys its own entries.  A window is contiguous
-    only for heights that never decrease and never fall below the
-    diagonal, so other heights, and heights that are no ints, raise
-    ValueError (dyck.check_heights)."""
+@cache
+def _words(la) -> int:
+    """The words of content la, n!/prod la_i!: the premise every width
+    that X and LLT are read at rests on, since la's coefficient counts at
+    most these labelings at q = 1 (LLT's counts all of them)."""
+    return math.factorial(sum(la)) // math.prod(map(math.factorial, la))
+
+
+@cache
+def _partitions(n: int) -> frozenset:
+    """The partitions of n, as a set."""
+    return frozenset(enumerate_partitions(n))
+
+
+def _coloring_ints(gamma, proper, bits) -> dict:
+    """{la: la's coefficient at q = 2^bits} for X if proper, else for the
+    LLT word function: _induced_counts at the caller's width, looked up at
+    call time so that tests can put another recursion in its place, in a
+    fresh dict, so no caller can change the memo.
+
+    Each coefficient is read under its premise: it counts at most the
+    _words(la) labelings of content la, so its slots sum to at most that,
+    and one that sums past it raises ValueError, as does a key that is no
+    partition of n.  No count passes n!, so a width that cannot hold n!
+    raises too.  A window is contiguous only for heights that never
+    decrease, never fall below the diagonal and never pass n, so other
+    heights, and heights that are no ints, raise ValueError
+    (dyck.check_heights)."""
     check_heights(gamma)
+    n = len(gamma)
+    if math.factorial(n) >> bits:
+        raise ValueError(f"{bits} bits cannot hold {n}! labelings")
+    parts = _partitions(n)
+    out = {}
+    for la, hist in _induced_counts(area_sequence(gamma), proper, bits):
+        if la not in parts:
+            raise ValueError(f"coloring side of degree {n} has a "
+                             f"coefficient at {la}, not a partition of {n}")
+        count = slot_sum(hist, bits)
+        if count > _words(la):
+            raise ValueError(f"{count} labelings of content {la} on "
+                             f"{gamma}, over its {_words(la)} words")
+        out[la] = hist
+    return out
+
+
+def _monomial_function(gamma, proper) -> SymFunc:
+    """_coloring_ints unpacked into the monomial basis.  One width serves
+    every size up to 20 (20! < 2^64); a larger size keys its own
+    entries."""
     bits = max(64, math.factorial(len(gamma)).bit_length())
-    return {la: unpack(hist, bits) for la, hist in
-            _induced_counts(area_sequence(gamma), proper, bits)}
+    return SymFunc._trusted(len(gamma), "monomial", {
+        la: unpack(hist, bits)
+        for la, hist in _coloring_ints(gamma, proper, bits).items()})
 
 
 def chromatic_x(gamma) -> SymFunc:
     """The full coloring generating function in the monomial basis."""
-    return SymFunc._trusted(len(gamma), "monomial",
-                            _coloring_coeffs(gamma, proper=True))
+    return _monomial_function(gamma, proper=True)
 
 
 def llt_poly(gamma) -> SymFunc:
     """The full word generating function in the monomial basis."""
-    return SymFunc._trusted(len(gamma), "monomial",
-                            _coloring_coeffs(gamma, proper=False))
+    return _monomial_function(gamma, proper=False)
 
 
 @cache
-def principal_monomial(la, k) -> QLaurent:
-    """m_la(1, q, ..., q^(k-1)): the parts of la placed in k positions
-    0..k-1, at most one per position, part p at position i weighing
-    q^(i*p), and equal parts not told apart.
+def _packed_monomial(la, k, bits) -> int:
+    """m_la(1, q, ..., q^(k-1)) at q = 2^bits: the parts of la placed in k
+    positions 0..k-1, at most one per position, part p at position i
+    weighing q^(i*p), and equal parts not told apart.  Its coefficients
+    are nonnegative and sum to m_la(1^k) <= k^l(la), so no slot carries
+    while that is below 2^bits.
 
     The last position holds no part or one part of each distinct size.  A
     pure function of its arguments, so it is memoized: a sweep asks for the
     same (la, k) on every path of a size.
     """
     if not la:
-        return ONE
+        return 1
     if k < len(la):
-        return ZERO
-    total = principal_monomial(la, k - 1)
+        return 0
+    total = _packed_monomial(la, k - 1, bits)
     for i, p in enumerate(la):
         if i == 0 or la[i - 1] != p:
             rest = la[:i] + la[i + 1:]
-            total = total + principal_monomial(rest, k - 1).shift((k - 1) * p)
+            total += _packed_monomial(rest, k - 1, bits) << bits * (k - 1) * p
     return total
+
+
+def principal_monomial(la, k) -> QLaurent:
+    """m_la(1, q, ..., q^(k-1)): _packed_monomial unpacked at the bit
+    length of k^l(la), which holds every coefficient."""
+    bits = max(1, (k ** len(la)).bit_length())
+    return unpack(_packed_monomial(la, k, bits), bits)
 
 
 def principal_direct(gamma, colors: int) -> QLaurent:

@@ -255,6 +255,17 @@ def unpack(value: int, bits: int) -> QLaurent:
     return QLaurent(0, coeffs)
 
 
+def slot_sum(value: int, bits: int) -> int:
+    """The sum of value's bits-wide slots, value >= 0: the value at q = 1
+    of the polynomial it packs, if no slot carried."""
+    mask = (1 << bits) - 1
+    total = 0
+    while value:
+        total += value & mask
+        value >>= bits
+    return total
+
+
 def unpack_signed(value: int, bits: int) -> QLaurent:
     """The polynomial with coefficients in [-2**(bits-1), 2**(bits-1))
     whose value at q = 2**bits is value, read one balanced digit at a

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from rookhl.dyck import area, check_heights
 from rookhl.partitions import multiplicities, nstat
-from rookhl.qseries import QLaurent, q_falling_at, unpack
+from rookhl.qseries import QLaurent, q_falling_at, slot_sum, unpack
 
 
 def placements(gamma: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
@@ -135,12 +135,8 @@ def _rook_types(gamma, bits, types=None) -> dict[tuple[int, ...], int]:
     _set_partitions(mu).  A type that counts more raises ValueError."""
     if types is None:
         types = _type_polynomials(gamma, bits)
-    mask = (1 << bits) - 1
     for mu, packed in types.items():
-        count = 0
-        while packed:
-            count += packed & mask
-            packed >>= bits
+        count = slot_sum(packed, bits)
         if count > _set_partitions(mu):
             raise ValueError(f"{count} placements of type {mu} on {gamma}, "
                              f"over its {_set_partitions(mu)} set partitions")

@@ -17,22 +17,27 @@ member, and reports each member against its own rook side.  The rook
 sides are never shared: that they agree on the orbit is what is checked.
 
 main, llt, principal and mult compare Python ints: every polynomial
-evaluated at q = 2^bits (qseries.pack, pack_signed), the rook side read
-as the rook DP's ints at that width, under the premise that each type
-counts at most its set partitions (rook._rook_types; main's as P
-coefficients, rook._hl_packed), mult's two paths off one walk of the
-longer.  Evaluation is a ring homomorphism and the basis changes are
-division-free (symfunc._solve against the integer kostka, symfunc._times
-by kf), so both sides are computed from packed inputs and packed kf
-(Transitions.packed) without a Laurent polynomial; principal's
-coloring side is summed from packed X coefficients and packed
-m_la(1, q, ..., q^(k-1)), each packed once per width (_packed), mult's
-strip factors are built as ints (_packed_strips), and every q-integer
-by one memoized kernel (qseries.q_falling_at).  Each width, mult's from
-(n + k)! with each strip factor checked against it, bounds every
-coefficient either side can have and every entry of a table packed, so
-each is below 2^(bits-1): equal ints prove equal polynomials, and unequal
-ints a counterexample (_width), written from the same ints
+evaluated at q = 2^bits, the rook side read as the rook DP's ints at that
+width, under the premise that each type counts at most its set partitions
+(rook._rook_types; main's as P coefficients, rook._hl_packed), mult's two
+paths off one walk of the longer.  main and principal read X the same
+way, as the coloring DP's ints at their width, under the premise that
+each coefficient counts at most the words of its content
+(chromatic._coloring_ints), so that their width is fixed by the size
+before anything is read, and a sweep gives all of their tasks one width
+(_sweep_width), so that X's reads share one memo; llt packs its word
+function at a width read off it (qseries.pack_signed).  Evaluation is a
+ring homomorphism and the basis changes are division-free (symfunc._solve
+against the integer kostka, symfunc._times by kf), so both sides are
+computed from packed inputs and packed kf (Transitions.packed) without a
+Laurent polynomial; principal's direct route is summed from X's ints and
+m_la(1, q, ..., q^(k-1)) built as ints (chromatic._packed_monomial),
+mult's strip factors are built as ints (_packed_strips), and every
+q-integer by one memoized kernel (qseries.q_falling_at).  Each width,
+mult's from (n + k)! with each strip factor checked against it, bounds
+every coefficient either side can have and every entry of a table packed,
+so each is below 2^(bits-1): equal ints prove equal polynomials, and
+unequal ints a counterexample (_width), written from the same ints
 (qseries.unpack_signed, pack_signed's inverse on that range).  A
 polynomial the width does not hold, or with a negative power of q, raises
 ValueError.
@@ -46,7 +51,7 @@ from functools import cache
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from rookhl.chromatic import chromatic_x, llt_poly, principal_monomial
+from rookhl.chromatic import _packed_monomial, chromatic_x, llt_poly
 from rookhl.dyck import (
     area, area_sequence, check_heights, complete_path, concat,
     enumerate_dyck, format_heights, modular_triples, reflect,
@@ -55,11 +60,10 @@ from rookhl.partitions import (
     conjugate, enumerate_partitions, format_partition, multiplicities, nstat,
 )
 from rookhl.qseries import (
-    ZERO, ONE, Q, pack, pack_signed, q_falling_at, q_power, unpack,
-    unpack_signed,
+    ZERO, ONE, Q, pack_signed, q_falling_at, q_power, unpack, unpack_signed,
 )
 from rookhl.rook import hl_coefficients, type_polynomials
-from rookhl import IDENTITIES, rook, symfunc
+from rookhl import IDENTITIES, chromatic, rook, symfunc
 from rookhl.symfunc import SymFunc, _solve, _times, multiply, transitions
 
 
@@ -119,14 +123,6 @@ def _negated_kostka(n: int) -> list[list[int]]:
     return [[-k for k in row] for row in symfunc.transitions(n).kostka]
 
 
-@cache
-def _packed(f, bits, *args) -> int:
-    """f(*args) at q = 2^bits by qseries.pack, which raises ValueError on a
-    negative coefficient.  Memoized, so f must be a pure function of args:
-    a sweep packs the same constants on every path of a size."""
-    return pack(f(*args), bits)
-
-
 def _unpacked(t, values, bits) -> dict:
     """The polynomial at each partition la of t.parts whose value at
     q = 2^bits is la's entry of values."""
@@ -134,9 +130,9 @@ def _unpacked(t, values, bits) -> dict:
 
 
 def _read_at_parts(t, coeffs) -> list:
-    """coeffs read at each partition of t.parts, in order.  The checks
-    compare nothing else, so a key that is not a partition of t.n would go
-    unseen: it raises ValueError instead."""
+    """coeffs read at each partition of t.parts, in order: llt's word
+    function.  llt compares nothing else, so a key that is not a partition
+    of t.n would go unseen: it raises ValueError instead."""
     for la in coeffs:
         if la not in t.index:
             raise ValueError(f"coloring side of degree {t.n} has a "
@@ -144,31 +140,44 @@ def _read_at_parts(t, coeffs) -> list:
     return [coeffs.get(la, ZERO) for la in t.parts]
 
 
-def _main_reports(members) -> list[list[CheckReport]]:
+def _main_bound(n: int) -> int:
+    """A bound on every coefficient main compares at size n and on every
+    entry of kf it packs, whatever X is under its premise.
+
+    Each coefficient of X counts at most the words of its content at
+    q = 1 (chromatic._words), and has no negative coefficient, so those
+    bound X's L1 norms.  Pushed through the solve against -kostka
+    (_negated_kostka) and then times kostka, they bound those of X's
+    Schur vector and then of its P vector, s_la being the sum over mu of
+    K_la,mu(q) P_mu.  n! bounds every Kostka number (kf's L1 norms,
+    Transitions.kf), the rook DP's placements and the rook side, r_mu
+    times the product of m! being at most n!/prod mu_i!.
+    """
+    t = symfunc.transitions(n)
+    words = [chromatic._words(la) for la in t.parts]
+    bounds = _times(_solve(words, _negated_kostka(n)), t.kostka)
+    return max(*bounds, math.factorial(n))
+
+
+def _main_reports(members, bits) -> list[list[CheckReport]]:
     """check_main's report for each path of members, a reversal orbit or
-    one path, as ints at q = 2^bits.  X is read from the first member.
+    one path, as ints at q = 2^bits, a width that holds _main_bound of
+    their size.  X is read from the first member, as the coloring DP's
+    ints at that width (chromatic._coloring_ints), which raises on a
+    coefficient past its premise.
 
     X's monomial vector is solved against the integer kostka once, and
-    its Schur vector times kf is its P vector, since s_la is the sum over
-    mu of K_la,mu(q) P_mu.  Each member's coefficient of P_mu is
-    q^(area - n(mu)) r_mu times the product of [m]_q! over the
-    multiplicities of mu, read at the width (rook._hl_packed).  The
-    width, set before any rook side is read, bounds X's coefficients' L1
-    norms pushed through the same solve against -kostka (_negated_kostka)
-    and then times kostka, and n!, which bounds every Kostka number (kf's
-    L1 norms, Transitions.kf) and the rook side, r_mu times the product of
-    m! being at most n!/prod mu_i!.  A factor past the width, or a rook
-    coefficient with a negative power of q, raises ValueError.
-    A member whose ints differ is reported with both sides unpacked from
-    them.
+    its Schur vector times kf is its P vector.  Each member's coefficient
+    of P_mu is q^(area - n(mu)) r_mu times the product of [m]_q! over the
+    multiplicities of mu, read at the width (rook._hl_packed).  A factor
+    past the width, or a rook coefficient with a negative power of q,
+    raises ValueError.  A member whose ints differ is reported with both
+    sides unpacked from them.
     """
     n = len(members[0])
     t = symfunc.transitions(n)
-    vec = _read_at_parts(t, chromatic_x(members[0]).coeffs)
-    bounds = _times(_solve([c.l1_norm() for c in vec], _negated_kostka(n)),
-                    t.kostka)
-    bits = _width(max(*bounds, math.factorial(n)))
-    lhs = _times(_solve([pack_signed(c, bits) for c in vec], t.kostka),
+    x = chromatic._coloring_ints(members[0], True, bits)
+    lhs = _times(_solve([x.get(la, 0) for la in t.parts], t.kostka),
                  t.packed(bits))
     out = []
     for gamma in members:
@@ -189,8 +198,9 @@ def _main_reports(members) -> list[list[CheckReport]]:
 def check_main(gamma) -> CheckReport:
     """Coloring route against rook route for one path: the full monomial
     expansion pushed into the P basis must equal the placement-derived
-    coefficients, compared as ints at q = 2^bits (_main_reports)."""
-    return _main_reports((gamma,))[0][0]
+    coefficients, compared as ints at q = 2^bits, the width of the path's
+    size (_main_bound, _main_reports)."""
+    return _main_reports((gamma,), _width(_main_bound(len(gamma))))[0][0]
 
 
 def check_modular(n: int, level: str) -> list[CheckReport]:
@@ -439,48 +449,59 @@ def check_llt(gamma) -> CheckReport:
     return _llt_reports((gamma,))[0][0]
 
 
+def _principal_bound(n: int, alpha_max: int) -> int:
+    """A bound on every coefficient check_principal compares at size n,
+    and on every factor of a nonzero term, whatever X is under its
+    premise.  n! is for the rook DP.  alpha_max^n bounds, for each k up
+    to alpha_max, the direct route at q = 1: the sum over la of X_la(1)
+    m_la(1^k), each X_la(1) at most the words of content la
+    (chromatic._words), and the sum over la of those words times
+    m_la(1^k) being k^n.  It bounds the product of (k - a_i), and the sum
+    of r(1) k!/(k - p)!, the p-part types counting at most S(n, p)
+    placements (rook._rook_types) and the sum over p of S(n, p)
+    k!/(k - p)! being k^n too."""
+    return max(alpha_max ** n, math.factorial(n))
+
+
 def check_principal(gamma, alpha_max: int) -> list[CheckReport]:
     """Three routes to the principal specialization, for each number of
     colors k = 0..alpha_max: the colorings, the sum over la of X's
     monomial coefficient times m_la(1, q, ..., q^(k-1))
-    (chromatic.principal_monomial); the placement-type sum with falling
+    (chromatic._packed_monomial); the placement-type sum with falling
     q-factorials; and the hook-style product over columns.  X comes from
-    one chromatic_x call per path, and the types are summed by their
-    number of parts, the only thing the falling factorial reads.  A
+    one read of the coloring DP per path, and the types are summed by
+    their number of parts, the only thing the falling factorial reads.  A
     negative alpha_max raises ValueError.
 
-    The routes are compared as ints, each evaluated at q = 2^bits
-    (qseries.pack, q_falling_at).  Every term of every route has nonnegative
-    coefficients, so each coefficient of a route is at most its value at
-    q = 1, and so are the coefficients of every factor in a nonzero term.
-    The width, set before any rook side is read, exceeds by one the bit
-    length of the largest of: X_la(1) m_la(1, ..., 1) summed, for each k;
-    n!, for the rook DP; and alpha_max^n, which bounds the product of
-    (k - a_i) and the sum of r(1) k!/(k - p)!, the p-part types counting
-    at most S(n, p) placements (rook._rook_types) and the sum over p of
-    S(n, p) k!/(k - p)! being k^n.  A factor past that bound, or with a
-    negative coefficient, raises ValueError.  q_falling_at checks that its
-    value at q = 1 is below 2^bits, not pack's signed half range; each it
+    The routes are compared as ints, each evaluated at q = 2^bits.  Every
+    term of every route has nonnegative coefficients, so each coefficient
+    of a route is at most its value at q = 1, and so are the coefficients
+    of every factor in a nonzero term.  The width, the same for every
+    path of a size, exceeds by one the bit length of _principal_bound.
+    X's coefficients are the coloring DP's ints at that width
+    (chromatic._coloring_ints), which raises on one past its premise.  A
+    factor past the bound raises ValueError.  q_falling_at checks that its
+    value at q = 1 is below 2^bits, not the signed half range; each it
     reads here is at most k^p <= alpha_max^n at q = 1, which _width holds
-    below 2^(bits-1).  The ints are unpacked only to write a counterexample.
+    below 2^(bits-1).  The ints are unpacked only to write a
+    counterexample.
     """
-    return _principal_reports((gamma,), alpha_max)[0]
+    bits = _width(_principal_bound(len(gamma), alpha_max))
+    return _principal_reports((gamma,), alpha_max, bits)[0]
 
 
-def _principal_reports(members, alpha_max: int) -> list[list[CheckReport]]:
+def _principal_reports(members, alpha_max: int,
+                       bits: int) -> list[list[CheckReport]]:
     """check_principal's reports for each path of members, a reversal orbit
-    or one path, X read from the first member and the direct route shared."""
+    or one path, at q = 2^bits, a width that holds _principal_bound of
+    their size, X read from the first member and the direct route
+    shared."""
     if alpha_max < 0:
         raise ValueError("colors must be nonnegative")
-    x = chromatic_x(members[0]).coeffs
+    x = chromatic._coloring_ints(members[0], True, bits).items()
     ks = range(alpha_max + 1)
-    at_one = [sum(c.at_one() * principal_monomial(la, k).at_one()
-                  for la, c in x.items()) for k in ks]
-    n = len(members[0])
-    bits = _width(max(*at_one, alpha_max ** n, math.factorial(n)))
-    terms = [(la, pack(c, bits)) for la, c in x.items()]
-    direct = [sum(c * _packed(principal_monomial, bits, la, k)
-                  for la, c in terms) for k in ks]
+    direct = [sum(c * _packed_monomial(la, k, bits) for la, c in x)
+              for k in ks]
     out = []
     for gamma in members:
         a = area(gamma)
@@ -518,7 +539,8 @@ ORBIT_IDENTITIES = ("main", "llt", "principal")
 
 
 # The reports of a task from its arguments (sweep_tasks), by its kind: one
-# list per path, each member of the orbit for main, llt and principal.
+# list per path, each member of the orbit for main, llt and principal, and
+# the last argument of a main or principal task the sweep's width.
 # check_modular and check_multiplicativity are looked up when a task runs,
 # so that a wrapper put in their place after import (perfbench/tracer.py
 # times them) is the one called.
@@ -553,6 +575,19 @@ def _orbits(n_max: int) -> list[tuple]:
     return out
 
 
+def _sweep_width(n_max: int, ids) -> int:
+    """The one width of a sweep's main and principal tasks: the widest
+    that any of their sizes calls for (_main_bound, and _principal_bound
+    with n + 2 colors), so that every read of X shares one memo of the
+    coloring DP.  One bit for a sweep with neither."""
+    bounds = [0]
+    if "main" in ids:
+        bounds += (_main_bound(n) for n in range(n_max + 1))
+    if "principal" in ids:
+        bounds += (_principal_bound(n, n + 2) for n in range(n_max + 1))
+    return _width(max(bounds))
+
+
 def sweep_tasks(n_max: int, identities) -> list[tuple]:
     """The deterministic task list a sweep will run.
 
@@ -561,16 +596,18 @@ def sweep_tasks(n_max: int, identities) -> list[tuple]:
     n <= n_max and the coloring level for n <= min(n_max, 5); mult uses
     blocks k in 1..3 with n + k <= n_max (function level additionally
     n <= 3, k <= 2); principal sweeps color counts 0..n+2, one task per
-    orbit.
+    orbit.  main and principal tasks end with the sweep's width
+    (_sweep_width).
     """
     ids = set(identities)
     unknown = ids - set(IDENTITIES)
     if unknown:
         raise ValueError(f"unknown identities: {sorted(unknown)}")
     orbits = _orbits(n_max) if ids & set(ORBIT_IDENTITIES) else []
+    bits = _sweep_width(n_max, ids)
     tasks: list[tuple] = []
     if "main" in ids:
-        tasks.extend(("main", o) for o in orbits)
+        tasks.extend(("main", o, bits) for o in orbits)
     if "modular" in ids:
         for n in range(n_max + 1):
             tasks.append(("modular", n, "r_poly"))
@@ -588,7 +625,7 @@ def sweep_tasks(n_max: int, identities) -> list[tuple]:
     if "llt" in ids:
         tasks.extend(("llt", o) for o in orbits)
     if "principal" in ids:
-        tasks.extend(("principal", o, len(o[0]) + 2) for o in orbits)
+        tasks.extend(("principal", o, len(o[0]) + 2, bits) for o in orbits)
     return tasks
 
 
@@ -640,10 +677,14 @@ def stream(n_max: int, identities, jobs: int = 1):
     tasks = sweep_tasks(n_max, identities)
     # Build kf (its L1 norms are kostka), which main and llt pack, at every
     # degree before any worker starts, so that forked workers inherit it
-    # instead of each building it again.  It is packed where an orbit first
-    # asks for its width.  mult's function level reads degrees up to 5,
-    # built where first asked for.
-    if identities & {"main", "llt"}:
+    # instead of each building it again; main's packed at the sweep's
+    # width, llt's packed where an orbit first asks for its own.  mult's
+    # function level reads degrees up to 5, built where first asked for.
+    if "main" in identities:
+        bits = _sweep_width(n_max, identities)
+        for n in range(n_max + 1):
+            transitions(n).packed(bits)
+    elif "llt" in identities:
         for n in range(n_max + 1):
             transitions(n).kf
     workers = min(jobs, len(tasks))

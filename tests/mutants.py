@@ -109,19 +109,38 @@ MUTANTS = [
             "tests/test_rook.py::test_ungated_rule_differs_on_fig_path")),
     # The coloring side's keys: a recursion without its smallest-part
     # filter adds keys that are no partitions, such as (1, 2), beside the
-    # right coefficients; the checks must raise on them.
+    # right coefficients; the checks must raise on them, X's at the read of
+    # the coloring DP, and llt's at its own read of the word function.
     Mutant("coloring-no-smallest-part-filter", "src/rookhl/chromatic.py",
            "if la[-1] < p:", "if la[-1] < 0:",
            ("tests/test_acceptance.py::"
             "test_criterion_2_main_identity_through_n6",
             "tests/test_acceptance.py::test_criterion_5_llt_expansions",
             "tests/test_verify.py::test_check_main_small_sizes")),
-    Mutant("coloring-keys-unchecked", "src/rookhl/verify.py",
-           "if la not in t.index:", "if la not in t.index and False:",
+    Mutant("coloring-keys-unchecked", "src/rookhl/chromatic.py",
+           "if la not in parts:", "if la not in parts and False:",
            ("tests/test_verify.py::"
             "test_main_reports_raise_on_a_coloring_key_that_is_no_partition",
-            "tests/test_verify.py::"
-            "test_llt_reports_raise_on_a_coloring_key_that_is_no_partition")),
+            )),
+    Mutant("llt-keys-unchecked", "src/rookhl/verify.py",
+           "if la not in t.index:", "if la not in t.index and False:",
+           ("tests/test_verify.py::"
+            "test_llt_reports_raise_on_a_coloring_key_that_is_no_partition",
+            )),
+    # main's and principal's widths rest on X's premise, each coefficient
+    # counting at most the words of its content; one past it must raise.
+    Mutant("coloring-premise-unchecked", "src/rookhl/chromatic.py",
+           "if count > _words(la):", "if count > _words(la) and False:",
+           ("tests/test_verify.py::"
+            "test_a_coefficient_one_labeling_over_its_words_raises",
+            "tests/test_verify.py::test_check_principal_bounds_every_route")),
+    # No count passes n!, so the read of the coloring DP must refuse a
+    # width that cannot hold it; every caller's own width does.
+    Mutant("coloring-width-unchecked", "src/rookhl/chromatic.py",
+           "if math.factorial(n) >> bits:", "if False:",
+           ("tests/test_chromatic.py::"
+            "test_the_coloring_read_raises_on_a_width_short_of_n_factorial",
+            )),
     # mult's packed route, verify.check_multiplicativity.
     Mutant("mult-width-one-bit-short", "src/rookhl/verify.py",
            "bits = _width(math.factorial(n + k))",
@@ -194,18 +213,17 @@ MUTANTS = [
            ("tests/test_qseries.py::"
             "test_q_falling_at_raises_one_bit_below_its_value_at_one",)),
     # main's width must cover the table it packs, kf, whose entries the
-    # n! term bounds, not only both sides.
+    # n! term bounds, not only both sides.  X's premise makes the sides'
+    # bound pass n! too, so only a test that narrows the premise tells.
     Mutant("main-width-drops-factorial", "src/rookhl/verify.py",
-           "bits = _width(max(*bounds, math.factorial(n)))\n    lhs = _times(",
-           "bits = _width(max(bounds))\n    lhs = _times(",
+           "return max(*bounds, math.factorial(n))", "return max(bounds)",
            WIDTH),
     # main's bound must carry X's Schur bounds on through kf, by the Kostka
     # numbers; where n! holds the result anyway no report tells, so only a
     # test on the bound does.
     Mutant("main-width-stops-at-schur", "src/rookhl/verify.py",
-           "bounds = _times(_solve([c.l1_norm() for c in vec], "
-           "_negated_kostka(n)),\n                    t.kostka)",
-           "bounds = _solve([c.l1_norm() for c in vec], _negated_kostka(n))",
+           "bounds = _times(_solve(words, _negated_kostka(n)), t.kostka)",
+           "bounds = _solve(words, _negated_kostka(n))",
            ("tests/test_verify.py::"
             "test_main_bounds_x_through_kostka_and_on_through_kf",)),
     # main's and llt's bounds run the solve they bound, against -kostka;
@@ -221,11 +239,11 @@ MUTANTS = [
            "max(*bounds, math.factorial(n))",
            ("tests/test_verify.py::"
             "test_llt_bounds_every_rook_side_the_premise_allows",)),
-    # principal's width must cover the type and product routes through
-    # alpha_max^n, beyond what X's sums and n! hold.
+    # principal's width must cover every route through alpha_max^n, beyond
+    # what n! holds.
     Mutant("principal-width-drops-power", "src/rookhl/verify.py",
-           "max(*at_one, alpha_max ** n, math.factorial(n))",
-           "max(*at_one, math.factorial(n))",
+           "return max(alpha_max ** n, math.factorial(n))",
+           "return math.factorial(n)",
            ("tests/test_verify.py::test_check_principal_bounds_every_route",)),
     # llt bounds kf's entries by the Kostka numbers, which the kf build
     # makes true by rejecting a negative coefficient.

@@ -8,7 +8,7 @@ import pytest
 
 from rookhl.dyck import area, area_sequence, enumerate_dyck, reflect
 from rookhl.partitions import enumerate_partitions, multiplicities
-from rookhl.qseries import QLaurent, ZERO, ONE, Q, from_int, q_power
+from rookhl.qseries import QLaurent, ZERO, ONE, Q, from_int, q_power, unpack
 from rookhl.rook import type_polynomials
 from rookhl import chromatic
 from rookhl.chromatic import (
@@ -248,6 +248,21 @@ def test_class_dp_rejects_heights_it_cannot_read():
                      partial(principal_direct, gamma, 3)):
             with pytest.raises(ValueError, match=message):
                 call()
+
+
+def test_the_coloring_read_raises_on_a_width_short_of_n_factorial():
+    # No coefficient counts more than n! labelings, so n!'s bit length
+    # holds every slot of X and LLT, read there as they unpack at any
+    # wider width; one bit less raises.
+    gamma = (2, 2, 4, 4, 5)
+    bits = math.factorial(5).bit_length()
+    for proper, function in ((True, chromatic_x), (False, llt_poly)):
+        ints = chromatic._coloring_ints(gamma, proper, bits)
+        assert {la: unpack(h, bits) for la, h in ints.items()} == \
+            function(gamma).coeffs
+        with pytest.raises(ValueError,
+                           match=r"6 bits cannot hold 5! labelings"):
+            chromatic._coloring_ints(gamma, proper, bits - 1)
 
 
 def test_x_known_expansions():

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from rookhl.qseries import (
     QLaurent, ZERO, ONE, Q, from_int, q_power, pack, pack_signed,
-    unpack, unpack_signed, q_falling_at,
+    unpack, unpack_signed, q_falling_at, slot_sum,
 )
 from reference import (
     coeff, q_binomial, q_eval, q_factorial, q_falling, q_int,
@@ -132,6 +132,16 @@ def test_pack_round_trips_and_is_a_homomorphism(shift, coeffs, bits):
         assert pack(p, bits) ** 2 == pack(square, bits)
         assert unpack(pack(p, bits) ** 2, bits) == square
     assert pack(ZERO, 1) == 0 and unpack(0, 1) == ZERO
+
+
+@given(st.integers(min_value=0, max_value=4),
+       st.lists(st.integers(min_value=0, max_value=2 ** 20), max_size=6),
+       st.integers(min_value=21, max_value=70))
+def test_slot_sum_is_the_value_at_one(shift, coeffs, bits):
+    # Slots below 2^bits never carry, so their sum is the polynomial's
+    # value at q = 1, whatever power of q it starts at.
+    value = sum(c << bits * (shift + i) for i, c in enumerate(coeffs))
+    assert slot_sum(value, bits) == QLaurent(shift, coeffs).at_one()
 
 
 signed = st.lists(st.integers(min_value=-2 ** 20, max_value=2 ** 20),

@@ -15,7 +15,7 @@ from rookhl.dyck import (
     modular_triples, reflect,
 )
 from rookhl.partitions import conjugate, enumerate_partitions
-from rookhl.qseries import ONE, Q, ZERO, from_int, pack, q_power
+from rookhl.qseries import ONE, Q, ZERO, QLaurent, from_int, pack, q_power
 from rookhl import chromatic, rook, symfunc, verify
 from rookhl.cli import main
 from rookhl.chromatic import chromatic_x, llt_poly, principal_direct
@@ -29,7 +29,7 @@ from forks import assert_reaped, record_forks
 from placement_oracle import ordered_type_polynomials
 from reference import (
     is_vertical_strip, llt_forms, mult_by_pair_scan, q_binomial, q_falling,
-    scale, solve_bound, strip_factor,
+    solve_bound, strip_factor,
 )
 
 FIG_PATH = (2, 2, 4, 4, 5)
@@ -37,6 +37,18 @@ FIG_PATH = (2, 2, 4, 4, 5)
 
 def paths_through(n_max):
     return [g for n in range(n_max + 1) for g in enumerate_dyck(n)]
+
+
+def edit_the_read(monkeypatch, gamma, edit):
+    """Put edit(entries) in place of the coloring DP's entries for gamma's
+    own area sequence, as the read of the DP gets them.  The induced paths
+    it recurses into are smaller, so their memo stays clean."""
+    real = chromatic._induced_counts
+    top = area_sequence(gamma)
+    monkeypatch.setattr(
+        chromatic, "_induced_counts",
+        lambda aseq, proper, bits: edit(real(aseq, proper, bits))
+        if aseq == top else real(aseq, proper, bits))
 
 
 def orbit_firsts(n_max):
@@ -181,20 +193,24 @@ def test_paths_that_hold_never_take_the_laurent_route(monkeypatch):
 def test_the_width_holds_every_entry_of_the_table_it_packs(monkeypatch):
     # X = e_5 = P_(1^5), LLT = m_(1^5), and a rook side of type (5) for
     # main and of no type for llt: every coefficient either side has is at
-    # most 1, and 2 bits hold it.  kf's entries, which main and llt both
-    # pack, reach L1 norm 6 at n = 5 (kf's are the Kostka numbers), so the
-    # width must cover the table it packs too, for each check to report
-    # rather than raise.  The fake rook DP answers at any width, so only
-    # the table can tell.  Both widths cover it through n!, since no
-    # Kostka number passes n!: K_la,mu is at most K_la,(1^n), the number
-    # of standard tableaux of shape la.
+    # most 1, and 2 bits hold it.  main's width comes from X's premise, the
+    # words of each content, narrowed here to X itself.  kf's entries,
+    # which main and llt both pack, reach L1 norm 6 at n = 5 (kf's are the
+    # Kostka numbers), so the width must cover the table it packs too, for
+    # each check to report rather than raise.  The fake rook DP answers at
+    # any width, so only the table can tell.  Both widths cover it through
+    # n!, since no Kostka number passes n!: K_la,mu is at most
+    # K_la,(1^n), the number of standard tableaux of shape la.
     for n in range(9):
         assert max(map(max, symfunc.transitions(n).kostka)) <= \
             math.factorial(n)
     t = symfunc.transitions(5)
     assert max(map(max, t.kostka)) == 6
     tiny = SymFunc(5, "monomial", {(1, 1, 1, 1, 1): ONE})
-    monkeypatch.setattr(verify, "chromatic_x", lambda g: tiny)
+    monkeypatch.setattr(chromatic, "_induced_counts",
+                        lambda aseq, proper, bits: [((1, 1, 1, 1, 1), 1)])
+    monkeypatch.setattr(chromatic, "_words",
+                        lambda la: int(la == (1, 1, 1, 1, 1)))
     monkeypatch.setattr(verify, "llt_poly", lambda g: tiny)
     monkeypatch.setattr(rook, "_type_polynomials", lambda g, w: {(5,): 1})
     assert check_main(FIG_PATH) == CheckReport(
@@ -212,13 +228,17 @@ def test_main_bounds_x_through_kostka_and_on_through_kf(monkeypatch):
     # n! is 24, but its coefficient of P_(1^4) is -18 + 6q + 6q^2 + 6q^3,
     # of L1 norm 36.  A width from 24 still holds every coefficient here,
     # so the report alone cannot see a bound that stops at the Schur
-    # vector.
+    # vector.  The width comes from X's premise, the words of each
+    # content, narrowed here to X itself.
     widths = []
     real = verify._width
     monkeypatch.setattr(verify, "_width",
                         lambda bound: widths.append(bound) or real(bound))
     x = SymFunc(4, "monomial", {(2, 1, 1): from_int(6)})
-    monkeypatch.setattr(verify, "chromatic_x", lambda g: x)
+    monkeypatch.setattr(chromatic, "_induced_counts",
+                        lambda aseq, proper, bits: [((2, 1, 1), 6)])
+    monkeypatch.setattr(chromatic, "_words",
+                        lambda la: 6 if la == (2, 1, 1) else 0)
     monkeypatch.setattr(rook, "_type_polynomials", lambda g, w: {(4,): 1})
     laurent = str(x.to_basis("hl_p"))
     assert laurent == "(2,1,1): 6\n(1,1,1,1): -18 + 6q + 6q^2 + 6q^3"
@@ -311,11 +331,57 @@ def test_main_reports_raise_on_a_coloring_key_that_is_no_partition(
         monkeypatch):
     # main reads X only at the partitions of n, so a stray key such as
     # (1, 2) beside X's own coefficients would pass every check unseen.
-    x = {**chromatic_x(FIG_PATH).coeffs, (1, 2): ONE}
-    monkeypatch.setattr(verify, "chromatic_x",
-                        lambda g: SimpleNamespace(coeffs=x))
+    edit_the_read(monkeypatch, FIG_PATH,
+                  lambda entries: [*entries, ((1, 2), 1)])
     with pytest.raises(ValueError, match=r"at \(1, 2\), not a partition of 5"):
         check_main(FIG_PATH)
+
+
+@pytest.mark.parametrize("check", [
+    check_main,
+    pytest.param(partial(check_principal, alpha_max=3), id="check_principal"),
+])
+def test_a_coefficient_one_labeling_over_its_words_raises(monkeypatch,
+                                                         check):
+    # main's and principal's widths rest on X's premise: la's coefficient
+    # counts at most the words of content la.  X_(1^5) counts every order
+    # of five distinct colors, 5! = 120, all the words there are; one more
+    # labeling, read at the check's own width, must raise.
+    ones = (1, 1, 1, 1, 1)
+    assert chromatic_x(FIG_PATH).coeffs[ones].at_one() == 120
+    edit_the_read(monkeypatch, FIG_PATH, lambda entries: [
+        (la, h + (la == ones)) for la, h in entries])
+    with pytest.raises(ValueError, match=r"121 labelings of content "
+                       r"\(1, 1, 1, 1, 1\) on \(2, 2, 4, 4, 5\), over its "
+                       r"120 words"):
+        check(FIG_PATH)
+
+
+def test_main_and_principal_orbits_build_no_laurent_polynomial(
+        monkeypatch):
+    # main and principal read X, the rook side and every table as ints at
+    # the sweep's width: once kf is packed at it, no verified orbit builds
+    # a QLaurent.
+    tasks = sweep_tasks(6, {"main", "principal"})
+    bits = tasks[0][-1]
+    assert {t[-1] for t in tasks} == {bits}
+    for n in range(7):
+        symfunc.transitions(n).packed(bits)
+    built = []
+    real = QLaurent.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(QLaurent, "__init__", counted)
+    reports = [r for t in tasks for lists in verify._task_reports(t)
+               for r in lists]
+    monkeypatch.undo()
+    paths = paths_through(6)
+    assert len(reports) == len(paths) + sum(len(g) + 3 for g in paths)
+    assert all(r.ok for r in reports)
+    assert built == []
 
 
 def test_llt_reports_raise_on_a_coloring_key_that_is_no_partition(
@@ -587,17 +653,17 @@ def test_check_principal_small_sizes():
 
 
 def test_check_principal_runs_the_class_dp_once_per_path(monkeypatch):
-    # Every number of colors is read off X's coefficients, from one call of
-    # chromatic_x, looked up at call time.  A sweep calls it once per
-    # reversal orbit, for the orbit's first member.
+    # Every number of colors is read off X's coefficients, from one read
+    # of the coloring DP, looked up at call time.  A sweep reads it once
+    # per reversal orbit, for the orbit's first member.
     seen = []
-    real = verify.chromatic_x
+    real = chromatic._coloring_ints
 
-    def recording(gamma):
+    def recording(gamma, proper, bits):
         seen.append(gamma)
-        return real(gamma)
+        return real(gamma, proper, bits)
 
-    monkeypatch.setattr(verify, "chromatic_x", recording)
+    monkeypatch.setattr(chromatic, "_coloring_ints", recording)
     for n in range(5):
         for gamma in enumerate_dyck(n):
             seen.clear()
@@ -657,10 +723,10 @@ def test_check_principal_reports_a_direct_side_counterexample(monkeypatch):
     # Break the coloring side at two colors only, multiplying m_la(1, q)
     # by q: that instance, and no other, must be reported, with the rook
     # and product sides intact.
-    real = verify.principal_monomial
+    real = verify._packed_monomial
     monkeypatch.setattr(
-        verify, "principal_monomial",
-        lambda la, k: real(la, k).shift(1 if k == 2 else 0))
+        verify, "_packed_monomial",
+        lambda la, k, bits: real(la, k, bits) << (bits if k == 2 else 0))
     reports = check_principal(FIG_PATH, 3)
     assert [r.instance for r in reports if r.ok] == [
         "heights=2,2,4,4,5;colors=0", "heights=2,2,4,4,5;colors=1",
@@ -674,54 +740,53 @@ def test_check_principal_reports_a_direct_side_counterexample(monkeypatch):
 
 @pytest.mark.parametrize("side", ["direct", "types"])
 def test_check_principal_bounds_every_route(monkeypatch, side):
-    # Scale X by 3^30: its coefficients outgrow the other two routes'
-    # values at q = 1, so the packing width must come from all of them for
-    # the report to name the exact polynomials instead of raising.  Or
-    # take X = e_5 with the real rook side: X's sums stay at most 6 and n!
-    # is 120, but at 5 and 6 colors the type route's coefficients reach
-    # 264 and 578, which alpha_max^n must cover.
+    # Scale X by 3^30: its coefficients outgrow the words of their
+    # contents, the premise the width rests on, so the check raises
+    # instead of reporting.  Or take X = e_5 with the real rook side: X's
+    # sums stay at most 6 and n! is 120, but at 5 and 6 colors the type
+    # route's coefficients reach 264 and 578, which alpha_max^n must
+    # cover.
     big = 3 ** 30
     if side == "direct":
-        monkeypatch.setattr(verify, "chromatic_x",
-                            lambda g: scale(chromatic_x(g), big))
-        alpha_max = 4
-    else:
-        tiny = SymFunc(5, "monomial", {(1, 1, 1, 1, 1): ONE})
-        monkeypatch.setattr(verify, "chromatic_x", lambda g: tiny)
-        alpha_max = 6
+        edit_the_read(monkeypatch, FIG_PATH, lambda entries: [
+            (la, h * big) for la, h in entries])
+        with pytest.raises(ValueError, match="over its"):
+            check_principal(FIG_PATH, 4)
+        return
+    alpha_max = 6
+    product = [principal_direct(FIG_PATH, k) for k in range(alpha_max + 1)]
+    monkeypatch.setattr(chromatic, "_induced_counts",
+                        lambda aseq, proper, bits: [((1, 1, 1, 1, 1), 1)])
     reports = check_principal(FIG_PATH, alpha_max)
     assert [r.ok for r in reports] == [True, True] + [False] * (alpha_max - 1)
     types = type_polynomials(FIG_PATH)
     for colors, report in enumerate(reports[2:], start=2):
-        right = principal_direct(FIG_PATH, colors)
-        if side == "direct":
-            lhs, series = right * big, right
-        else:
-            # e_5(1, q, ..., q^(colors-1)), nonzero from 5 colors on.
-            lhs = q_power(10) * q_binomial(colors, 5) if colors >= 5 else ZERO
-            series = sum((r * q_falling(colors, len(mu))
-                          for mu, r in types.items()),
-                         ZERO).shift(area(FIG_PATH))
+        right = product[colors]
+        # e_5(1, q, ..., q^(colors-1)), nonzero from 5 colors on.
+        lhs = q_power(10) * q_binomial(colors, 5) if colors >= 5 else ZERO
+        series = sum((r * q_falling(colors, len(mu))
+                      for mu, r in types.items()),
+                     ZERO).shift(area(FIG_PATH))
         assert report == CheckReport(
             "principal", f"heights=2,2,4,4,5;colors={colors}",
             "counterexample", lhs=f"direct={lhs}",
             rhs=f"types={series};product={right}")
-    if side == "types":
-        assert max(series.coeffs) == 578 >= 1 << math.factorial(5).bit_length()
+    assert max(series.coeffs) == 578 >= 1 << math.factorial(5).bit_length()
 
 
 @pytest.mark.parametrize("identity", ["main", "llt", "principal"])
 def test_sweep_runs_the_coloring_dp_once_per_orbit(monkeypatch, identity):
-    # Both coloring functions are looked up at call time.  X serves main
-    # and principal, LLT serves llt, and each runs once per orbit.
+    # Both coloring functions are read through one read of the coloring
+    # DP, looked up at call time.  X serves main and principal, LLT serves
+    # llt, and each is read once per orbit.
     seen = {"x": [], "llt": []}
+    real = chromatic._coloring_ints
 
-    def recording(name, real):
-        return lambda gamma: seen[name].append(gamma) or real(gamma)
+    def recording(gamma, proper, bits):
+        seen["x" if proper else "llt"].append(gamma)
+        return real(gamma, proper, bits)
 
-    monkeypatch.setattr(verify, "chromatic_x",
-                        recording("x", verify.chromatic_x))
-    monkeypatch.setattr(verify, "llt_poly", recording("llt", verify.llt_poly))
+    monkeypatch.setattr(chromatic, "_coloring_ints", recording)
     assert all(r.ok for r in sweep(5, {identity}))
     want = {"x": orbit_firsts(5), "llt": []}
     if identity == "llt":
@@ -1115,7 +1180,9 @@ def test_sweep_tasks_ranges():
     assert ("modular", 6, "chromatic") not in mods
     # main, llt and principal: one task per reversal orbit, a palindromic
     # path alone and any other with its reflection, covering every path
-    # with n <= n_max once.
+    # with n <= n_max once.  main and principal tasks end with the sweep's
+    # width, the widest its sizes call for: 20 bits at n = 6, from main's
+    # bound 278,178 and from principal's 8^6 = 262,144 alike.
     for identity in ("main", "llt", "principal"):
         tasks = sweep_tasks(6, {identity})
         assert len(tasks) == 1 + 1 + 2 + 4 + 10 + 26 + 76
@@ -1123,8 +1190,8 @@ def test_sweep_tasks_ranges():
         for t in tasks:
             g = t[1][0]
             assert t[1] == ((g,) if g == reflect(g) else (g, reflect(g)))
-            assert t[2:] == ((len(g) + 2,) if identity == "principal"
-                             else ())
+            assert t[2:] == {"main": (20,), "llt": (),
+                             "principal": (len(g) + 2, 20)}[identity]
         assert sorted(g for t in tasks for g in t[1]) == \
             sorted(paths_through(6))
 
